@@ -1,7 +1,6 @@
 module Machine = Dda_machine.Machine
 module Tabulate = Dda_machine.Tabulate
 module Graph = Dda_graph.Graph
-module Symmetry = Dda_verify.Symmetry
 
 let version_salt = "dda-engine/3"
 
@@ -42,18 +41,68 @@ let serialise_under g p =
   done;
   Buffer.contents buf
 
+(* The least [serialise_under g p] over all permutations [p], by
+   depth-first placement of one node per position.  Every candidate has the
+   same length (same label multiset, same bitmap size), so string order is
+   plain lexicographic order and a prefix already larger than the best
+   candidate's is pruned exactly.  The labels come first, so each placement
+   extends the prefix; once all nodes are placed the bitmap is compared
+   byte by byte and abandoned at the first larger byte. *)
+let canonical g =
+  let n = Graph.nodes g in
+  let lbl = Array.init n (fun v -> String.escaped (Graph.label g v) ^ ",") in
+  let best = Bytes.of_string (serialise_under g (Array.init n Fun.id)) in
+  let len = Bytes.length best in
+  let cur = Bytes.create len in
+  let p = Array.make n 0 and used = Array.make n false in
+  (* write [ch] at [pos], where [cmp] orders cur.[0 .. pos-1] against best *)
+  let put pos cmp ch =
+    Bytes.set cur pos ch;
+    if cmp <> 0 then cmp else Char.compare ch (Bytes.get best pos)
+  in
+  (* place nodes [k..] behind a prefix of length [pos]; true iff best
+     improved, after which the prefix equals best's *)
+  let rec place k pos cmp =
+    if k = n then begin
+      let cmp = ref (put pos cmp ';') and pos = ref (pos + 1) in
+      let i = ref 0 and j = ref 1 in
+      while !cmp <= 0 && !pos < len do
+        cmp := put !pos !cmp (if Graph.adjacent g p.(!i) p.(!j) then '1' else '0');
+        incr pos;
+        incr j;
+        if !j = n then begin
+          incr i;
+          j := !i + 1
+        end
+      done;
+      !cmp < 0 && (Bytes.blit cur 0 best 0 len; true)
+    end
+    else begin
+      let cmp = ref cmp and improved = ref false in
+      for v = 0 to n - 1 do
+        if not used.(v) then begin
+          let c = ref !cmp in
+          String.iteri (fun x ch -> c := put (pos + x) !c ch) lbl.(v);
+          if !c <= 0 then begin
+            used.(v) <- true;
+            p.(k) <- v;
+            if place (k + 1) (pos + String.length lbl.(v)) !c then begin
+              improved := true;
+              cmp := 0
+            end;
+            used.(v) <- false
+          end
+        end
+      done;
+      !improved
+    end
+  in
+  ignore (place 0 0 0);
+  Bytes.to_string best
+
 let graph g =
   let n = Graph.nodes g in
-  if n <= 8 then begin
-    let perms = Symmetry.perms (Symmetry.clique n) in
-    let best = ref "" in
-    Array.iter
-      (fun p ->
-        let s = serialise_under g p in
-        if !best = "" || s < !best then best := s)
-      perms;
-    "can:" ^ hex (Printf.sprintf "%d#%s" n !best)
-  end
+  if n <= 8 then "can:" ^ hex (Printf.sprintf "%d#%s" n (canonical g))
   else "raw:" ^ hex (Printf.sprintf "%d#%s" n (serialise_under g (Array.init n Fun.id)))
 
 let family f = "fam:" ^ hex (Dda_symbolic.Family.to_string f)

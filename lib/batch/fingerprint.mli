@@ -15,9 +15,9 @@
       names encode their parameters, which every constructor in
       [Dda_protocols] does.
     - {!graph} canonicalises the labelled graph by minimising its
-      serialisation over all node permutations (the symmetric group from
-      [Dda_verify.Symmetry], reusing the verifier's symmetry machinery), so
-      isomorphic relabelled graphs share a fingerprint.  Beyond 8 nodes the
+      serialisation over all node permutations (a depth-first search with
+      exact lexicographic prefix pruning), so isomorphic relabelled graphs
+      share a fingerprint.  Beyond 8 nodes the
       raw serialisation is used — sound, merely fewer hits across
       isomorphic presentations.
     - {!key} combines both with the regime, the budget and

@@ -4,112 +4,119 @@ module Decide = Dda_verify.Decide
 module Scc = Dda_verify.Scc
 module T = Dda_telemetry.Telemetry
 
+let degree (c : Counted.t) v = c.Counted.off.(v + 1) - c.Counted.off.(v)
+let succ (c : Counted.t) v k = c.Counted.dst.(c.Counted.off.(v) + k)
+
 let pseudo_stochastic (c : Counted.t) =
-  Decide.pseudo_stochastic (Counted.to_space c)
+  T.with_span ~args:[ ("analysis", T.S "pseudo-stochastic") ] "verdict" @@ fun () ->
+  Decide.bottom_scc_verdict ~vertices:c.Counted.size ~degree:(degree c) ~succ:(succ c)
+    ~acc:(Array.get c.Counted.acc) ~rej:(Array.get c.Counted.rej) ~describe:c.Counted.describe
 
 (* ------------------------------------------------------------------ *)
 (* Adversarial fairness on the counted quotient                        *)
 (* ------------------------------------------------------------------ *)
 
-(* Streett-style peeling.  A candidate subgraph is fair-supporting iff the
-   move labels of its internal edges cover every member's obligations
-   (support + centre).  Configurations with uncovered obligations cannot
-   recur in a fair run restricted to the subgraph, so they are removed and
-   the SCCs recomputed, until components stabilise.  Any genuinely
-   fair-supporting subgraph survives every peel (its own internal labels
-   are a subset of each enclosing component's), so the procedure finds all
-   maximal fair-supporting subgraphs. *)
+(* Round-based Streett peel.  A candidate subgraph is fair-supporting iff
+   the move labels of its internal edges cover every member's obligations
+   — the labels on the member's own out-edges (support + centre).  Each
+   round runs one Tarjan pass over the live vertices (dead vertices keep no
+   edges, so they are isolated singletons), then per component: no
+   internal edge — drop it whole; every member covered — it is a maximal
+   fair-supporting set, scan it for witnesses and retire it; otherwise
+   drop the uncovered members and keep the rest live.  Any fair-supporting
+   subgraph survives every peel (its internal labels are a subset of each
+   enclosing component's), and removing whole components leaves the other
+   components intact, so the rounds stop once no component was split. *)
 let adversarial (c : Counted.t) =
   T.with_span "verdict" @@ fun () ->
-  let n = c.Counted.size in
-  let non_acc = ref None and non_rej = ref None in
-  let done_ () = !non_acc <> None && !non_rej <> None in
+  let n = c.Counted.size and off = c.Counted.off in
+  let dst = c.Counted.dst and mover = c.Counted.mover in
+  let live = Array.make n true in
+  let non_acc = ref (-1) and non_rej = ref (-1) in
   (* move labels are >= -1: shift by one to index a bool array *)
-  let label_seen = Array.make (c.Counted.state_count + 1) false in
-  let rec examine members =
-    if done_ () || List.length members < 1 then ()
-    else begin
-      let inset = Array.make n false in
-      List.iter (fun v -> inset.(v) <- true) members;
-      let sub_succs v =
-        if inset.(v) then
-          List.filter_map
-            (fun (_, j) -> if inset.(j) then Some j else None)
-            c.Counted.succs.(v)
-        else []
-      in
-      let scc = Scc.compute ~vertices:n ~succs:sub_succs in
-      (* visit only components made of live vertices; dead vertices are
-         isolated singletons under sub_succs *)
-      let comps = Hashtbl.create 16 in
-      List.iter
-        (fun v ->
-          let k = scc.Scc.component.(v) in
-          Hashtbl.replace comps k
-            (v :: (try Hashtbl.find comps k with Not_found -> [])))
-        members;
-      Hashtbl.iter
-        (fun k comp_members ->
-          if not (done_ ()) then begin
-            (* internal move labels of this component *)
-            let labels = ref [] in
-            let has_internal = ref false in
-            List.iter
-              (fun v ->
-                List.iter
-                  (fun (lbl, j) ->
-                    if inset.(j) && scc.Scc.component.(j) = k then begin
-                      has_internal := true;
-                      if not label_seen.(lbl + 1) then begin
-                        label_seen.(lbl + 1) <- true;
-                        labels := lbl :: !labels
-                      end
-                    end)
-                  c.Counted.succs.(v))
-              comp_members;
-            let covered lbl = label_seen.(lbl + 1) in
-            let bad =
-              if !has_internal then
-                List.filter
-                  (fun v ->
-                    not (List.for_all covered c.Counted.obligations.(v)))
-                  comp_members
-              else comp_members
-            in
-            List.iter (fun lbl -> label_seen.(lbl + 1) <- false) !labels;
-            if not !has_internal then ()
-            else if bad = [] then begin
-              (* fair-supporting: scan for witnesses *)
-              if !non_acc = None then
-                non_acc :=
-                  List.find_opt (fun v -> not c.Counted.acc.(v)) comp_members;
-              if !non_rej = None then
-                non_rej :=
-                  List.find_opt (fun v -> not c.Counted.rej.(v)) comp_members
+  let covered = Array.make (c.Counted.state_count + 1) false in
+  let order = Array.make n 0 in
+  let split = ref true in
+  while !split && (!non_acc < 0 || !non_rej < 0) do
+    split := false;
+    let scc =
+      Scc.compute_iter ~vertices:n
+        ~degree:(fun v -> if live.(v) then degree c v else 0)
+        ~succ:(succ c)
+    in
+    let comp = scc.Scc.comp and nc = scc.Scc.comp_count in
+    (* live members grouped by component, ascending within each *)
+    let first = Array.make (nc + 1) 0 in
+    for v = 0 to n - 1 do
+      if live.(v) then first.(comp.(v) + 1) <- first.(comp.(v) + 1) + 1
+    done;
+    for k = 1 to nc do
+      first.(k) <- first.(k) + first.(k - 1)
+    done;
+    let fill = Array.sub first 0 nc in
+    for v = 0 to n - 1 do
+      if live.(v) then begin
+        order.(fill.(comp.(v))) <- v;
+        fill.(comp.(v)) <- fill.(comp.(v)) + 1
+      end
+    done;
+    for k = 0 to nc - 1 do
+      let lo = first.(k) and hi = first.(k + 1) in
+      if lo < hi && (!non_acc < 0 || !non_rej < 0) then begin
+        let internal = ref false in
+        for x = lo to hi - 1 do
+          let v = order.(x) in
+          for e = off.(v) to off.(v + 1) - 1 do
+            let w = dst.(e) in
+            if live.(w) && comp.(w) = k then begin
+              internal := true;
+              covered.(mover.(e) + 1) <- true
             end
-            else begin
-              let badset = Array.make n false in
-              List.iter (fun v -> badset.(v) <- true) bad;
-              let survivors =
-                List.filter (fun v -> not badset.(v)) comp_members
-              in
-              examine survivors
-            end
-          end)
-        comps
-    end
-  in
-  examine (List.init n (fun i -> i));
-  match (!non_acc, !non_rej) with
-  | None, Some _ -> Decide.Accepts
-  | Some _, None -> Decide.Rejects
-  | Some i, Some j ->
+          done
+        done;
+        let uncovered v =
+          let bad = ref false in
+          for e = off.(v) to off.(v + 1) - 1 do
+            if not covered.(mover.(e) + 1) then bad := true
+          done;
+          !bad
+        in
+        let dropped = ref 0 in
+        for x = lo to hi - 1 do
+          let v = order.(x) in
+          if (not !internal) || uncovered v then begin
+            live.(v) <- false;
+            incr dropped
+          end
+        done;
+        if !dropped = 0 then
+          (* fair-supporting: take the least witnesses, then retire it *)
+          for x = lo to hi - 1 do
+            let v = order.(x) in
+            if !non_acc < 0 && not c.Counted.acc.(v) then non_acc := v;
+            if !non_rej < 0 && not c.Counted.rej.(v) then non_rej := v;
+            live.(v) <- false
+          done
+        else if !dropped < hi - lo then split := true;
+        for x = lo to hi - 1 do
+          let v = order.(x) in
+          for e = off.(v) to off.(v + 1) - 1 do
+            covered.(mover.(e) + 1) <- false
+          done
+        done
+      end
+    done
+  done;
+  match (!non_acc >= 0, !non_rej >= 0) with
+  | false, true -> Decide.Accepts
+  | true, false -> Decide.Rejects
+  | true, true ->
       Decide.Inconsistent
         (Format.sprintf
            "fair runs can revisit the non-accepting configuration %s and the \
             non-rejecting configuration %s forever"
-           (c.Counted.describe i) (c.Counted.describe j))
-  | None, None ->
+           (c.Counted.describe !non_acc) (c.Counted.describe !non_rej))
+  | false, false ->
       Decide.Inconsistent
         "no fair cycle found (finite spaces always have one; this is a bug)"
 

@@ -5,8 +5,9 @@
 
     - {!pseudo_stochastic}: bottom-SCC classification.  Counted and
       explicit spaces have isomorphic SCC structure (the quotient map
-      preserves and reflects reachability), so the existing generic
-      analysis applies via {!Counted.to_space}.
+      preserves and reflects reachability), so the packed explicit
+      classifier {!Dda_verify.Decide.bottom_scc_verdict} runs unchanged on
+      the counted CSR.
     - {!adversarial}: exact fair-SCC analysis on the quotient.  Edge
       labels are moved {e states}, not nodes, so node-fairness must be
       re-characterised: a strongly connected subgraph [B] supports a
@@ -17,9 +18,11 @@
       their state and same-state agents are interchangeable, so a
       round-robin over obligations realises every agent infinitely often;
       necessity is immediate (a parked agent's state stays in every
-      support).  Maximal fair-supporting subgraphs are found Streett-style:
-      peel configurations whose obligations are not covered by the
-      component's internal move labels, recompute SCCs, repeat.
+      support).  A configuration's obligations are the labels on its own
+      out-edges.  Maximal fair-supporting subgraphs are found by a
+      round-based Streett peel: one Tarjan pass over the live
+      configurations, drop those whose obligations the component's
+      internal move labels miss, repeat until no component was split.
     - {!synchronous}: the deterministic simultaneous step is
       permutation-equivariant, so it descends exactly to multisets;
       cycle detection is verbatim. *)

@@ -1,7 +1,7 @@
 module Machine = Dda_machine.Machine
 module M = Dda_multiset.Multiset
 module G = Dda_graph.Graph
-module Space = Dda_verify.Space
+module Engine = Dda_verify.Engine
 module T = Dda_telemetry.Telemetry
 
 exception Too_large of int
@@ -87,16 +87,6 @@ let intern_state (type s) (m : (_, s) Machine.t) st (q : s) =
 (* Packed configuration store: FNV-1a hashing, open addressing          *)
 (* ------------------------------------------------------------------ *)
 
-let fnv_prime = 0x100000001b3
-let fnv_seed = 0x14650FB0739D0383
-
-let fnv bytes pos len =
-  let h = ref fnv_seed in
-  for i = pos to pos + len - 1 do
-    h := (!h lxor Char.code (Bytes.unsafe_get bytes i)) * fnv_prime
-  done;
-  !h land max_int
-
 type store = {
   mutable arena : Bytes.t;
   mutable arena_used : int;
@@ -138,12 +128,19 @@ let bytes_match s i buf len =
   s.lens.(i) = len
   &&
   let off = s.offs.(i) in
-  let rec go k = k = len || (Bytes.get s.arena (off + k) = Bytes.get buf k && go (k + 1)) in
+  let rec go k =
+    k = len || (Bytes.unsafe_get s.arena (off + k) = Bytes.unsafe_get buf k && go (k + 1))
+  in
   go 0
+
+let grow a n fill =
+  let b = Array.make (max n (2 * Array.length a)) fill in
+  Array.blit a 0 b 0 (Array.length a);
+  b
 
 (* Intern the first [len] bytes of [buf]; returns (index, fresh). *)
 let store_intern s buf len =
-  let h = fnv buf 0 len in
+  let h = Engine.memo_hash buf len in
   let slot = ref (h land s.mask) in
   let found = ref (-1) in
   while !found < 0 && s.table.(!slot) >= 0 do
@@ -155,15 +152,12 @@ let store_intern s buf len =
   else begin
     let i = s.count in
     if i >= Array.length s.offs then begin
-      let cap = 2 * Array.length s.offs in
-      let grow a = Array.init cap (fun k -> if k < i then a.(k) else 0) in
-      s.offs <- grow s.offs;
-      s.lens <- grow s.lens;
-      s.hashes <- grow s.hashes
+      s.offs <- grow s.offs (i + 1) 0;
+      s.lens <- grow s.lens (i + 1) 0;
+      s.hashes <- grow s.hashes (i + 1) 0
     end;
     if s.arena_used + len > Bytes.length s.arena then begin
-      let cap = max (2 * Bytes.length s.arena) (s.arena_used + len) in
-      let arena = Bytes.create cap in
+      let arena = Bytes.create (max (2 * Bytes.length s.arena) (s.arena_used + len)) in
       Bytes.blit s.arena 0 arena 0 s.arena_used;
       s.arena <- arena
     end;
@@ -183,42 +177,26 @@ let store_intern s buf len =
 (* ------------------------------------------------------------------ *)
 
 (* Clique: sorted (sid, count) u16 LE pairs.  Star: u16 centre sid, then
-   the leaf pairs.  A [prefix] of -1 means "no centre field". *)
+   the leaf pairs.  Delta memo keys use the same u16 layout: mover sid,
+   then the mover's capped observation as (sid, count) pairs. *)
 
 let put_u16 buf pos v =
   if v > 0xffff then invalid_arg "Counted: count exceeds 65535";
-  Bytes.set buf pos (Char.unsafe_chr (v land 0xff));
-  Bytes.set buf (pos + 1) (Char.unsafe_chr ((v lsr 8) land 0xff))
+  Bytes.set_uint16_le buf pos v
 
-let get_u16 bytes pos =
-  Char.code (Bytes.get bytes pos) lor (Char.code (Bytes.get bytes (pos + 1)) lsl 8)
+let get_u16 = Bytes.get_uint16_le
 
-let encode buf ~prefix pairs =
-  let pos = ref 0 in
-  if prefix >= 0 then begin
-    put_u16 buf 0 prefix;
-    pos := 2
-  end;
-  List.iter
-    (fun (sid, cnt) ->
-      put_u16 buf !pos sid;
-      put_u16 buf (!pos + 2) cnt;
-      pos := !pos + 4)
-    pairs;
-  !pos
-
-(* Decode config [i] of the store into (prefix, pairs). *)
-let decode s ~has_prefix i =
-  let off = s.offs.(i) and len = s.lens.(i) in
-  let prefix, start =
-    if has_prefix then (get_u16 s.arena off, off + 2) else (-1, off)
-  in
-  let stop = off + len in
-  let rec pairs p =
-    if p >= stop then []
-    else (get_u16 s.arena p, get_u16 s.arena (p + 2)) :: pairs (p + 4)
-  in
-  (prefix, pairs start)
+(* Decode config [i] into [sids]/[cnts]; returns (prefix, support size),
+   prefix -1 on cliques. *)
+let decode s ~has_prefix i sids cnts =
+  let off = s.offs.(i) in
+  let prefix, start = if has_prefix then (get_u16 s.arena off, off + 2) else (-1, off) in
+  let k = (off + s.lens.(i) - start) / 4 in
+  for a = 0 to k - 1 do
+    sids.(a) <- get_u16 s.arena (start + (4 * a));
+    cnts.(a) <- get_u16 s.arena (start + (4 * a) + 2)
+  done;
+  (prefix, k)
 
 (* ------------------------------------------------------------------ *)
 (* Exploration                                                          *)
@@ -231,22 +209,13 @@ type t = {
   edge_count : int;
   initial : int;
   state_count : int;
-  succs : (int * int) list array;
+  off : int array;
+  dst : int array;
+  mover : int array;
   acc : bool array;
   rej : bool array;
-  obligations : int list array;
   describe : int -> string;
 }
-
-(* Insert (sid, cnt) into a sorted pair list, merging equal sids and
-   dropping zero counts. *)
-let rec pairs_add sid delta = function
-  | [] -> if delta = 0 then [] else [ (sid, delta) ]
-  | (s, c) :: rest when s = sid ->
-      let c = c + delta in
-      if c = 0 then rest else (s, c) :: rest
-  | (s, c) :: rest when s < sid -> (s, c) :: pairs_add sid delta rest
-  | rest -> if delta = 0 then rest else (sid, delta) :: rest
 
 let explore (type l s) ~max_configs (m : (l, s) Machine.t) (shape : l shape) : t =
   let topology, centre0, counts0 =
@@ -260,8 +229,6 @@ let explore (type l s) ~max_configs (m : (l, s) Machine.t) (shape : l shape) : t
   in
   let sid q = intern_state m st q in
   let state id = st.arr.(id) in
-  let acc_sid id = Char.code (Bytes.get st.flags id) land 1 <> 0 in
-  let rej_sid id = Char.code (Bytes.get st.flags id) land 2 <> 0 in
   (* Initial configuration. *)
   let init_prefix =
     match centre0 with None -> -1 | Some l -> sid (m.Machine.init l)
@@ -272,137 +239,170 @@ let explore (type l s) ~max_configs (m : (l, s) Machine.t) (shape : l shape) : t
   in
   let node_count = M.size counts0 + (if has_prefix then 1 else 0) in
   let store = store_create () in
+  (* [buf] holds a successor's encoding, [kbuf] a delta memo key *)
   let buf = Bytes.create (4 * (node_count + 2)) in
-  let intern_config ~prefix pairs =
-    let len = encode buf ~prefix pairs in
+  let kbuf = Bytes.create (4 * (node_count + 2)) in
+  let intern len =
     let i, fresh = store_intern store buf len in
     if fresh then begin
       T.incr c_configs;
       if store.count > max_configs then raise (Too_large store.count)
     end;
-    (i, fresh)
+    i
   in
-  let initial, _ = intern_config ~prefix:init_prefix init_pairs in
-  (* Observation of a capped (sid, count) list, in machine order. *)
   let beta = m.Machine.beta in
-  let observation pairs =
-    List.map (fun (s, c) -> (state s, min c beta)) pairs
-    |> List.sort (fun (a, _) (b, _) -> Stdlib.compare a b)
+  let memo = Engine.memo_create () in
+  (* The new state of the mover whose key fills the first [len] bytes of
+     [kbuf]; a miss rebuilds the observation from the key, in machine
+     order, and calls delta. *)
+  let delta_sid len =
+    let h = Engine.memo_hash kbuf len in
+    let id = Engine.memo_find memo kbuf len h in
+    if id >= 0 then id
+    else begin
+      T.incr c_deltas;
+      let obs = ref [] in
+      for p = (len / 4) - 1 downto 0 do
+        obs := (state (get_u16 kbuf ((4 * p) + 2)), get_u16 kbuf ((4 * p) + 4)) :: !obs
+      done;
+      let obs = List.sort (fun (a, _) (b, _) -> Stdlib.compare a b) !obs in
+      let id = sid (m.Machine.delta (state (get_u16 kbuf 0)) obs) in
+      Engine.memo_add memo (Bytes.sub_string kbuf 0 len) h id;
+      id
+    end
   in
-  (* Memoised delta over interned ids: key = mover sid + capped pairs. *)
-  let memo : (string, int) Hashtbl.t = Hashtbl.create 256 in
-  let kbuf = Buffer.create 32 in
-  let delta_sid mover capped =
-    Buffer.clear kbuf;
-    Buffer.add_string kbuf (string_of_int mover);
-    List.iter
-      (fun (s, c) ->
-        Buffer.add_char kbuf ',';
-        Buffer.add_string kbuf (string_of_int s);
-        Buffer.add_char kbuf ':';
-        Buffer.add_string kbuf (string_of_int c))
-      capped;
-    let k = Buffer.contents kbuf in
-    match Hashtbl.find_opt memo k with
-    | Some id -> id
-    | None ->
-        T.incr c_deltas;
-        let q' = m.Machine.delta (state mover) (observation capped) in
-        let id = sid q' in
-        Hashtbl.add memo k id;
-        id
+  (* Decoded current configuration and the growing CSR. *)
+  let sids = Array.make (node_count + 1) 0 and cnts = Array.make (node_count + 1) 0 in
+  let off = ref (Array.make 64 0) and acc = ref (Array.make 64 false) in
+  let rej = ref (Array.make 64 false) in
+  let dst = ref (Array.make 256 0) and mover = ref (Array.make 256 0) in
+  let ne = ref 0 in
+  let edge lbl j =
+    if !ne >= Array.length !dst then begin
+      dst := grow !dst (!ne + 1) 0;
+      mover := grow !mover (!ne + 1) 0
+    end;
+    !dst.(!ne) <- j;
+    !mover.(!ne) <- lbl;
+    incr ne
   in
-  let cap_pairs pairs = List.map (fun (s, c) -> (s, min c beta)) pairs in
-  (* Successors of a decoded configuration. *)
-  let expand prefix pairs =
-    match topology with
-    | Clique ->
-        List.map
-          (fun (q, _) ->
-            (* the mover observes the others: one copy of q removed *)
-            let nbh = cap_pairs (pairs_add q (-1) pairs) in
-            let q' = delta_sid q nbh in
-            let pairs' = pairs_add q' 1 (pairs_add q (-1) pairs) in
-            let j, _ = intern_config ~prefix pairs' in
-            (q, j))
-          pairs
-    | Star ->
-        let centre_move =
-          let c' = delta_sid prefix (cap_pairs pairs) in
-          let j, _ = intern_config ~prefix:c' pairs in
-          (-1, j)
-        in
-        let leaf_moves =
-          List.map
-            (fun (q, _) ->
-              (* a leaf observes only the centre *)
-              let q' = delta_sid q [ (prefix, 1) ] in
-              let pairs' = pairs_add q' 1 (pairs_add q (-1) pairs) in
-              let j, _ = intern_config ~prefix pairs' in
-              (q, j))
-            pairs
-        in
-        centre_move :: leaf_moves
+  (* Memo key: [q], then the k pairs with one copy at index [a] removed
+     (none when [a < 0]), counts capped at beta. *)
+  let key q k a =
+    put_u16 kbuf 0 q;
+    let pos = ref 2 in
+    for b = 0 to k - 1 do
+      let c = if b = a then cnts.(b) - 1 else cnts.(b) in
+      if c > 0 then begin
+        put_u16 kbuf !pos sids.(b);
+        put_u16 kbuf (!pos + 2) (min c beta);
+        pos := !pos + 4
+      end
+    done;
+    !pos
   in
-  (* BFS worklist over store indices. *)
-  let succs_rev = ref [] and edge_count = ref 0 in
-  let next = ref 0 in
-  while !next < store.count do
-    let i = !next in
-    incr next;
-    let prefix, pairs = decode store ~has_prefix i in
-    let es = expand prefix pairs in
-    edge_count := !edge_count + List.length es;
-    T.add c_edges (List.length es);
-    succs_rev := es :: !succs_rev
+  (* Encode into [buf] the configuration with centre [prefix] and the k
+     pairs, one copy at index [a] moved to state [q'] (no move when
+     [a < 0]), and intern it. *)
+  let successor prefix k a q' =
+    if prefix >= 0 then put_u16 buf 0 prefix;
+    let pos = ref (if prefix >= 0 then 2 else 0) in
+    let put s c =
+      put_u16 buf !pos s;
+      put_u16 buf (!pos + 2) c;
+      pos := !pos + 4
+    in
+    let pending = ref (a >= 0) in
+    for b = 0 to k - 1 do
+      let s = sids.(b) in
+      if !pending && q' < s then begin
+        put q' 1;
+        pending := false
+      end;
+      let c = if b = a then cnts.(b) - 1 else cnts.(b) in
+      let c = if !pending && s = q' then (pending := false; c + 1) else c in
+      if c > 0 then put s c
+    done;
+    if !pending then put q' 1;
+    intern !pos
+  in
+  let initial =
+    List.iteri
+      (fun a (s, c) ->
+        sids.(a) <- s;
+        cnts.(a) <- c)
+      init_pairs;
+    successor init_prefix (List.length init_pairs) (-1) 0
+  in
+  (* BFS over store indices: a configuration's edges follow its support,
+     centre move first on stars; a silent move is a self-loop. *)
+  let i = ref 0 in
+  while !i < store.count do
+    let v = !i in
+    if v + 1 >= Array.length !off then begin
+      off := grow !off (v + 2) 0;
+      acc := grow !acc (v + 1) false;
+      rej := grow !rej (v + 1) false
+    end;
+    let prefix, k = decode store ~has_prefix v sids cnts in
+    let all bit =
+      let ok = ref (prefix < 0 || Char.code (Bytes.get st.flags prefix) land bit <> 0) in
+      for a = 0 to k - 1 do
+        if Char.code (Bytes.get st.flags sids.(a)) land bit = 0 then ok := false
+      done;
+      !ok
+    in
+    !acc.(v) <- all 1;
+    !rej.(v) <- all 2;
+    let e0 = !ne in
+    if has_prefix then begin
+      let c' = delta_sid (key prefix k (-1)) in
+      edge (-1) (if c' = prefix then v else successor c' k (-1) 0)
+    end;
+    for a = 0 to k - 1 do
+      let q = sids.(a) in
+      let q' =
+        if has_prefix then begin
+          (* a leaf observes only the centre *)
+          put_u16 kbuf 0 q;
+          put_u16 kbuf 2 prefix;
+          put_u16 kbuf 4 1;
+          delta_sid 6
+        end
+        else delta_sid (key q k a)
+      in
+      edge q (if q' = q then v else successor prefix k a q')
+    done;
+    T.add c_edges (!ne - e0);
+    !off.(v + 1) <- !ne;
+    incr i
   done;
   let size = store.count in
-  let succs = Array.make size [] in
-  List.iteri (fun k es -> succs.(size - 1 - k) <- es) !succs_rev;
-  let acc = Array.make size false and rej = Array.make size false in
-  let obligations = Array.make size [] in
-  for i = 0 to size - 1 do
-    let prefix, pairs = decode store ~has_prefix i in
-    let sids = List.map fst pairs in
-    let all f =
-      List.for_all f sids && (prefix < 0 || f prefix)
-    in
-    acc.(i) <- all acc_sid;
-    rej.(i) <- all rej_sid;
-    obligations.(i) <- (if has_prefix then -1 :: sids else sids)
-  done;
   let describe i =
-    let prefix, pairs = decode store ~has_prefix i in
-    let pp_pairs b =
-      Buffer.add_char b '{';
-      List.iteri
-        (fun k (s, c) ->
-          if k > 0 then Buffer.add_string b ", ";
-          Buffer.add_string b
-            (Format.asprintf "%a:%d" m.Machine.pp_state (state s) c))
-        pairs;
-      Buffer.add_char b '}'
-    in
+    let prefix, k = decode store ~has_prefix i sids cnts in
     let b = Buffer.create 32 in
-    if prefix >= 0 then begin
-      Buffer.add_string b
-        (Format.asprintf "centre=%a leaves=" m.Machine.pp_state (state prefix));
-      pp_pairs b
-    end
-    else pp_pairs b;
+    let pp s = Format.asprintf "%a" m.Machine.pp_state (state s) in
+    if prefix >= 0 then Buffer.add_string b ("centre=" ^ pp prefix ^ " leaves=");
+    Buffer.add_char b '{';
+    for a = 0 to k - 1 do
+      if a > 0 then Buffer.add_string b ", ";
+      Buffer.add_string b (Printf.sprintf "%s:%d" (pp sids.(a)) cnts.(a))
+    done;
+    Buffer.add_char b '}';
     Buffer.contents b
   in
   {
     topology;
     node_count;
     size;
-    edge_count = !edge_count;
+    edge_count = !ne;
     initial;
     state_count = st.n;
-    succs;
-    acc;
-    rej;
-    obligations;
+    off = Array.sub !off 0 (size + 1);
+    dst = Array.sub !dst 0 !ne;
+    mover = Array.sub !mover 0 !ne;
+    acc = Array.sub !acc 0 size;
+    rej = Array.sub !rej 0 size;
     describe;
   }
 
@@ -420,16 +420,3 @@ let star ~max_configs m ~centre ~leaves =
 
 let of_graph ~max_configs m g =
   Option.map (of_shape ~max_configs m) (shape_of_graph g)
-
-let to_space (c : t) : Space.t =
-  {
-    Space.kind = Space.Counted;
-    node_count = c.node_count;
-    size = c.size;
-    initial = c.initial;
-    succs = (fun i -> c.succs.(i));
-    accepting = (fun i -> c.acc.(i));
-    rejecting = (fun i -> c.rej.(i));
-    describe = c.describe;
-    backend = Space.Generic;
-  }

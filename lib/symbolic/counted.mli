@@ -6,9 +6,10 @@
     of [|Q|^n] — the logarithmic-space object behind the paper's NL upper
     bound.  This module explores that space with the same discipline as
     the explicit packed engine: states are interned to small ids,
-    configurations are encoded as sorted [(state id, count)] byte vectors
-    in a growable arena, and membership is an FNV-1a open-addressing
-    table over the arena.
+    configurations are encoded as sorted [(state id, count)] u16 vectors
+    in a growable arena, membership is an FNV-1a open-addressing table
+    over the arena, delta calls are memoised in the engine's in-place
+    probed table, and edges form a CSR.
 
     Edges are labelled with the {e moved state id} ([-1] for a centre
     move on stars), never with a node: that is exactly the information
@@ -37,15 +38,18 @@ type t = {
   edge_count : int;
   initial : int;
   state_count : int;  (** Distinct machine states interned. *)
-  succs : (int * int) list array;
-      (** [(moved state id, target)] per configuration; [-1] is the star
-          centre.  Silent moves contribute self-loops, exactly as node
-          selections do in explicit spaces. *)
+  off : int array;
+      (** CSR offsets, length [size + 1]: the edges of configuration [i] are
+          [off.(i) .. off.(i+1) - 1], in BFS order. *)
+  dst : int array;  (** Edge targets, length [edge_count]. *)
+  mover : int array;
+      (** Edge labels: the moved state id, [-1] for the star centre.  A
+          configuration has one edge per support state (plus the centre
+          edge on stars), so its out-edge labels are exactly the moves a
+          fair scheduler owes it.  Silent moves are self-loops, exactly as
+          node selections are in explicit spaces. *)
   acc : bool array;  (** All agents accepting. *)
   rej : bool array;
-  obligations : int list array;
-      (** Per configuration: the move labels a fair scheduler owes it —
-          the support of the state multiset, plus [-1] for stars. *)
   describe : int -> string;
 }
 
@@ -69,7 +73,3 @@ val of_graph :
   max_configs:int -> ('l, 's) Dda_machine.Machine.t -> 'l Dda_graph.Graph.t -> t option
 (** [clique]/[star] via {!shape_of_graph}; [None] when the graph is
     neither. *)
-
-val to_space : t -> Dda_verify.Space.t
-(** View as a generic counted {!Dda_verify.Space.t}, so the existing
-    bottom-SCC and synchronous analyses apply unchanged. *)

@@ -41,31 +41,28 @@ let targets space i = List.map snd (space.Space.succs i)
 let mixed_bottom_msg describe w =
   Printf.sprintf "bottom SCC neither all-accepting nor all-rejecting, e.g. %s" (describe w)
 
-(* Bottom-SCC classification on the engine's arrays.  Exact on symmetry
-   quotients too: orbits of bottom SCCs are bottom SCCs of the quotient, and
-   acceptance is invariant under automorphisms. *)
-let packed_pseudo_stochastic e describe =
-  let n = Engine.out_degree e in
-  let sz = e.Engine.size in
-  let scc =
-    timed_scc_iter ~vertices:sz ~degree:(fun _ -> n) ~succ:(fun i k -> Engine.target e i k)
-  in
+(* Bottom-SCC classification over an indexed edge view ([succ v k] for
+   [k < degree v]): the one body behind packed explicit spaces and counted
+   spaces.  Witnesses are the least non-accepting member of the first mixed
+   bottom component, so the text matches the generic list analysis. *)
+let bottom_scc_verdict ~vertices ~degree ~succ ~acc ~rej ~describe =
+  let scc = timed_scc_iter ~vertices ~degree ~succ in
   let comp = scc.Scc.comp in
   let nc = scc.Scc.comp_count in
   let bottom = Array.make nc true in
   let all_acc = Array.make nc true in
   let all_rej = Array.make nc true in
   let witness = Array.make nc (-1) in
-  for i = sz - 1 downto 0 do
+  for i = vertices - 1 downto 0 do
     let c = comp.(i) in
-    for k = 0 to n - 1 do
-      if comp.(Engine.target e i k) <> c then bottom.(c) <- false
+    for k = 0 to degree i - 1 do
+      if comp.(succ i k) <> c then bottom.(c) <- false
     done;
-    if not (Engine.acc e i) then begin
+    if not (acc i) then begin
       all_acc.(c) <- false;
       witness.(c) <- i (* downward loop: ends at the least non-accepting member *)
     end;
-    if not (Engine.rej e i) then all_rej.(c) <- false
+    if not (rej i) then all_rej.(c) <- false
   done;
   let mixed = ref None in
   let accs = ref false in
@@ -84,6 +81,13 @@ let packed_pseudo_stochastic e describe =
     else if !accs then Accepts
     else if !rejs then Rejects
     else Inconsistent "no bottom SCC found"
+
+(* Exact on symmetry quotients too: orbits of bottom SCCs are bottom SCCs of
+   the quotient, and acceptance is invariant under automorphisms. *)
+let packed_pseudo_stochastic e describe =
+  let n = Engine.out_degree e in
+  bottom_scc_verdict ~vertices:e.Engine.size ~degree:(fun _ -> n) ~succ:(Engine.target e)
+    ~acc:(Engine.acc e) ~rej:(Engine.rej e) ~describe
 
 (* Fair-SCC classification on the engine's arrays.
 

@@ -36,6 +36,20 @@ type verdict =
 val pseudo_stochastic : Space.t -> verdict
 (** Bottom-SCC classification; works on explicit and counted spaces. *)
 
+val bottom_scc_verdict :
+  vertices:int ->
+  degree:(int -> int) ->
+  succ:(int -> int -> int) ->
+  acc:(int -> bool) ->
+  rej:(int -> bool) ->
+  describe:(int -> string) ->
+  verdict
+(** The bottom-SCC classification of {!pseudo_stochastic} over an indexed
+    edge view: vertex [v] has successors [succ v 0 .. succ v (degree v - 1)],
+    [acc]/[rej] say whether all its agents accept/reject.  Runs the
+    allocation-free {!Scc.compute_iter}; shared by packed explicit spaces
+    and counted spaces ([Dda_symbolic.Analysis]). *)
+
 val pseudo_stochastic_certificate : Space.t -> verdict
 (** The acceptance test of Proposition D.2, literally: the automaton accepts
     from [C₀] iff there is a configuration [C] with (1) [C₀ →* C],

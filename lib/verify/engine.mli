@@ -147,3 +147,25 @@ val edge_sigma : t -> int -> int -> int
 
 val succs : t -> int -> (int * int) list
 (** [(label, target)] list, legacy [Space.succs] shape. *)
+
+(** {2 Delta memo}
+
+    The string-keyed open-addressing table behind the engine's delta
+    memoisation, shared with the counted engine ([Dda_symbolic.Counted]).
+    Keys are non-empty byte strings built in a scratch buffer; a lookup
+    hashes and compares the scratch bytes in place and allocates nothing. *)
+
+type memo
+
+val memo_create : unit -> memo
+
+val memo_hash : Bytes.t -> int -> int
+(** FNV-1a over the first [len] bytes, as a non-negative int. *)
+
+val memo_find : memo -> Bytes.t -> int -> int -> int
+(** [memo_find m kb len h] is the id stored under the first [len] bytes of
+    [kb] (whose {!memo_hash} is [h]), or [-1]. *)
+
+val memo_add : memo -> string -> int -> int -> unit
+(** [memo_add m key h id] stores [id] under [key] (absent, non-empty, with
+    hash [h]). *)

@@ -82,6 +82,98 @@ let test_graph_fingerprint_isomorphism () =
   Alcotest.(check bool) "topology differs" true
     (fp1 <> Fp.graph (G.line [ "a"; "b"; "b"; "c" ]))
 
+(* Digests as computed by the full symmetric-group search, which the pruned
+   search replaced: caches written before keep answering.  The list covers
+   every graph of the benchmark's batch manifest plus a size-5 clique and
+   star, n = 2..7, and a 9-node graph on the raw (uncanonicalised) path. *)
+let pinned_graph_fingerprints =
+  [
+    ("line:ab", "can:fcfd7541b9a0dde2366f727b3e935e6f");
+    ("line:aab", "can:1147c0b22e94f9a938600bd6a5d5ade9");
+    ("line:abb", "can:a83aad3a72a39e3d9aa8cf13be160285");
+    ("cycle:abb", "can:8ce6bcba690310dd161663f5aad1bf8e");
+    ("line:aabb", "can:683220cb90c61fcdd231e1ad4e93145e");
+    ("line:abab", "can:3d50d89ae52b09cd7d5f6a822e36db3d");
+    ("cycle:aabb", "can:1610de6fc8b98e6285d3455d4a31555b");
+    ("grid:2x2:aaab", "can:5c619c0e57e250033bbd03cfd68091d8");
+    ("cycle:aabab", "can:e7a88a44120a8c20aad93386739491a6");
+    ("clique:abbbb", "can:ff6b92c3dfc9d49c8036add72ed146e6");
+    ("star:baaaa", "can:9204a8b19e57dd9b9bb7ac6b9b8edf03");
+    ("grid:3x2:aabbab", "can:a98901abc0f609bc10cce3a9fac27dfa");
+    ("line:abbaaba", "can:220b0d3901f3d994f87462fadbf2b6d0");
+    ("line:abababaab", "raw:cb2469e3734a37f8da3bfe0f7e256402");
+  ]
+
+let test_graph_fingerprint_pinned () =
+  List.iter
+    (fun (spec, digest) ->
+      match Spec.parse_graph spec with
+      | Ok g -> Alcotest.(check string) spec digest (Fp.graph g)
+      | Error e -> Alcotest.fail e)
+    pinned_graph_fingerprints;
+  (* one node: the only permutation is the identity ("1#a,;") *)
+  Alcotest.(check string) "clique:a"
+    ("can:" ^ Digest.to_hex (Digest.string "1#a,;"))
+    (Fp.graph (G.clique [ "a" ]))
+
+(* The reference definition: the least serialisation over every node
+   permutation, enumerated without pruning. *)
+let brute_force_graph_fingerprint g =
+  let n = G.nodes g in
+  let serialise p =
+    let b = Buffer.create 64 in
+    Array.iter (fun v -> Buffer.add_string b (String.escaped (G.label g v) ^ ",")) p;
+    Buffer.add_char b ';';
+    for i = 0 to n - 1 do
+      for j = i + 1 to n - 1 do
+        Buffer.add_char b (if G.adjacent g p.(i) p.(j) then '1' else '0')
+      done
+    done;
+    Buffer.contents b
+  in
+  let rec perms = function
+    | [] -> [ [] ]
+    | xs -> List.concat_map (fun x -> List.map (List.cons x) (perms (List.filter (( <> ) x) xs))) xs
+  in
+  let best =
+    List.fold_left
+      (fun acc p -> min acc (serialise (Array.of_list p)))
+      (serialise (Array.init n Fun.id))
+      (perms (List.init n Fun.id))
+  in
+  "can:" ^ Digest.to_hex (Digest.string (Printf.sprintf "%d#%s" n best))
+
+(* labels of different lengths exercise the variable-width prefix *)
+let random_labelled_graph =
+  QCheck.Gen.(
+    int_range 1 6 >>= fun n ->
+    array_size (return n) (oneofl [ "a"; "b"; "ab"; "" ]) >>= fun labels ->
+    list_size (int_bound (n * n)) (pair (int_bound (n - 1)) (int_bound (n - 1))) >>= fun es ->
+    return (G.of_edges ~labels (List.filter (fun (u, v) -> u <> v) es)))
+
+let test_graph_fingerprint_brute_force =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:300 ~name:"pruned search = brute force"
+       (QCheck.make random_labelled_graph)
+       (fun g -> Fp.graph g = brute_force_graph_fingerprint g))
+
+let test_graph_fingerprint_eight_nodes () =
+  (* two presentations of one 8-node graph, uniform and mixed labels *)
+  let edges = [ (0, 1); (1, 2); (2, 3); (3, 0); (4, 5); (5, 6); (6, 7); (7, 4); (0, 4); (2, 6) ] in
+  let p = [| 3; 6; 0; 7; 2; 5; 1; 4 |] in
+  let renamed = List.map (fun (u, v) -> (p.(u), p.(v))) edges in
+  List.iter
+    (fun labels ->
+      let labels' = Array.make 8 "" in
+      Array.iteri (fun v l -> labels'.(p.(v)) <- l) labels;
+      let t0 = Unix.gettimeofday () in
+      let a = Fp.graph (G.of_edges ~labels edges) in
+      let b = Fp.graph (G.of_edges ~labels:labels' renamed) in
+      let dt = Unix.gettimeofday () -. t0 in
+      Alcotest.(check string) "isomorphic presentations" a b;
+      Alcotest.(check bool) (Printf.sprintf "within 1 s (%.3f s)" dt) true (dt < 1.0))
+    [ Array.make 8 "a"; [| "a"; "b"; "a"; "b"; "b"; "a"; "a"; "b" |] ]
+
 let test_key_sensitivity () =
   let m = Fp.machine ~labels:ab exists_a in
   let g = Fp.graph (G.cycle [ "a"; "b"; "b" ]) in
@@ -611,6 +703,9 @@ let () =
           Alcotest.test_case "machine stable" `Quick test_machine_fingerprint_stable;
           Alcotest.test_case "machine distinguishes" `Quick test_machine_fingerprint_distinguishes;
           Alcotest.test_case "graph isomorphism" `Quick test_graph_fingerprint_isomorphism;
+          Alcotest.test_case "graph digests pinned" `Quick test_graph_fingerprint_pinned;
+          test_graph_fingerprint_brute_force;
+          Alcotest.test_case "graph 8 nodes within 1 s" `Quick test_graph_fingerprint_eight_nodes;
           Alcotest.test_case "key sensitivity" `Quick test_key_sensitivity;
         ] );
       ( "store",

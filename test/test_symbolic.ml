@@ -1,6 +1,7 @@
 (* Differential suite: the symbolic (counted) engine must agree with the
    explicit engine on every clique and star instance it claims to cover —
-   the protocol corpus, all n <= 6, all three scheduler regimes.  Any
+   the protocol corpus, all n <= 6, all three scheduler regimes — and its
+   counted spaces must equal the list-based oracle's edge for edge.  Any
    disagreement is a hard failure. *)
 
 module M = Dda_multiset.Multiset
@@ -81,6 +82,127 @@ let graph_specs =
 
 let or_fail = function Ok v -> v | Error e -> Alcotest.fail e
 
+(* --- counted-engine oracle ---------------------------------------------- *)
+
+(* The list-based counted explorer the packed engine replaced, kept as a
+   test oracle: structural Hashtbl keys for configurations and delta calls,
+   sorted (state id, count) lists, successor lists.  It interns states and
+   configurations in the same BFS order, so the packed engine must
+   reproduce it edge for edge. *)
+module Oracle = struct
+  type t = {
+    succs : (int * int) list array;
+    acc : bool array;
+    rej : bool array;
+    state_count : int;
+  }
+
+  (* add [delta] copies of [sid] to a sorted pair list, dropping zeros *)
+  let rec pairs_add sid delta = function
+    | [] -> if delta = 0 then [] else [ (sid, delta) ]
+    | (s, c) :: rest when s = sid -> if c + delta = 0 then rest else (s, c + delta) :: rest
+    | (s, c) :: rest when s < sid -> (s, c) :: pairs_add sid delta rest
+    | rest -> if delta = 0 then rest else (sid, delta) :: rest
+
+  let explore (type l s) (m : (l, s) Machine.t) (shape : l Counted.shape) =
+    let ids : (s, int) Hashtbl.t = Hashtbl.create 64 in
+    let states : (int, s) Hashtbl.t = Hashtbl.create 64 in
+    let sid q =
+      match Hashtbl.find_opt ids q with
+      | Some i -> i
+      | None ->
+          let i = Hashtbl.length ids in
+          Hashtbl.add ids q i;
+          Hashtbl.add states i q;
+          i
+    in
+    let state = Hashtbl.find states in
+    let centre, counts =
+      match shape with
+      | Counted.S_clique c -> (None, c)
+      | Counted.S_star (c, leaves) -> (Some c, leaves)
+    in
+    let prefix0 = match centre with None -> -1 | Some l -> sid (m.Machine.init l) in
+    let pairs0 = List.sort compare (M.to_counts (M.map (fun l -> sid (m.Machine.init l)) counts)) in
+    let configs = Hashtbl.create 1024 and queue = Queue.create () in
+    let intern ((prefix, pairs) as c) =
+      (* a flat string key: polymorphic hashing would only see a list's
+         first few cells *)
+      let b = Buffer.create 32 in
+      List.iter
+        (fun (s, n) ->
+          Buffer.add_int32_le b (Int32.of_int s);
+          Buffer.add_int32_le b (Int32.of_int n))
+        ((prefix, 0) :: pairs);
+      let k = Buffer.contents b in
+      match Hashtbl.find_opt configs k with
+      | Some i -> i
+      | None ->
+          let i = Hashtbl.length configs in
+          Hashtbl.add configs k i;
+          Queue.add c queue;
+          i
+    in
+    let memo = Hashtbl.create 256 in
+    let delta mover capped =
+      match Hashtbl.find_opt memo (mover, capped) with
+      | Some q -> q
+      | None ->
+          let obs =
+            List.sort (fun (a, _) (b, _) -> compare a b) (List.map (fun (s, c) -> (state s, c)) capped)
+          in
+          let q = sid (m.Machine.delta (state mover) obs) in
+          Hashtbl.add memo (mover, capped) q;
+          q
+    in
+    let cap = List.map (fun (s, c) -> (s, min c m.Machine.beta)) in
+    let moved q q' pairs = pairs_add q' 1 (pairs_add q (-1) pairs) in
+    ignore (intern (prefix0, pairs0));
+    let out = ref [] in
+    while not (Queue.is_empty queue) do
+      let prefix, pairs = Queue.pop queue in
+      let leaf_moves observe =
+        List.map (fun (q, _) -> (q, intern (prefix, moved q (delta q (observe q)) pairs))) pairs
+      in
+      let es =
+        if prefix < 0 then leaf_moves (fun q -> cap (pairs_add q (-1) pairs))
+        else
+          (* the centre moves first: bind it before the leaves intern *)
+          let centre = (-1, intern (delta prefix (cap pairs), pairs)) in
+          centre :: leaf_moves (fun _ -> [ (prefix, 1) ])
+      in
+      let all f = List.for_all (fun (s, _) -> f (state s)) pairs && (prefix < 0 || f (state prefix)) in
+      out := (es, all m.Machine.accepting, all m.Machine.rejecting) :: !out
+    done;
+    let out = Array.of_list (List.rev !out) in
+    {
+      succs = Array.map (fun (es, _, _) -> es) out;
+      acc = Array.map (fun (_, a, _) -> a) out;
+      rej = Array.map (fun (_, _, r) -> r) out;
+      state_count = Hashtbl.length ids;
+    }
+end
+
+(* The packed space must equal the oracle's edge for edge: ids, the
+   (mover, target) order of every configuration's edges, acc and rej. *)
+let check_oracle ctx m g (c : Counted.t) =
+  let o = Oracle.explore m (Option.get (Counted.shape_of_graph g)) in
+  Alcotest.(check int) (ctx "size") (Array.length o.Oracle.succs) c.Counted.size;
+  Alcotest.(check int) (ctx "initial") 0 c.Counted.initial;
+  Alcotest.(check int) (ctx "states") o.Oracle.state_count c.Counted.state_count;
+  Alcotest.(check int) (ctx "edges")
+    (Array.fold_left (fun n es -> n + List.length es) 0 o.Oracle.succs)
+    c.Counted.edge_count;
+  Array.iteri
+    (fun i es ->
+      let off = c.Counted.off.(i) in
+      let csr =
+        List.init (c.Counted.off.(i + 1) - off) (fun k -> (c.Counted.mover.(off + k), c.Counted.dst.(off + k)))
+      in
+      if csr <> es || c.Counted.acc.(i) <> o.Oracle.acc.(i) || c.Counted.rej.(i) <> o.Oracle.rej.(i) then
+        Alcotest.fail (ctx (Printf.sprintf "configuration %d differs from the oracle" i)))
+    o.Oracle.succs
+
 let check_instance proto gspec =
   let g = or_fail (Spec.parse_graph gspec) in
   match Spec.parse_protocol proto g with
@@ -91,6 +213,7 @@ let check_instance proto gspec =
   | exception Counted.Too_large _ -> ()  (* both engines bounded out here *)
   | None -> Alcotest.fail (ctx "not recognised as clique/star")
   | Some counted ->
+  check_oracle ctx m g counted;
   (match Space.explore ~max_configs:diff_max_configs m g with
   | exception Space.Too_large _ ->
     (* beyond the explicit engine's reach: nothing to compare against —
@@ -118,6 +241,37 @@ let test_differential_corpus () =
   List.iter
     (fun proto -> List.iter (fun gspec -> check_instance proto gspec) graph_specs)
     protocols
+
+(* A hand-built counted space whose only non-accepting fair set appears
+   after a second peel round.  Labels are moved states; vertex 2 owes a
+   2-move that only leaves the big component, so round one drops it and
+   splits {0, 1, 2}; round two finds {0, 1} fair (its 1-obligation is met
+   by vertex 1's silent move).  Vertex 3 is a fair non-rejecting sink. *)
+let test_peel_rounds () =
+  let edges = [| [ (0, 1); (1, 2) ]; [ (0, 0); (1, 1) ]; [ (0, 0); (2, 3) ]; [ (2, 3) ] |] in
+  let off = Array.make 5 0 in
+  Array.iteri (fun i es -> off.(i + 1) <- off.(i) + List.length es) edges;
+  let flat = List.concat (Array.to_list edges) in
+  let c =
+    {
+      Counted.topology = Counted.Clique;
+      node_count = 2;
+      size = 4;
+      edge_count = List.length flat;
+      initial = 0;
+      state_count = 3;
+      off;
+      dst = Array.of_list (List.map snd flat);
+      mover = Array.of_list (List.map fst flat);
+      acc = [| false; true; true; true |];
+      rej = [| true; true; true; false |];
+      describe = string_of_int;
+    }
+  in
+  match Analysis.adversarial c with
+  | Decide.Inconsistent w ->
+      Alcotest.(check string) "witnesses" "fair runs can revisit the non-accepting configuration 0 and the non-rejecting configuration 3 forever" w
+  | v -> Alcotest.failf "expected inconsistent, got %s" (verdict_class v)
 
 (* --- family specs ------------------------------------------------------- *)
 
@@ -184,6 +338,45 @@ let test_family_window_clique () =
   | Certify.Window _ -> ()
   | Certify.Cutoff _ -> Alcotest.fail "cliques cannot be certified");
   Alcotest.(check string) "verdict" "accepts" (verdict_class fv.Certify.verdict)
+
+(* Family results as computed by the list-based engine: verdict class,
+   from_n, checked_to, certificate and total counted configurations. *)
+let pinned_families =
+  [
+    ("threshold:a,2", "star:ba*", `Adversarial, "inconsistent", 3, 8, Certify.Window 6, 73392);
+    ("threshold:a,2", "star:ba*", `Pseudo_stochastic, "accepts", 3, 8, Certify.Window 6, 73392);
+    ("threshold:a,2", "clique:ab*", `Adversarial, "rejects", 3, 8, Certify.Window 6, 2604);
+    ("threshold:a,2", "clique:ab*", `Pseudo_stochastic, "rejects", 3, 8, Certify.Window 6, 2604);
+    ("exists:a", "star:ba*", `Adversarial, "accepts", 3, 18, Certify.Cutoff 17, 336);
+    ("exists:a", "star:ba*", `Pseudo_stochastic, "accepts", 3, 18, Certify.Cutoff 17, 336);
+    ("exists:a", "clique:ab*", `Adversarial, "accepts", 3, 8, Certify.Window 6, 66);
+    ("exists:a", "clique:ab*", `Pseudo_stochastic, "accepts", 3, 8, Certify.Window 6, 66);
+    ("cutoff1:a", "star:ba*", `Adversarial, "rejects", 3, 18, Certify.Cutoff 17, 336);
+    ("cutoff1:a", "star:ba*", `Pseudo_stochastic, "rejects", 3, 18, Certify.Cutoff 17, 336);
+    ("cutoff1:a", "clique:ab*", `Adversarial, "rejects", 3, 8, Certify.Window 6, 66);
+    ("cutoff1:a", "clique:ab*", `Pseudo_stochastic, "rejects", 3, 8, Certify.Window 6, 66);
+  ]
+
+let test_family_pinned () =
+  List.iter
+    (fun (proto, fspec, regime, verdict, from_n, checked_to, certificate, configs) ->
+      let fam = or_fail (Family.parse fspec) in
+      let rep = Family.instance fam (Family.min_nodes fam) in
+      let (Spec.Packed m) = or_fail (Spec.parse_protocol proto rep) in
+      let ctx what =
+        Printf.sprintf "%s on %s (%s): %s" proto fspec
+          (match regime with `Adversarial -> "f" | `Pseudo_stochastic -> "F")
+          what
+      in
+      match Certify.decide_family ~regime m fam with
+      | Error _ -> Alcotest.fail (ctx "no family verdict")
+      | Ok fv ->
+          Alcotest.(check string) (ctx "verdict") verdict (verdict_class fv.Certify.verdict);
+          Alcotest.(check int) (ctx "from_n") from_n fv.Certify.from_n;
+          Alcotest.(check int) (ctx "checked_to") checked_to fv.Certify.checked_to;
+          Alcotest.(check bool) (ctx "certificate") true (fv.Certify.certificate = certificate);
+          Alcotest.(check int) (ctx "configs") configs fv.Certify.configs)
+    pinned_families
 
 (* --- cache threading ----------------------------------------------------- *)
 
@@ -278,11 +471,13 @@ let () =
     [
       ( "differential",
         [ Alcotest.test_case "corpus n<=6, all regimes" `Slow test_differential_corpus ] );
+      ( "analysis", [ Alcotest.test_case "adversarial peel rounds" `Quick test_peel_rounds ] );
       ( "family",
         [
           Alcotest.test_case "parse/canonical" `Quick test_family_parse;
           Alcotest.test_case "certified star" `Quick test_family_certified_star;
           Alcotest.test_case "window clique" `Quick test_family_window_clique;
+          Alcotest.test_case "pinned results" `Quick test_family_pinned;
         ] );
       ( "cache",
         [
