@@ -323,7 +323,8 @@ let cmd_decide proto_spec graph_spec fairness_str engine_str cache_dir max_confi
       (match Dda_verify.Engine.spill_stats e with
       | Some s ->
         Format.printf
-          "spill: budget %d bytes, peak resident %d, %d segments out / %d in (%d / %d bytes)@."
+          "spill: budget %d bytes, peak resident %d, %d segments out / %d in (%d / %d bytes) by \
+           end of exploration@."
           s.Dda_verify.Arena.mem_budget s.Dda_verify.Arena.resident_peak
           s.Dda_verify.Arena.segments_out s.Dda_verify.Arena.segments_in
           s.Dda_verify.Arena.bytes_out s.Dda_verify.Arena.bytes_in

@@ -340,12 +340,44 @@ let view a pos =
     (bytes, pos mod a.seg_bytes)
   | None -> (fault_in a i, pos mod a.seg_bytes)
 
-let read_u32 a pos =
-  let bytes, off = view a pos in
+let u32_at bytes off =
   Char.code (Bytes.unsafe_get bytes off)
   lor (Char.code (Bytes.unsafe_get bytes (off + 1)) lsl 8)
   lor (Char.code (Bytes.unsafe_get bytes (off + 2)) lsl 16)
   lor (Char.code (Bytes.unsafe_get bytes (off + 3)) lsl 24)
+
+let read_u32 a pos =
+  let bytes, off = view a pos in
+  u32_at bytes off
+
+(* A cursor keeps the [Bytes] of the last segment it read, so a sequential
+   reader goes through [view] (LRU bookkeeping, possibly a fault) once per
+   segment crossing instead of once per record.  Keeping a block the budget
+   has evicted since is safe — sealed content is immutable, the tail only
+   grows past committed bytes, and the GC keeps the block alive — and it is
+   what stops a budget smaller than the arena tails from evicting a faulted
+   segment before its next record is read.  The price is at most one
+   segment per cursor held beyond the budget. *)
+type cursor = { arena : t; mutable seg : int; mutable data : Bytes.t }
+
+let cursor a = { arena = a; seg = -1; data = Bytes.empty }
+
+let hold c i =
+  let bytes, _ = view c.arena (i * c.arena.seg_bytes) in
+  c.seg <- i;
+  c.data <- bytes
+
+let read_u32s c pos dst n =
+  let sb = c.arena.seg_bytes in
+  let i = pos / sb in
+  let off = pos - (i * sb) in
+  if n > Array.length dst || off + (4 * n) > sb then
+    invalid_arg "Arena.read_u32s: run leaves its segment or its destination";
+  if i <> c.seg then hold c i;
+  let b = c.data in
+  for k = 0 to n - 1 do
+    Array.unsafe_set dst k (u32_at b (off + (4 * k)))
+  done
 
 (* Drop the in-core blocks and close the file; the arena must not be used
    afterwards.  Called by the engine when a spilled space is released, and

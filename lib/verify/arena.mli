@@ -54,6 +54,33 @@ val read_u32 : t -> int -> int
     must have been returned by a 4-byte [append], so it cannot straddle a
     segment boundary when [seg_bytes] is a multiple of 4). *)
 
+(** {2 Cursors}
+
+    A cursor is one sequential reader's handle on an arena: it keeps the
+    [Bytes] of the segment it last read and goes back through {!view} only
+    when a read crosses into another segment.  A faulted segment is
+    therefore read in full even when the budget evicts it straight away
+    (for instance because the arena tails alone exceed the budget), and a
+    monotone pass faults each segment at most once.  The held segment is
+    not charged to the budget: each live cursor may keep at most one
+    segment in core beyond it.  Cursors are not thread-safe; give each
+    reader (and each domain) its own. *)
+
+type cursor
+
+val cursor : t -> cursor
+(** A fresh cursor holding no segment. *)
+
+val read_u32s : cursor -> int -> int array -> int -> unit
+(** [read_u32s c pos dst n] stores the [n] little-endian u32 records at
+    [pos], [pos + 4], ... into [dst.(0 .. n - 1)] — the same values as
+    {!read_u32} at each position (so, as there, the records come from
+    consecutive 4-byte appends and [seg_bytes] is a multiple of 4).  The
+    run must lie inside one segment; the engine sizes its edge segments to
+    whole rows so that a configuration's row always does.
+    @raise Invalid_argument if the run crosses a segment boundary or [dst]
+    is shorter than [n]. *)
+
 val length : t -> int
 (** Global position one past the last committed byte. *)
 

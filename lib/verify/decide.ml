@@ -183,19 +183,18 @@ let timed_streaming ~vertices f =
      polarities, so every bottom SCC below it contains both; conversely any
      member of a mixed bottom cannot leave it, and inside it S is empty. *)
 let streaming_pseudo_stochastic e describe =
-  let n = Engine.out_degree e in
   let sz = e.Engine.size in
-  let degree _ = n in
-  let succ i k = Engine.target e i k in
+  let targets = Engine.targets_reader e in
+  let reach seed =
+    Scc.backward_reach ~vertices:sz ~degree:(Engine.out_degree e)
+      ~row:(fun i dst _ -> targets i dst)
+      ~seed
+  in
   timed_streaming ~vertices:sz (fun () ->
-      let na =
-        Scc.backward_reach ~vertices:sz ~degree ~succ ~seed:(fun i -> not (Engine.acc e i))
-      in
-      let nr =
-        Scc.backward_reach ~vertices:sz ~degree ~succ ~seed:(fun i -> not (Engine.rej e i))
-      in
+      let na = reach (fun i -> not (Engine.acc e i)) in
+      let nr = reach (fun i -> not (Engine.rej e i)) in
       let pure j = Bytes.get na j = '\000' || Bytes.get nr j = '\000' in
-      let rs = Scc.backward_reach ~vertices:sz ~degree ~succ ~seed:pure in
+      let rs = reach pure in
       let mixed = ref None in
       let accs = ref false in
       let rejs = ref false in
@@ -221,30 +220,46 @@ let streaming_pseudo_stochastic e describe =
 (* Adversarial fairness as two fair-cycle queries on the lifted graph (same
    lift as [packed_adversarial_core]): a label-covering SCC containing a
    non-accepting (resp. non-rejecting) member exists iff some cycle carries
-   all node labels and visits such a vertex. *)
+   all node labels and visits such a vertex.  Lifted row (R, t) is built
+   from R's target and sigma rows, read once for the [ord] consecutive
+   lifted vertices that share R. *)
 let streaming_adversarial e describe =
   let n = Engine.out_degree e in
-  let ord, mul, perms =
+  let targets = Engine.targets_reader e in
+  let ord, row =
     match e.Engine.symmetry with
-    | None -> (1, [| [| 0 |] |], [| Array.init n (fun v -> v) |])
-    | Some g -> (Symmetry.order g, Symmetry.mul g, Symmetry.perms g)
+    | None ->
+      (* the lift is the space itself: rows straight from the reader *)
+      let bits = Array.init n (fun k -> 1 lsl k) in
+      ( 1,
+        fun i dst lbl ->
+          targets i dst;
+          Array.blit bits 0 lbl 0 n )
+    | Some g ->
+      let ord = Symmetry.order g and mul = Symmetry.mul g in
+      let bits = Array.map (Array.map (fun l -> 1 lsl l)) (Symmetry.perms g) in
+      let sigmas = Engine.sigmas_reader e in
+      let tr = Array.make n 0 and sr = Array.make n 0 in
+      let cur = ref (-1) in
+      ( ord,
+        fun x dst lbl ->
+          let i = x / ord and t = x mod ord in
+          if i <> !cur then begin
+            targets i tr;
+            sigmas i sr;
+            cur := i
+          end;
+          let mt = mul.(t) in
+          for k = 0 to n - 1 do
+            dst.(k) <- (tr.(k) * ord) + mt.(sr.(k))
+          done;
+          Array.blit bits.(t) 0 lbl 0 n )
   in
   let sz = e.Engine.size * ord in
-  let degree _ = n in
-  let succ x k =
-    let i = x / ord and t = x mod ord in
-    (Engine.target e i k * ord) + mul.(t).(Engine.edge_sigma e i k)
-  in
-  let label x k = perms.(x mod ord).(k) in
+  let fair target = Scc.fair_cycle ~vertices:sz ~degree:n ~row ~labels:n ~target in
   timed_streaming ~vertices:sz (fun () ->
-      let fna =
-        Scc.fair_cycle ~vertices:sz ~degree ~succ ~label ~labels:n ~target:(fun x ->
-            not (Engine.acc e (x / ord)))
-      in
-      let fnr =
-        Scc.fair_cycle ~vertices:sz ~degree ~succ ~label ~labels:n ~target:(fun x ->
-            not (Engine.rej e (x / ord)))
-      in
+      let fna = fair (fun x -> not (Engine.acc e (x / ord))) in
+      let fnr = fair (fun x -> not (Engine.rej e (x / ord))) in
       let unlift = Option.map (fun x -> x / ord) in
       adversarial_verdict describe (unlift fna, unlift fnr))
 
@@ -253,20 +268,16 @@ let streaming_adversarial e describe =
    for the same reason the generic path is: quotient cycles lift to
    concrete cycles and acceptance is automorphism-invariant. *)
 let streaming_unconditional e describe =
-  let n = Engine.out_degree e in
   let sz = e.Engine.size in
-  let degree _ = n in
-  let succ i k = Engine.target e i k in
-  let no_label _ _ = 0 in
+  let targets = Engine.targets_reader e in
+  let cycle target =
+    Scc.fair_cycle ~vertices:sz ~degree:(Engine.out_degree e)
+      ~row:(fun i dst _ -> targets i dst)
+      ~labels:0 ~target
+  in
   timed_streaming ~vertices:sz (fun () ->
-      let bad_acc =
-        Scc.fair_cycle ~vertices:sz ~degree ~succ ~label:no_label ~labels:0 ~target:(fun i ->
-            not (Engine.acc e i))
-      in
-      let bad_rej =
-        Scc.fair_cycle ~vertices:sz ~degree ~succ ~label:no_label ~labels:0 ~target:(fun i ->
-            not (Engine.rej e i))
-      in
+      let bad_acc = cycle (fun i -> not (Engine.acc e i)) in
+      let bad_rej = cycle (fun i -> not (Engine.rej e i)) in
       match (bad_acc, bad_rej) with
       | None, Some _ -> Accepts
       | Some _, None -> Rejects

@@ -993,8 +993,13 @@ let explore_ext ?(jobs = 1) ?symmetry ?(states = []) ~limit ~max_configs m g =
     (max s (ext_rec_max n) + 3) land -4
   in
   let st = ext_store_create budget n ~seg_bytes in
-  let earena = Arena.create budget ~name:"targets" ~seg_bytes in
-  let sarena = if sym = None then None else Some (Arena.create budget ~name:"sigmas" ~seg_bytes) in
+  (* edge segments hold whole rows of [n] u32s, so a row reader never
+     straddles two segments *)
+  let eseg_bytes = max (4 * n) (seg_bytes / (4 * n) * (4 * n)) in
+  let earena = Arena.create budget ~name:"targets" ~seg_bytes:eseg_bytes in
+  let sarena =
+    if sym = None then None else Some (Arena.create budget ~name:"sigmas" ~seg_bytes:eseg_bytes)
+  in
   let u32 = Bytes.create 4 in
   let push_u32 a v =
     put32 u32 0 v;
@@ -1177,6 +1182,28 @@ let edge_sigma e i k =
 
 let succs e i =
   List.init e.node_count (fun k -> (k, target e i k))
+
+(* Row readers: each holds its own arena cursor, so a sweep over ascending
+   or descending ids re-enters [Arena.view] only at segment crossings. *)
+let arena_rows n a =
+  let c = Arena.cursor a in
+  fun i dst -> Arena.read_u32s c (i * n * 4) dst n
+
+let array_rows n a i dst = Array.blit a (i * n) dst 0 n
+
+let targets_reader e =
+  let n = e.node_count in
+  match e.edges with
+  | Flat_edges { targets; _ } -> array_rows n targets
+  | Ext_edges { targets; _ } -> arena_rows n targets
+
+let sigmas_reader e =
+  let n = e.node_count in
+  match e.edges with
+  | Flat_edges { sigmas = [||]; _ } | Ext_edges { sigmas = None; _ } ->
+    fun _ dst -> Array.fill dst 0 n 0
+  | Flat_edges { sigmas; _ } -> array_rows n sigmas
+  | Ext_edges { sigmas = Some a; _ } -> arena_rows n a
 
 let release e =
   match e.edges with

@@ -54,7 +54,8 @@ type edges =
     }
   | Ext_edges of { targets : Arena.t; sigmas : Arena.t option }
       (** Same layout as little-endian u32 records in spillable arenas
-          (explored under a memory budget). *)
+          (explored under a memory budget), in segments that hold whole
+          rows of [node_count] records. *)
 
 type t = {
   node_count : int;
@@ -144,6 +145,19 @@ val target : t -> int -> int -> int
 val edge_sigma : t -> int -> int -> int
 (** The group element index recorded on edge [k] of [i]; [0] when
     unreduced. *)
+
+val targets_reader : t -> int -> int array -> unit
+(** [targets_reader e] is a fresh row reader: [read i dst] stores the
+    successors of configuration [i] in [dst.(0 .. node_count - 1)], i.e.
+    [dst.(k) = target e i k].  Resident spaces blit from the edge array;
+    spilled ones decode the row from the segment held by the reader's own
+    {!Arena.cursor} (edge segments are sized to whole rows, so a row never
+    straddles two).  Make one reader per sequential caller and per domain:
+    each may keep one segment in core beyond the memory budget. *)
+
+val sigmas_reader : t -> int -> int array -> unit
+(** Same as {!targets_reader} for the per-edge group elements
+    ([dst.(k) = edge_sigma e i k]; all zero when unreduced). *)
 
 val succs : t -> int -> (int * int) list
 (** [(label, target)] list, legacy [Space.succs] shape. *)

@@ -144,29 +144,32 @@ let has_internal_edge r ~succs c =
 (* ------------------------------------------------------------------ *)
 
 (* The two functions below visit edges only in sweeps over the vertex range
-   (monotone ascending or descending), never by random walk.  On an
+   (monotone ascending or descending), never by random walk, and read them
+   a whole row at a time through the caller's [row] function.  On an
    external-memory space whose CSR rows live in spilled segments this is
    the difference between one sequential pass per sweep and a page fault
    per DFS edge — Tarjan's traversal order is adversarial for an LRU of
    segments, a sweep is its best case.  Vertex ids come from BFS discovery,
-   so most edges point from lower to higher ids and both fixpoints below
-   converge in a handful of alternating sweeps. *)
+   so most edges point from lower to higher ids: descending sweeps pull
+   reachability back towards the root in a handful of passes. *)
 
-let backward_reach ~vertices ~degree ~succ ~seed =
+let backward_reach ~vertices ~degree ~row ~seed =
   let r = Bytes.make (max vertices 1) '\000' in
   for v = 0 to vertices - 1 do
     if seed v then Bytes.unsafe_set r v '\001'
   done;
+  let dst = Array.make (max degree 1) 0 in
+  let lbl = Array.make (max degree 1) 0 in
   let changed = ref true in
   while !changed do
     changed := false;
     for v = vertices - 1 downto 0 do
       if Bytes.unsafe_get r v = '\000' then begin
-        let d = degree v in
+        row v dst lbl;
         let hit = ref false in
         let k = ref 0 in
-        while (not !hit) && !k < d do
-          if Bytes.unsafe_get r (succ v !k) = '\001' then hit := true;
+        while (not !hit) && !k < degree do
+          if Bytes.unsafe_get r (Array.unsafe_get dst !k) = '\001' then hit := true;
           incr k
         done;
         if !hit then begin
@@ -189,14 +192,22 @@ let backward_reach ~vertices ~degree ~succ ~seed =
    every round, so it survives.  With [labels = 0] the check degenerates to
    "some cycle through a target vertex" (the extra bit still requires an
    edge, so isolated vertices never qualify; idling must be modelled as
-   self-loops, as everywhere else in this module's callers). *)
-let fair_cycle ~vertices ~degree ~succ ~label ~labels ~target =
+   self-loops, as everywhere else in this module's callers).  A vertex
+   whose R is already full cannot change, so later sweeps skip its row. *)
+let fair_cycle ~vertices ~degree ~row ~labels ~target =
   if labels > 61 then invalid_arg "Scc.fair_cycle: more than 61 labels";
   let bit_p = 1 lsl labels in
-  let full = bit_p lor (bit_p - 1) in
+  let lmask = bit_p - 1 in
+  let full = bit_p lor lmask in
   let nz = ref vertices in
   let in_z = Bytes.make (max vertices 1) '\001' in
+  let tgt = Bytes.make (max vertices 1) '\000' in
+  for v = 0 to vertices - 1 do
+    if target v then Bytes.unsafe_set tgt v '\001'
+  done;
   let r = Array.make (max vertices 1) 0 in
+  let dst = Array.make (max degree 1) 0 in
+  let lbl = Array.make (max degree 1) 0 in
   let stable = ref false in
   while (not !stable) && !nz > 0 do
     Array.fill r 0 vertices 0;
@@ -208,19 +219,22 @@ let fair_cycle ~vertices ~degree ~succ ~label ~labels ~target =
       descending := not !descending;
       let v = ref lo in
       while !v <> hi do
-        if Bytes.unsafe_get in_z !v = '\001' then begin
-          let acc = ref r.(!v) in
-          let d = degree !v in
-          for k = 0 to d - 1 do
-            let w = succ !v k in
+        let rv = Array.unsafe_get r !v in
+        if Bytes.unsafe_get in_z !v = '\001' && rv <> full then begin
+          row !v dst lbl;
+          let tv = Bytes.unsafe_get tgt !v = '\001' in
+          let acc = ref rv in
+          for k = 0 to degree - 1 do
+            let w = Array.unsafe_get dst k in
             if Bytes.unsafe_get in_z w = '\001' then
               acc :=
-                !acc lor r.(w)
-                lor (if labels > 0 then 1 lsl label !v k else 0)
-                lor (if target !v || target w then bit_p else 0)
+                !acc
+                lor Array.unsafe_get r w
+                lor (Array.unsafe_get lbl k land lmask)
+                lor if tv || Bytes.unsafe_get tgt w = '\001' then bit_p else 0
           done;
-          if !acc <> r.(!v) then begin
-            r.(!v) <- !acc;
+          if !acc <> rv then begin
+            Array.unsafe_set r !v !acc;
             changed := true
           end
         end;
@@ -241,7 +255,7 @@ let fair_cycle ~vertices ~degree ~succ ~label ~labels ~target =
     let w = ref (-1) in
     let v = ref 0 in
     while !w < 0 && !v < vertices do
-      if Bytes.unsafe_get in_z !v = '\001' && target !v then w := !v;
+      if Bytes.unsafe_get in_z !v = '\001' && Bytes.unsafe_get tgt !v = '\001' then w := !v;
       incr v
     done;
     if !w >= 0 then Some !w

@@ -112,6 +112,52 @@ let test_arena_u32 () =
     pos;
   Arena.release a
 
+(* Rows of three u32s.  At 65,532-byte segments (whole rows) a cursor must
+   read every row exactly as record reads do, and with every sealed
+   segment evicted a descending pass must fault each segment once, not
+   once per row.  At 65,536 bytes row 5,461 would straddle the boundary,
+   and the cursor refuses it. *)
+let test_cursor_rows () =
+  let scratch = Bytes.create 4 in
+  let rows = 12_000 in
+  let value j = (j * 0x9e3779b1) land 0x7FFFFFFF in
+  let fill a =
+    for j = 0 to (3 * rows) - 1 do
+      Bytes.set_int32_le scratch 0 (Int32.of_int (value j));
+      ignore (Arena.append a scratch 0 4)
+    done
+  in
+  let budget = Arena.budget_create ~limit:tiny_budget in
+  let a = Arena.create budget ~name:"rows3" ~seg_bytes:65_532 in
+  fill a;
+  let dst = Array.make 3 0 in
+  let c = Arena.cursor a in
+  for r = 0 to rows - 1 do
+    Arena.read_u32s c (r * 12) dst 3;
+    for k = 0 to 2 do
+      let want = Arena.read_u32 a ((r * 12) + (4 * k)) in
+      if dst.(k) <> want then Alcotest.failf "row %d.%d: %d, record read %d" r k dst.(k) want
+    done
+  done;
+  let c = Arena.cursor a in
+  let before = (Arena.budget_stats budget).Arena.segments_in in
+  for r = rows - 1 downto 0 do
+    Arena.read_u32s c (r * 12) dst 3;
+    for k = 0 to 2 do
+      if dst.(k) <> value ((3 * r) + k) then Alcotest.failf "descending row %d.%d" r k
+    done
+  done;
+  let sealed = (rows * 12) / 65_532 in
+  Alcotest.(check int) "one fault per sealed segment" sealed
+    ((Arena.budget_stats budget).Arena.segments_in - before);
+  Arena.release a;
+  let a = Arena.create budget ~name:"rows3-split" ~seg_bytes:65_536 in
+  fill a;
+  Alcotest.check_raises "straddling row refused"
+    (Invalid_argument "Arena.read_u32s: run leaves its segment or its destination") (fun () ->
+      Arena.read_u32s (Arena.cursor a) (5461 * 12) dst 3);
+  Arena.release a
+
 (* ------------------------------------------------------------------ *)
 (* Spilled-vs-resident differential                                     *)
 (* ------------------------------------------------------------------ *)
@@ -245,6 +291,60 @@ let test_corpus_differential () =
   let s = Space.explore ~mem_budget:tiny_budget ~max_configs:10_000 Helpers.flipper g in
   check "flipper" r s
 
+(* A width-3 space big enough to cross the old row split: three mod-20
+   counters on a line, 8,000 configurations, 96,000 edge bytes.  Under a
+   1-byte budget every engine row read must equal the record reads of its
+   edge arena, and the resident rows. *)
+let test_engine_rows_width3 () =
+  let m =
+    Machine.create ~name:"mod20" ~beta:1
+      ~init:(fun _ -> 0)
+      ~delta:(fun q _ -> (q + 1) mod 20)
+      ~accepting:(fun q -> q = 0)
+      ~rejecting:(fun q -> q <> 0)
+      ~pp_state:Format.pp_print_int ()
+  in
+  let g = G.line [ 'a'; 'b'; 'a' ] in
+  let resident = Space.explore ~max_configs:10_000 m g in
+  let spilled = Space.explore ~mem_budget:tiny_budget ~max_configs:10_000 m g in
+  let er = Option.get (Space.engine resident) and es = Option.get (Space.engine spilled) in
+  Alcotest.(check int) "configurations" 8000 es.Engine.size;
+  let arena =
+    match es.Engine.edges with
+    | Engine.Ext_edges { targets; _ } -> targets
+    | Engine.Flat_edges _ -> Alcotest.fail "not spilled"
+  in
+  let rows = Engine.targets_reader es and resident_rows = Engine.targets_reader er in
+  let dst = Array.make 3 0 and want = Array.make 3 0 in
+  for i = es.Engine.size - 1 downto 0 do
+    rows i dst;
+    resident_rows i want;
+    for k = 0 to 2 do
+      let r = Arena.read_u32 arena (((i * 3) + k) * 4) in
+      if dst.(k) <> r || dst.(k) <> want.(k) then
+        Alcotest.failf "row %d.%d: cursor %d, record %d, resident %d" i k dst.(k) r want.(k)
+    done
+  done;
+  Alcotest.(check bool) "verdicts" true (verdict3 resident = verdict3 spilled)
+
+(* Under a 64 KiB budget the arena tails alone exceed the limit, so every
+   faulted segment is evicted again at once.  Row reads through a cursor
+   must still fault each segment once per sweep, not once per edge. *)
+let test_small_budget_no_thrash () =
+  let m = H.weak_majority ~degree_bound:2 in
+  let g = G.cycle [ "a"; "a"; "b"; "b" ] in
+  let resident = Space.explore ~max_configs:100_000 m g in
+  let spilled = Space.explore ~mem_budget:65_536 ~max_configs:100_000 m g in
+  Alcotest.(check bool) "spilled" true (Engine.spilled (Option.get (Space.engine spilled)));
+  List.iter
+    (fun (name, decide) ->
+      let before = Arena.spill_segments () in
+      let v = decide spilled in
+      let faults = Arena.spill_segments () - before in
+      Alcotest.(check int) (name ^ " verdict") (verdict_shape (decide resident)) (verdict_shape v);
+      if faults > 64 then Alcotest.failf "%s: %d segment faults" name faults)
+    [ ("adversarial", Decide.adversarial); ("pseudo-stochastic", Decide.pseudo_stochastic) ]
+
 (* ------------------------------------------------------------------ *)
 (* Streaming SCC on resident spaces (DDA_STREAM_SCC=1)                  *)
 (* ------------------------------------------------------------------ *)
@@ -293,12 +393,15 @@ let () =
         [
           Alcotest.test_case "spill/fault identity" `Quick test_arena_spill_identity;
           Alcotest.test_case "u32 records" `Quick test_arena_u32;
+          Alcotest.test_case "cursor rows" `Quick test_cursor_rows;
         ] );
       ( "differential",
         [
           QCheck_alcotest.to_alcotest prop_spilled_matches_resident;
           QCheck_alcotest.to_alcotest prop_spilled_symmetry;
           Alcotest.test_case "protocol corpus" `Quick test_corpus_differential;
+          Alcotest.test_case "width-3 engine rows" `Quick test_engine_rows_width3;
+          Alcotest.test_case "64 KiB budget does not thrash" `Quick test_small_budget_no_thrash;
         ] );
       ( "streaming",
         [
