@@ -33,10 +33,14 @@ let parse_graph spec =
     match split_on 'x' dims with
     | [ w; h ] -> (
       match (int_of_string_opt w, int_of_string_opt h) with
-      | Some w, Some h when w >= 1 && h >= 1 && String.length labels = w * h ->
-        Ok (G.grid ~width:w ~height:h (fun x y -> String.make 1 labels.[(y * w) + x]))
+      | Some w, Some h when w < 1 || h < 1 -> Error "grid dimensions must be >= 1"
       | Some w, Some h ->
-        Error (Printf.sprintf "grid %dx%d needs exactly %d labels" w h (w * h))
+        let n = String.length labels in
+        (* [w * h] can wrap around: bound [h] by division before multiplying *)
+        if h <= n / w && n = w * h then
+          Ok (G.grid ~width:w ~height:h (fun x y -> String.make 1 labels.[(y * w) + x]))
+        else if h > max_int / w then Error (Printf.sprintf "grid %dx%d is too large" w h)
+        else Error (Printf.sprintf "grid %dx%d needs exactly %d labels" w h (w * h))
       | _ -> Error "grid dimensions must be integers")
     | _ -> Error "grid spec: grid:WxH:labels")
   | _ -> Error "graph spec: (cycle|line|clique|star):<labels> or grid:WxH:<labels>"

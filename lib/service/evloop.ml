@@ -1,7 +1,9 @@
 (* Shared plumbing for the select()-based single-thread loops: the
-   server (server.ml) and the routing proxy (router.ml) move bytes the
-   same way, through growable byte windows, and live under the same
-   select() descriptor budget. *)
+   server (server.ml) and the routing proxy (router.ml) speak the same
+   two wire formats over the same kind of connection, move bytes through
+   growable byte windows, and live under the same select() descriptor
+   budget.  Everything here is wire handling; the request handlers stay
+   with their process. *)
 
 (* A contiguous window [off, off+len) into a growable buffer.  The read
    side appends socket bytes at the tail and the parser consumes from the
@@ -136,3 +138,230 @@ let check_fd_budget ~reserved cap =
           processes behind dda route instead)"
          cap fd_setsize reserved fd_headroom budget)
   else Ok cap
+
+let close_listeners listeners =
+  List.iter
+    (fun (lfd, addr) ->
+      (try Unix.close lfd with Unix.Unix_error _ -> ());
+      match addr with
+      | Protocol.Unix_socket path -> ( try Sys.remove path with Sys_error _ -> ())
+      | Protocol.Tcp _ -> ())
+    listeners
+
+let bind_listeners addrs =
+  (* a client hanging up must surface as EPIPE on write, not kill us *)
+  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
+  let bound = ref [] in
+  match List.iter (fun addr -> bound := (bind_address addr, addr) :: !bound) addrs with
+  | () ->
+    List.iter (fun (lfd, _) -> Unix.set_nonblock lfd) !bound;
+    Ok !bound
+  | exception (Failure msg | Sys_error msg) ->
+    close_listeners !bound;
+    Error msg
+  | exception Unix.Unix_error (err, fn, arg) ->
+    close_listeners !bound;
+    Error (Printf.sprintf "%s(%s): %s" fn arg (Unix.error_message err))
+
+let wake_pipe () =
+  let r, w = Unix.pipe ~cloexec:true () in
+  Unix.set_nonblock r;
+  Unix.set_nonblock w;
+  (r, w)
+
+let wake w =
+  try ignore (Unix.write_substring w "x" 0 1)
+  with Unix.Unix_error _ -> ()  (* full pipe already wakes; closed pipe = shutdown *)
+
+let drain_wake r =
+  let scratch = Bytes.create 256 in
+  let rec go () =
+    match Unix.read r scratch 0 (Bytes.length scratch) with
+    | n when n = Bytes.length scratch -> go ()
+    | _ | (exception Unix.Unix_error _) -> ()
+  in
+  go ()
+
+let set_stream_opts addr fd =
+  Unix.set_nonblock fd;
+  match addr with
+  | Protocol.Tcp _ -> ( try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ())
+  | Protocol.Unix_socket _ -> ()
+
+let fill fd b =
+  iobuf_ensure b read_chunk;
+  match Unix.read fd b.buf (b.off + b.len) (Bytes.length b.buf - b.off - b.len) with
+  | 0 -> `Eof
+  | n ->
+    b.len <- b.len + n;
+    `Data
+  | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> `Again
+  | exception Unix.Unix_error _ -> `Error
+
+let write_out fd b =
+  let rec go () =
+    if b.len = 0 then true
+    else
+      match Unix.write fd b.buf b.off b.len with
+      | n when n > 0 ->
+        iobuf_consume b n;
+        go ()
+      | _ | (exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)) -> true
+      | exception Unix.Unix_error _ -> false
+  in
+  go ()
+
+type frame = Frame of string | Partial | Bad_length of int
+
+let take_frame b =
+  if b.len < 4 then Partial
+  else
+    let len = Protocol.frame_length (Bytes.sub_string b.buf b.off 4) in
+    if len < 1 || len > Protocol.max_frame then Bad_length len
+    else if b.len < 4 + len then Partial  (* len <= max_frame bounds the wait *)
+    else begin
+      let payload = Bytes.sub_string b.buf (b.off + 4) len in
+      iobuf_consume b (4 + len);
+      Frame payload
+    end
+
+type mode = Detecting | Json_lines | Binary
+
+type conn = {
+  fd : Unix.file_descr;
+  mutable mode : mode;
+  rbuf : iobuf;
+  wbuf : iobuf;
+  mutable inflight : int;
+  mutable eof : bool;
+  mutable dead : bool;
+  mutable closed : bool;
+}
+
+let conn fd =
+  { fd; mode = Detecting; rbuf = iobuf_create 4096; wbuf = iobuf_create 4096; inflight = 0;
+    eof = false; dead = false; closed = false }
+
+(* responses only append; the loop flushes after every batch of events,
+   so a response goes out in the round that produced it *)
+let append c s = if not (c.dead || c.closed) then iobuf_add_string c.wbuf s
+
+let respond c resp =
+  if not (c.dead || c.closed) then
+    match c.mode with
+    | Binary -> iobuf_add_string c.wbuf (Protocol.encode_response_frame resp)
+    | Detecting | Json_lines -> iobuf_add_string c.wbuf (Protocol.response_to_json resp ^ "\n")
+
+let answer c ~id status = respond c { Protocol.rid = id; status; queue_ms = 0.; total_ms = 0. }
+
+(* answer once, stop reading, close after the output flushes: a corrupt
+   length or an endless line cannot be resynchronised *)
+let fatal c reason =
+  answer c ~id:"" (Protocol.Error reason);
+  c.eof <- true;
+  iobuf_consume c.rbuf c.rbuf.len
+
+(* index of '\n' in buf[from, limit), or -1 *)
+let find_nl buf from limit =
+  let i = ref from in
+  while !i < limit && Bytes.get buf !i <> '\n' do
+    incr i
+  done;
+  if !i < limit then !i else -1
+
+let feed c ~on_line ~on_frame =
+  let b = c.rbuf in
+  let rec go () =
+    match c.mode with
+    | Detecting ->
+      if b.len > 0 then begin
+        let n = min b.len 4 in
+        if Bytes.sub_string b.buf b.off n <> String.sub Protocol.magic 0 n then begin
+          c.mode <- Json_lines;
+          go ()
+        end
+        else if b.len >= 4 then begin
+          iobuf_consume b 4;
+          c.mode <- Binary;
+          (* echo the magic: the client's cue that /2 is negotiated *)
+          iobuf_add_string c.wbuf Protocol.magic;
+          go ()
+        end
+        (* else: a strict prefix of the magic — wait for the next bytes *)
+      end
+    | Json_lines ->
+      let nl = find_nl b.buf b.off (b.off + b.len) in
+      if nl >= 0 then begin
+        let line = Bytes.sub_string b.buf b.off (nl - b.off) in
+        iobuf_consume b (nl - b.off + 1);
+        if String.trim line <> "" then on_line line;
+        if not c.eof then go ()
+      end
+      else if b.len > max_rbuf then
+        fatal c (Printf.sprintf "request line exceeds %d bytes" max_rbuf)
+    | Binary -> (
+      match take_frame b with
+      | Frame payload ->
+        on_frame payload;
+        if not c.eof then go ()
+      | Partial -> ()
+      | Bad_length len ->
+        fatal c (Printf.sprintf "bad frame length %d (1 ..= %d)" len Protocol.max_frame))
+  in
+  go ()
+
+let read c ~on_line ~on_frame ~on_crash =
+  match fill c.fd c.rbuf with
+  | `Data -> (
+    (* no single request may take the loop thread (and with it every
+       connection) down: an unexpected exception fails this connection
+       only *)
+    try feed c ~on_line ~on_frame with e -> fatal c (on_crash e))
+  | `Again -> ()
+  | `Eof -> c.eof <- true
+  | `Error ->
+    c.eof <- true;
+    c.dead <- true
+
+let flush c =
+  if (not (c.dead || c.closed)) && not (write_out c.fd c.wbuf) then begin
+    (* EPIPE et al.: requests already admitted still retire cleanly, only
+       the reply is lost with the connection *)
+    c.dead <- true;
+    iobuf_consume c.wbuf c.wbuf.len
+  end
+
+let select_sets conns =
+  List.fold_left
+    (fun (rs, ws) c ->
+      ( (if (not c.eof) && c.wbuf.len < max_wbuf then c.fd :: rs else rs),
+        if c.wbuf.len > 0 then c.fd :: ws else ws ))
+    ([], []) conns
+
+(* this round's output, plus whatever select says is writable again *)
+let flush_ready conns writable =
+  List.iter (fun c -> if c.wbuf.len > 0 || List.memq c.fd writable then flush c) conns
+
+let accept (lfd, addr) ~room add =
+  let rec go () =
+    if room () then
+      match Unix.accept lfd with
+      | fd, _ ->
+        set_stream_opts addr fd;
+        add (conn fd);
+        go ()
+      | exception Unix.Unix_error _ -> ()  (* EAGAIN: the backlog is empty *)
+  in
+  go ()
+
+let close_conn c =
+  c.closed <- true;
+  try Unix.close c.fd with Unix.Unix_error _ -> ()
+
+let reap conns =
+  List.filter
+    (fun c ->
+      let finished = c.dead || (c.eof && c.inflight = 0 && c.wbuf.len = 0) in
+      if finished then close_conn c;
+      not finished)
+    conns

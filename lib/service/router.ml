@@ -118,23 +118,9 @@ type stats = {
   backends_up : int;
 }
 
-type mode = Detecting | Json_lines | Binary
-
-(* a front connection: same lifecycle flags as the server's *)
-type fconn = {
-  fd : Unix.file_descr;
-  mutable mode : mode;
-  rbuf : iobuf;
-  wbuf : iobuf;
-  mutable inflight : int;  (* forwards admitted, not yet answered *)
-  mutable eof : bool;
-  mutable dead : bool;
-  mutable closed : bool;
-}
-
 (* one admitted decide in flight between a front and a backend *)
 type fwd = {
-  f_front : fconn;
+  f_front : conn;
   f_id : string;  (* the client's id, restored on the way back *)
   f_rid : string;  (* router-assigned id on the backend wire *)
   f_body : string;  (* raw decide body (everything after tag + id) *)
@@ -200,10 +186,6 @@ type t = {
   mutable prober_thread : Thread.t option;
 }
 
-let wake t =
-  try ignore (Unix.write_substring t.wake_w "x" 0 1)
-  with Unix.Unix_error _ -> ()
-
 let up_count t =
   Array.fold_left (fun a b -> if b.b_state = Up then a + 1 else a) 0 t.backends
 
@@ -242,19 +224,9 @@ let bump t f =
   f t;
   Mutex.unlock t.m
 
-(* ------------------------------------------------------------------ *)
-(* Front responses                                                      *)
-(* ------------------------------------------------------------------ *)
-
-let respond_front conn resp =
-  if not (conn.dead || conn.closed) then
-    match conn.mode with
-    | Binary -> iobuf_add_string conn.wbuf (Protocol.encode_response_frame resp)
-    | Detecting | Json_lines ->
-      iobuf_add_string conn.wbuf (Protocol.response_to_json resp ^ "\n")
-
-let answer conn ~id status =
-  respond_front conn { Protocol.rid = id; status; queue_ms = 0.; total_ms = 0. }
+let count_error t =
+  bump t (fun t -> t.s_errors <- t.s_errors + 1);
+  T.incr c_errors
 
 (* ------------------------------------------------------------------ *)
 (* Forwarding                                                           *)
@@ -378,8 +350,7 @@ let eject t b =
       (fun f ->
         let fail () =
           f.f_front.inflight <- f.f_front.inflight - 1;
-          bump t (fun t -> t.s_errors <- t.s_errors + 1);
-          T.incr c_errors;
+          count_error t;
           answer f.f_front ~id:f.f_id (Protocol.Error "backend_unavailable")
         in
         if f.f_attempts = 0 || (t.cfg.retry && f.f_attempts = 1) then begin
@@ -409,11 +380,7 @@ let adopt_results t =
           try Unix.close fd with Unix.Unix_error _ -> ()
         end
         else begin
-          Unix.set_nonblock fd;
-          (match b.b_addr with
-          | Protocol.Tcp _ -> (
-            try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ())
-          | Protocol.Unix_socket _ -> ());
+          set_stream_opts b.b_addr fd;
           b.b_fd <- Some fd;
           b.b_state <- Up;
           b.b_backoff <- initial_backoff;
@@ -481,7 +448,7 @@ let prober t () =
       Mutex.lock t.m;
       t.adopted <- (idx, res) :: t.adopted;
       Mutex.unlock t.m;
-      wake t;
+      wake t.wake_w;
       loop ()
     end
   in
@@ -546,7 +513,7 @@ let stats_doc t fronts =
            bk.b_ejections))
     t.backends;
   Buffer.add_string b "],\"telemetry\":";
-  (* single-line, as on the /1 wire (see server.ml) *)
+  (* the /1 wire is line-oriented: the embedded document must be single-line *)
   String.iter (fun c -> Buffer.add_char b (if c = '\n' then ' ' else c)) (T.metrics_json ());
   Buffer.add_char b '}';
   Buffer.contents b
@@ -571,8 +538,7 @@ let handle_front_payload t fronts conn payload =
   let tag = Protocol.payload_tag payload in
   match Protocol.payload_id payload with
   | None ->
-    bump t (fun t -> t.s_errors <- t.s_errors + 1);
-    T.incr c_errors;
+    count_error t;
     answer conn ~id:"" (Protocol.Error "truncated payload")
   | Some id ->
     if tag = Protocol.op_ping then begin
@@ -590,8 +556,7 @@ let handle_front_payload t fronts conn payload =
     else if tag = Protocol.op_decide then begin
       match Protocol.payload_body payload with
       | None ->
-        bump t (fun t -> t.s_errors <- t.s_errors + 1);
-        T.incr c_errors;
+        count_error t;
         answer conn ~id (Protocol.Error "truncated payload")
       | Some body -> (
         let key =
@@ -608,13 +573,11 @@ let handle_front_payload t fronts conn payload =
         match key with
         | Ok key -> admit_decide t conn ~id ~body ~key
         | Error reason ->
-          bump t (fun t -> t.s_errors <- t.s_errors + 1);
-          T.incr c_errors;
+          count_error t;
           answer conn ~id (Protocol.Error reason))
     end
     else begin
-      bump t (fun t -> t.s_errors <- t.s_errors + 1);
-      T.incr c_errors;
+      count_error t;
       answer conn ~id (Protocol.Error (Printf.sprintf "unknown op %d" tag))
     end
 
@@ -630,8 +593,7 @@ let handle_front_parsed t fronts conn parsed =
   T.incr c_requests;
   match parsed with
   | Error (e : Protocol.parse_error) ->
-    bump t (fun t -> t.s_errors <- t.s_errors + 1);
-    T.incr c_errors;
+    count_error t;
     answer conn ~id:e.Protocol.err_id (Protocol.Error e.Protocol.err_reason)
   | Ok (Protocol.Ping id) ->
     bump t (fun t -> t.s_pings <- t.s_pings + 1);
@@ -650,8 +612,7 @@ let handle_front_parsed t fronts conn parsed =
     let over = function Some s -> String.length s > 0xffff | None -> false in
     if over (Some d.Protocol.protocol) || over (Some d.Protocol.graph) || over d.Protocol.trace
     then begin
-      bump t (fun t -> t.s_errors <- t.s_errors + 1);
-      T.incr c_errors;
+      count_error t;
       answer conn ~id:d.Protocol.id
         (Protocol.Error
            (Printf.sprintf "decide field exceeds the %s limit (65535 bytes)" Protocol.schema2))
@@ -683,171 +644,48 @@ let relay_response t b payload =
         | Binary ->
           (* raw pass-through: restore the client id, keep the body *)
           let body = Option.value ~default:"" (Protocol.payload_body payload) in
-          if not (fwd.f_front.dead || fwd.f_front.closed) then
-            iobuf_add_string fwd.f_front.wbuf
-              (Protocol.reframe ~tag:(Protocol.payload_tag payload) ~id:fwd.f_id ~body)
+          append fwd.f_front
+            (Protocol.reframe ~tag:(Protocol.payload_tag payload) ~id:fwd.f_id ~body)
         | Detecting | Json_lines -> (
           match Protocol.decode_response_payload payload with
-          | Ok r -> respond_front fwd.f_front { r with Protocol.rid = fwd.f_id }
+          | Ok r -> respond fwd.f_front { r with Protocol.rid = fwd.f_id }
           | Error e ->
             answer fwd.f_front ~id:fwd.f_id
               (Protocol.Error ("router: backend response: " ^ e))));
         pump t b))
 
 let parse_backend t b =
-  let continue = ref true in
-  while !continue do
-    continue := false;
-    let buf = b.b_rbuf in
-    if buf.len >= 4 then begin
-      let len =
-        (Char.code (Bytes.get buf.buf buf.off) lsl 24)
-        lor (Char.code (Bytes.get buf.buf (buf.off + 1)) lsl 16)
-        lor (Char.code (Bytes.get buf.buf (buf.off + 2)) lsl 8)
-        lor Char.code (Bytes.get buf.buf (buf.off + 3))
-      in
-      if len < 1 || len > Protocol.max_frame then eject t b
-      else if buf.len >= 4 + len then begin
-        let payload = Bytes.sub_string buf.buf (buf.off + 4) len in
-        iobuf_consume buf (4 + len);
-        relay_response t b payload;
-        continue := b.b_state = Up
-      end
-    end
-  done
+  let rec go () =
+    match take_frame b.b_rbuf with
+    | Frame payload ->
+      relay_response t b payload;
+      if b.b_state = Up then go ()
+    | Partial -> ()
+    | Bad_length _ -> eject t b
+  in
+  go ()
 
 let read_backend t b =
   match b.b_fd with
   | None -> ()
   | Some fd -> (
-    iobuf_ensure b.b_rbuf read_chunk;
-    let buf = b.b_rbuf in
-    match Unix.read fd buf.buf (buf.off + buf.len) (Bytes.length buf.buf - buf.off - buf.len) with
-    | 0 -> eject t b
-    | n ->
-      buf.len <- buf.len + n;
-      parse_backend t b
-    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ()
-    | exception Unix.Unix_error _ -> eject t b)
+    match fill fd b.b_rbuf with
+    | `Data -> parse_backend t b
+    | `Again -> ()
+    | `Eof | `Error -> eject t b)
 
 let flush_backend t b =
   match b.b_fd with
+  | Some fd -> if not (write_out fd b.b_wbuf) then eject t b
   | None -> ()
-  | Some fd ->
-    let buf = b.b_wbuf in
-    let continue = ref true in
-    while !continue && buf.len > 0 do
-      match Unix.write fd buf.buf buf.off buf.len with
-      | 0 -> continue := false
-      | n -> iobuf_consume buf n
-      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) ->
-        continue := false
-      | exception Unix.Unix_error _ ->
-        continue := false;
-        eject t b
-    done
-
-(* ------------------------------------------------------------------ *)
-(* Front wire parsing and I/O                                           *)
-(* ------------------------------------------------------------------ *)
-
-let find_nl buf from limit =
-  let i = ref from in
-  while !i < limit && Bytes.get buf !i <> '\n' do
-    incr i
-  done;
-  if !i < limit then !i else -1
-
-let fatal_framing conn reason =
-  answer conn ~id:"" (Protocol.Error reason);
-  conn.eof <- true;
-  iobuf_consume conn.rbuf conn.rbuf.len
-
-let rec parse_front t fronts conn =
-  match conn.mode with
-  | Detecting ->
-    let b = conn.rbuf in
-    if b.len > 0 then begin
-      let n = min b.len 4 in
-      let prefix_matches =
-        let rec go i =
-          i >= n || (Bytes.get b.buf (b.off + i) = Protocol.magic.[i] && go (i + 1))
-        in
-        go 0
-      in
-      if not prefix_matches then begin
-        conn.mode <- Json_lines;
-        parse_front t fronts conn
-      end
-      else if b.len >= 4 then begin
-        iobuf_consume b 4;
-        conn.mode <- Binary;
-        iobuf_add_string conn.wbuf Protocol.magic;
-        parse_front t fronts conn
-      end
-    end
-  | Json_lines ->
-    let b = conn.rbuf in
-    let nl = find_nl b.buf b.off (b.off + b.len) in
-    if nl >= 0 then begin
-      let line = Bytes.sub_string b.buf b.off (nl - b.off) in
-      iobuf_consume b (nl - b.off + 1);
-      if String.trim line <> "" then
-        handle_front_parsed t fronts conn (Protocol.parse_request line);
-      if not conn.eof then parse_front t fronts conn
-    end
-    else if b.len > max_rbuf then
-      fatal_framing conn (Printf.sprintf "request line exceeds %d bytes" max_rbuf)
-  | Binary ->
-    let b = conn.rbuf in
-    if b.len >= 4 then begin
-      let len =
-        (Char.code (Bytes.get b.buf b.off) lsl 24)
-        lor (Char.code (Bytes.get b.buf (b.off + 1)) lsl 16)
-        lor (Char.code (Bytes.get b.buf (b.off + 2)) lsl 8)
-        lor Char.code (Bytes.get b.buf (b.off + 3))
-      in
-      if len < 1 || len > Protocol.max_frame then
-        fatal_framing conn
-          (Printf.sprintf "bad frame length %d (1 ..= %d)" len Protocol.max_frame)
-      else if b.len >= 4 + len then begin
-        let payload = Bytes.sub_string b.buf (b.off + 4) len in
-        iobuf_consume b (4 + len);
-        handle_front_payload t fronts conn payload;
-        if not conn.eof then parse_front t fronts conn
-      end
-    end
 
 let read_front t fronts conn =
-  iobuf_ensure conn.rbuf read_chunk;
-  let b = conn.rbuf in
-  match Unix.read conn.fd b.buf (b.off + b.len) (Bytes.length b.buf - b.off - b.len) with
-  | 0 -> conn.eof <- true
-  | n ->
-    b.len <- b.len + n;
-    parse_front t fronts conn
-  | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ()
-  | exception Unix.Unix_error _ ->
-    conn.eof <- true;
-    conn.dead <- true
-
-let flush_front conn =
-  if (not conn.closed) && not conn.dead then begin
-    let b = conn.wbuf in
-    let continue = ref true in
-    while !continue && b.len > 0 do
-      match Unix.write conn.fd b.buf b.off b.len with
-      | 0 -> continue := false
-      | n -> iobuf_consume b n
-      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) ->
-        continue := false
-      | exception Unix.Unix_error _ ->
-        conn.dead <- true;
-        b.off <- 0;
-        b.len <- 0;
-        continue := false
-    done
-  end
+  read conn
+    ~on_line:(fun line -> handle_front_parsed t fronts conn (Protocol.parse_request line))
+    ~on_frame:(handle_front_payload t fronts conn)
+    ~on_crash:(fun e ->
+      count_error t;
+      "router: " ^ Printexc.to_string e)
 
 (* ------------------------------------------------------------------ *)
 (* The loop                                                             *)
@@ -855,67 +693,10 @@ let flush_front conn =
 
 let event_loop t listeners () =
   let fronts = ref [] in
-  let scratch = Bytes.create 256 in
-  let drain_wake () =
-    let rec go () =
-      match Unix.read t.wake_r scratch 0 (Bytes.length scratch) with
-      | n when n = Bytes.length scratch -> go ()
-      | _ -> ()
-      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ()
-      | exception Unix.Unix_error _ -> ()
-    in
-    go ()
-  in
-  let close_listeners () =
-    List.iter
-      (fun (lfd, addr) ->
-        (try Unix.close lfd with Unix.Unix_error _ -> ());
-        match addr with
-        | Protocol.Unix_socket path -> ( try Sys.remove path with Sys_error _ -> ())
-        | Protocol.Tcp _ -> ())
-      listeners
-  in
-  let accept_ready lfd addr =
-    let rec go () =
-      if List.length !fronts >= t.cfg.max_connections then ()
-      else
-        match Unix.accept lfd with
-        | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ()
-        | exception Unix.Unix_error _ -> ()
-        | fd, _ ->
-          Unix.set_nonblock fd;
-          (match addr with
-          | Protocol.Tcp _ -> (
-            try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ())
-          | Protocol.Unix_socket _ -> ());
-          fronts :=
-            {
-              fd;
-              mode = Detecting;
-              rbuf = iobuf_create 4096;
-              wbuf = iobuf_create 4096;
-              inflight = 0;
-              eof = false;
-              dead = false;
-              closed = false;
-            }
-            :: !fronts;
-          bump t (fun t -> t.s_connections <- t.s_connections + 1);
-          go ()
-    in
-    go ()
-  in
-  let reap () =
-    fronts :=
-      List.filter
-        (fun c ->
-          if c.dead || (c.eof && c.inflight = 0 && c.wbuf.len = 0) then begin
-            c.closed <- true;
-            (try Unix.close c.fd with Unix.Unix_error _ -> ());
-            false
-          end
-          else true)
-        !fronts
+  let room () = List.length !fronts < t.cfg.max_connections in
+  let add conn =
+    fronts := conn :: !fronts;
+    bump t (fun t -> t.s_connections <- t.s_connections + 1)
   in
   let inflight_total () =
     Array.fold_left
@@ -931,18 +712,16 @@ let event_loop t listeners () =
       && Array.for_all (fun b -> b.b_wbuf.len = 0 || b.b_state = Ejected) t.backends
     then ()  (* drained *)
     else begin
-      let accepting = List.length !fronts < t.cfg.max_connections in
+      let frfds, fwfds = select_sets !fronts in
       let rfds =
         t.wake_r
-        :: ((if accepting then List.map fst listeners else [])
-           @ List.filter_map
-               (fun c -> if (not c.eof) && c.wbuf.len < max_wbuf then Some c.fd else None)
-               !fronts
+        :: ((if room () then List.map fst listeners else [])
+           @ frfds
            @ (Array.to_list t.backends
              |> List.filter_map (fun b -> if b.b_state = Up then b.b_fd else None)))
       in
       let wfds =
-        List.filter_map (fun c -> if c.wbuf.len > 0 then Some c.fd else None) !fronts
+        fwfds
         @ (Array.to_list t.backends
           |> List.filter_map (fun b ->
                  if b.b_state = Up && b.b_wbuf.len > 0 then b.b_fd else None))
@@ -950,52 +729,31 @@ let event_loop t listeners () =
       (match Unix.select rfds wfds [] 0.25 with
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
       | readable, writable, _ ->
-        if List.memq t.wake_r readable then drain_wake ();
+        if List.memq t.wake_r readable then drain_wake t.wake_r;
         adopt_results t;
-        List.iter
-          (fun (lfd, addr) -> if List.memq lfd readable then accept_ready lfd addr)
-          listeners;
+        List.iter (fun l -> if List.memq (fst l) readable then accept l ~room add) listeners;
         Array.iter
           (fun b ->
             match b.b_fd with
             | Some fd when List.memq fd readable -> read_backend t b
             | _ -> ())
           t.backends;
-        List.iter
-          (fun c ->
-            if List.memq c.fd readable then
-              (* belt and braces: no single request may take the loop
-                 thread (and with it every connection) down — an
-                 unexpected exception fails this front only *)
-              try read_front t !fronts c
-              with e ->
-                bump t (fun t -> t.s_errors <- t.s_errors + 1);
-                T.incr c_errors;
-                answer c ~id:"" (Protocol.Error ("router: " ^ Printexc.to_string e));
-                c.eof <- true;
-                iobuf_consume c.rbuf c.rbuf.len)
-          !fronts;
+        List.iter (fun c -> if List.memq c.fd readable then read_front t !fronts c) !fronts;
         tick t (T.monotonic ());
         Array.iter
           (fun b ->
             match b.b_fd with
-            | Some fd when b.b_wbuf.len > 0 || List.memq fd writable -> ignore fd; flush_backend t b
+            | Some fd when b.b_wbuf.len > 0 || List.memq fd writable -> flush_backend t b
             | _ -> ())
           t.backends;
-        List.iter
-          (fun c -> if c.wbuf.len > 0 || List.memq c.fd writable then flush_front c)
-          !fronts;
-        reap ());
+        flush_ready !fronts writable;
+        fronts := reap !fronts);
       loop ()
     end
   in
   loop ();
-  close_listeners ();
-  List.iter
-    (fun c ->
-      c.closed <- true;
-      try Unix.close c.fd with Unix.Unix_error _ -> ())
-    !fronts;
+  close_listeners listeners;
+  List.iter close_conn !fronts;
   Array.iter (fun b -> close_backend_fd b) t.backends
 
 (* ------------------------------------------------------------------ *)
@@ -1014,7 +772,6 @@ let start cfg =
     with
     | Error e -> Error ("router: " ^ e)
     | Ok _ -> (
-      (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
       let cfg =
         {
           cfg with
@@ -1026,21 +783,10 @@ let start cfg =
           window_s = max 1 cfg.window_s;
         }
       in
-      let listeners = ref [] in
-      match
-        List.iter (fun addr -> listeners := (bind_address addr, addr) :: !listeners) cfg.listen
-      with
-      | exception (Failure msg | Sys_error msg) ->
-        List.iter (fun (fd, _) -> try Unix.close fd with Unix.Unix_error _ -> ()) !listeners;
-        Error msg
-      | exception Unix.Unix_error (err, fn, arg) ->
-        List.iter (fun (fd, _) -> try Unix.close fd with Unix.Unix_error _ -> ()) !listeners;
-        Error (Printf.sprintf "%s(%s): %s" fn arg (Unix.error_message err))
-      | () ->
-        List.iter (fun (lfd, _) -> Unix.set_nonblock lfd) !listeners;
-        let wake_r, wake_w = Unix.pipe ~cloexec:true () in
-        Unix.set_nonblock wake_r;
-        Unix.set_nonblock wake_w;
+      match bind_listeners cfg.listen with
+      | Error _ as e -> e
+      | Ok listeners ->
+        let wake_r, wake_w = wake_pipe () in
         let now = T.monotonic () in
         let bks =
           Array.of_list cfg.backends
@@ -1072,11 +818,7 @@ let start cfg =
             match Client.connect ~version:2 ~timeout:cfg.connect_timeout b.b_addr with
             | Ok c ->
               let fd = Client.fd c in
-              Unix.set_nonblock fd;
-              (match b.b_addr with
-              | Protocol.Tcp _ -> (
-                try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ())
-              | Protocol.Unix_socket _ -> ());
+              set_stream_opts b.b_addr fd;
               b.b_fd <- Some fd;
               b.b_state <- Up
             | Error _ -> b.b_next_try <- T.monotonic () +. initial_backoff)
@@ -1116,13 +858,13 @@ let start cfg =
         in
         rebuild_ring t;
         t.prober_thread <- Some (Thread.create (prober t) ());
-        t.loop_thread <- Some (Thread.create (event_loop t !listeners) ());
+        t.loop_thread <- Some (Thread.create (event_loop t listeners) ());
         Ok t)
   end
 
 let drain t =
   Atomic.set t.stop true;
-  wake t
+  wake t.wake_w
 
 let wait t =
   (match t.loop_thread with Some th -> Thread.join th | None -> ());

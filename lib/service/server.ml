@@ -59,25 +59,6 @@ type stats = {
   pings : int;
 }
 
-(* ------------------------------------------------------------------ *)
-(* Connections                                                           *)
-(* ------------------------------------------------------------------ *)
-
-(* Wire mode, decided by the first bytes after connect: the 4-byte magic
-   switches to /2 binary frames; anything else is /1 JSON lines. *)
-type mode = Detecting | Json_lines | Binary
-
-type conn = {
-  fd : Unix.file_descr;
-  mutable mode : mode;
-  rbuf : iobuf;
-  wbuf : iobuf;
-  mutable inflight : int;  (* admitted, not yet answered *)
-  mutable eof : bool;  (* stop reading: client EOF or a fatal framing error *)
-  mutable dead : bool;  (* write error: the peer is gone, discard output *)
-  mutable closed : bool;  (* fd closed; the conn is off the loop's list *)
-}
-
 type pending = {
   p_req : Protocol.decide;
   p_conn : conn;
@@ -170,24 +151,6 @@ let stats t =
   in
   Mutex.unlock t.m;
   s
-
-let wake t =
-  try ignore (Unix.write_substring t.wake_w "x" 0 1)
-  with Unix.Unix_error _ -> ()  (* full pipe already wakes; closed pipe = shutdown *)
-
-(* ------------------------------------------------------------------ *)
-(* Responses                                                            *)
-(* ------------------------------------------------------------------ *)
-
-(* Serialisation only appends to the connection's output window; the loop
-   flushes opportunistically after every batch of events, so a response
-   produced in this loop round goes out in this loop round. *)
-let append_response conn resp =
-  if not (conn.dead || conn.closed) then
-    match conn.mode with
-    | Binary -> iobuf_add_string conn.wbuf (Protocol.encode_response_frame resp)
-    | Detecting | Json_lines ->
-      iobuf_add_string conn.wbuf (Protocol.response_to_json resp ^ "\n")
 
 let expired p now = match p.p_deadline with Some d -> now > d | None -> false
 
@@ -384,8 +347,7 @@ let log_line t ~verb ~id ?key ?tier ?trace ~status ~queue_ms ~compute_ms ~total_
 let respond_admitted t p ?(compute_s = 0.) ?key ?tier status =
   let total_ms = (T.monotonic () -. p.p_admitted) *. 1000. in
   let queue_ms = Float.max 0. (total_ms -. (compute_s *. 1000.)) in
-  append_response p.p_conn
-    { Protocol.rid = p.p_req.Protocol.id; status; queue_ms; total_ms };
+  respond p.p_conn { Protocol.rid = p.p_req.Protocol.id; status; queue_ms; total_ms };
   p.p_conn.inflight <- p.p_conn.inflight - 1;
   Mutex.lock t.m;
   t.pending <- t.pending - 1;
@@ -447,7 +409,7 @@ let worker_loop t () =
             | exception e -> W_error (Printexc.to_string e))
       in
       Queue.force_push t.done_q (w, r);
-      wake t;
+      wake t.wake_w;
       loop ()
   in
   loop ()
@@ -746,8 +708,7 @@ let reject_now t conn (d : Protocol.decide) reason =
   t.s_rejected <- t.s_rejected + 1;
   Mutex.unlock t.m;
   T.incr c_rejected;
-  append_response conn
-    { Protocol.rid = d.Protocol.id; status = Protocol.Rejected reason; queue_ms = 0.; total_ms = 0. };
+  answer conn ~id:d.Protocol.id (Protocol.Rejected reason);
   log_line t ~verb:"decide" ~id:d.Protocol.id ?trace:d.Protocol.trace ~status:"rejected"
     ~queue_ms:0. ~compute_ms:0. ~total_ms:0. ()
 
@@ -830,38 +791,37 @@ let stats_doc t ls =
   Buffer.add_char b '}';
   Buffer.contents b
 
+let count_error t =
+  Mutex.lock t.m;
+  t.s_errors <- t.s_errors + 1;
+  Mutex.unlock t.m;
+  T.incr c_errors
+
 (* One parsed (or unparsable) request from either wire format. *)
 let handle_request t ls conn parsed =
   match parsed with
   | Error (e : Protocol.parse_error) ->
-    Mutex.lock t.m;
-    t.s_errors <- t.s_errors + 1;
-    Mutex.unlock t.m;
-    T.incr c_errors;
-    append_response conn
-      { Protocol.rid = e.Protocol.err_id; status = Protocol.Error e.Protocol.err_reason; queue_ms = 0.; total_ms = 0. };
+    count_error t;
+    answer conn ~id:e.Protocol.err_id (Protocol.Error e.Protocol.err_reason);
     log_line t ~verb:"invalid" ~id:e.Protocol.err_id ~status:"error" ~queue_ms:0. ~compute_ms:0.
       ~total_ms:0. ()
   | Ok (Protocol.Ping id) ->
     Mutex.lock t.m;
     t.s_pings <- t.s_pings + 1;
     Mutex.unlock t.m;
-    append_response conn { Protocol.rid = id; status = Protocol.Pong; queue_ms = 0.; total_ms = 0. };
+    answer conn ~id Protocol.Pong;
     log_line t ~verb:"ping" ~id ~status:"pong" ~queue_ms:0. ~compute_ms:0. ~total_ms:0. ()
   | Ok (Protocol.Stats id) ->
     Mutex.lock t.m;
     t.s_stats_rpc <- t.s_stats_rpc + 1;
     Mutex.unlock t.m;
-    let doc = stats_doc t ls in
-    append_response conn
-      { Protocol.rid = id; status = Protocol.Stats_doc doc; queue_ms = 0.; total_ms = 0. };
+    answer conn ~id (Protocol.Stats_doc (stats_doc t ls));
     log_line t ~verb:"stats" ~id ~status:"stats" ~queue_ms:0. ~compute_ms:0. ~total_ms:0. ()
   | Ok (Protocol.Health id) ->
     Mutex.lock t.m;
     t.s_health_rpc <- t.s_health_rpc + 1;
     Mutex.unlock t.m;
-    append_response conn
-      { Protocol.rid = id; status = Protocol.Health_state (health_of t); queue_ms = 0.; total_ms = 0. };
+    answer conn ~id (Protocol.Health_state (health_of t));
     log_line t ~verb:"health" ~id ~status:"health" ~queue_ms:0. ~compute_ms:0. ~total_ms:0. ()
   | Ok (Protocol.Decide d) -> (
     T.incr c_requests;
@@ -907,120 +867,16 @@ let handle_request t ls conn parsed =
     | `Reject reason -> reject_now t conn d reason)
 
 (* ------------------------------------------------------------------ *)
-(* Wire parsing                                                          *)
-(* ------------------------------------------------------------------ *)
-
-(* index of '\n' in buf[from, limit), or -1 *)
-let find_nl buf from limit =
-  let i = ref from in
-  while !i < limit && Bytes.get buf !i <> '\n' do
-    incr i
-  done;
-  if !i < limit then !i else -1
-
-let fatal_framing conn reason =
-  (* answer once, stop reading, close after the output flushes *)
-  append_response conn
-    { Protocol.rid = ""; status = Protocol.Error reason; queue_ms = 0.; total_ms = 0. };
-  conn.eof <- true;
-  iobuf_consume conn.rbuf conn.rbuf.len
-
-(* Consume every complete request currently in [conn.rbuf]. *)
-let rec parse_conn t ls conn =
-  match conn.mode with
-  | Detecting ->
-    let b = conn.rbuf in
-    if b.len > 0 then begin
-      let n = min b.len 4 in
-      let prefix_matches =
-        let rec go i =
-          i >= n || (Bytes.get b.buf (b.off + i) = Protocol.magic.[i] && go (i + 1))
-        in
-        go 0
-      in
-      if not prefix_matches then begin
-        conn.mode <- Json_lines;
-        parse_conn t ls conn
-      end
-      else if b.len >= 4 then begin
-        iobuf_consume b 4;
-        conn.mode <- Binary;
-        (* echo the magic: the client's cue that /2 is negotiated *)
-        iobuf_add_string conn.wbuf Protocol.magic;
-        parse_conn t ls conn
-      end
-      (* else: a strict prefix of the magic — wait for the next bytes *)
-    end
-  | Json_lines ->
-    let b = conn.rbuf in
-    let nl = find_nl b.buf b.off (b.off + b.len) in
-    if nl >= 0 then begin
-      let line = Bytes.sub_string b.buf b.off (nl - b.off) in
-      iobuf_consume b (nl - b.off + 1);
-      if String.trim line <> "" then
-        handle_request t ls conn (Protocol.parse_request line);
-      if not conn.eof then parse_conn t ls conn
-    end
-    else if b.len > max_rbuf then
-      fatal_framing conn
-        (Printf.sprintf "request line exceeds %d bytes" max_rbuf)
-  | Binary ->
-    let b = conn.rbuf in
-    if b.len >= 4 then begin
-      let len =
-        (Char.code (Bytes.get b.buf b.off) lsl 24)
-        lor (Char.code (Bytes.get b.buf (b.off + 1)) lsl 16)
-        lor (Char.code (Bytes.get b.buf (b.off + 2)) lsl 8)
-        lor Char.code (Bytes.get b.buf (b.off + 3))
-      in
-      if len < 1 || len > Protocol.max_frame then
-        fatal_framing conn
-          (Printf.sprintf "bad frame length %d (1 ..= %d)" len Protocol.max_frame)
-      else if b.len >= 4 + len then begin
-        let payload = Bytes.sub_string b.buf (b.off + 4) len in
-        iobuf_consume b (4 + len);
-        handle_request t ls conn (Protocol.decode_request_payload payload);
-        if not conn.eof then parse_conn t ls conn
-      end
-      (* else: incomplete frame — wait (len <= max_frame bounds the buffer) *)
-    end
-
-(* ------------------------------------------------------------------ *)
 (* The event loop                                                        *)
 (* ------------------------------------------------------------------ *)
 
 let read_conn t ls conn =
-  iobuf_ensure conn.rbuf read_chunk;
-  let b = conn.rbuf in
-  match Unix.read conn.fd b.buf (b.off + b.len) (Bytes.length b.buf - b.off - b.len) with
-  | 0 -> conn.eof <- true
-  | n ->
-    b.len <- b.len + n;
-    parse_conn t ls conn
-  | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ()
-  | exception Unix.Unix_error _ ->
-    conn.eof <- true;
-    conn.dead <- true
-
-let flush_conn conn =
-  if (not conn.closed) && not conn.dead then begin
-    let b = conn.wbuf in
-    let continue = ref true in
-    while !continue && b.len > 0 do
-      match Unix.write conn.fd b.buf b.off b.len with
-      | 0 -> continue := false
-      | n -> iobuf_consume b n
-      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) ->
-        continue := false
-      | exception Unix.Unix_error _ ->
-        (* EPIPE et al.: requests already admitted still retire cleanly,
-           only the reply is lost with the connection *)
-        conn.dead <- true;
-        b.off <- 0;
-        b.len <- 0;
-        continue := false
-    done
-  end
+  read conn
+    ~on_line:(fun line -> handle_request t ls conn (Protocol.parse_request line))
+    ~on_frame:(fun payload -> handle_request t ls conn (Protocol.decode_request_payload payload))
+    ~on_crash:(fun e ->
+      count_error t;
+      "server: " ^ Printexc.to_string e)
 
 let event_loop t listeners () =
   let ls =
@@ -1033,18 +889,6 @@ let event_loop t listeners () =
       ls_conns = [];
     }
   in
-  let listeners = ref listeners in
-  let scratch = Bytes.create 256 in
-  let drain_wake () =
-    let rec go () =
-      match Unix.read t.wake_r scratch 0 (Bytes.length scratch) with
-      | n when n = Bytes.length scratch -> go ()
-      | _ -> ()
-      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ()
-      | exception Unix.Unix_error _ -> ()
-    in
-    go ()
-  in
   let drain_done () =
     let rec go () =
       match Queue.try_pop t.done_q with
@@ -1055,61 +899,13 @@ let event_loop t listeners () =
     in
     go ()
   in
-  let close_listeners () =
-    List.iter
-      (fun (lfd, addr) ->
-        (try Unix.close lfd with Unix.Unix_error _ -> ());
-        match addr with
-        | Protocol.Unix_socket path -> ( try Sys.remove path with Sys_error _ -> ())
-        | Protocol.Tcp _ -> ())
-      !listeners;
-    listeners := []
-  in
-  let accept_ready lfd addr =
-    let rec go () =
-      if List.length ls.ls_conns >= t.cfg.max_connections then ()
-      else
-      match Unix.accept lfd with
-      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ()
-      | exception Unix.Unix_error _ -> ()
-      | fd, _ ->
-        Unix.set_nonblock fd;
-        (match addr with
-        | Protocol.Tcp _ -> (
-          try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ())
-        | Protocol.Unix_socket _ -> ());
-        let conn =
-          {
-            fd;
-            mode = Detecting;
-            rbuf = iobuf_create 4096;
-            wbuf = iobuf_create 4096;
-            inflight = 0;
-            eof = false;
-            dead = false;
-            closed = false;
-          }
-        in
-        ls.ls_conns <- conn :: ls.ls_conns;
-        Mutex.lock t.m;
-        t.s_connections <- t.s_connections + 1;
-        Mutex.unlock t.m;
-        T.incr c_conns;
-        go ()
-    in
-    go ()
-  in
-  let reap () =
-    ls.ls_conns <-
-      List.filter
-        (fun c ->
-          if c.dead || (c.eof && c.inflight = 0 && c.wbuf.len = 0) then begin
-            c.closed <- true;
-            (try Unix.close c.fd with Unix.Unix_error _ -> ());
-            false
-          end
-          else true)
-        ls.ls_conns
+  let room () = List.length ls.ls_conns < t.cfg.max_connections in
+  let add conn =
+    ls.ls_conns <- conn :: ls.ls_conns;
+    Mutex.lock t.m;
+    t.s_connections <- t.s_connections + 1;
+    Mutex.unlock t.m;
+    T.incr c_conns
   in
   let rec loop () =
     let stopping = Atomic.get t.stop in
@@ -1117,26 +913,14 @@ let event_loop t listeners () =
        rejected [draining], but health probes can still connect and watch
        the drain progress — the answered [health:"draining"] is how
        orchestrators distinguish a graceful exit from a hang *)
-    if
-      stopping && t.pending = 0
-      && List.for_all (fun c -> c.wbuf.len = 0 || c.dead) ls.ls_conns
+    if stopping && t.pending = 0 && List.for_all (fun c -> c.wbuf.len = 0 || c.dead) ls.ls_conns
     then ()  (* drained: every admitted request answered and flushed *)
     else begin
       (* past the connection cap, leave the listeners out of the select
          set: pending connects wait in the kernel backlog instead of
          pushing descriptors past the FD_SETSIZE budget *)
-      let accepting = List.length ls.ls_conns < t.cfg.max_connections in
-      let rfds =
-        t.wake_r
-        :: ((if accepting then List.map fst !listeners else [])
-           @ List.filter_map
-               (fun c ->
-                 if (not c.eof) && c.wbuf.len < max_wbuf then Some c.fd else None)
-               ls.ls_conns)
-      in
-      let wfds =
-        List.filter_map (fun c -> if c.wbuf.len > 0 then Some c.fd else None) ls.ls_conns
-      in
+      let crfds, wfds = select_sets ls.ls_conns in
+      let rfds = t.wake_r :: ((if room () then List.map fst listeners else []) @ crfds) in
       (match Unix.select rfds wfds [] 0.5 with
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
       | readable, writable, _ ->
@@ -1149,22 +933,14 @@ let event_loop t listeners () =
           t.al_round <- t.al_round + 1;
           if t.al_round land 31 = 0 then t.al_now <- Unix.gettimeofday ()
         | None -> ());
-        if List.memq t.wake_r readable then drain_wake ();
+        if List.memq t.wake_r readable then drain_wake t.wake_r;
         (* retire completions first: frees admission slots before new reads *)
         drain_done ();
-        List.iter
-          (fun (lfd, addr) -> if List.memq lfd readable then accept_ready lfd addr)
-          !listeners;
-        List.iter
-          (fun c -> if List.memq c.fd readable then read_conn t ls c)
-          ls.ls_conns;
+        List.iter (fun l -> if List.memq (fst l) readable then accept l ~room add) listeners;
+        List.iter (fun c -> if List.memq c.fd readable then read_conn t ls c) ls.ls_conns;
         drain_done ();
-        (* flush whatever this round produced, plus anything select said is
-           writable again *)
-        List.iter
-          (fun c -> if c.wbuf.len > 0 || List.memq c.fd writable then flush_conn c)
-          ls.ls_conns;
-        reap ());
+        flush_ready ls.ls_conns writable;
+        ls.ls_conns <- reap ls.ls_conns);
       (* staged access-log lines leave on size or age, so the writer gets
          few large chunks under load and `tail -f` stays live when idle *)
       (match t.al_fd with
@@ -1178,12 +954,8 @@ let event_loop t listeners () =
   loop ();
   (* no admitted work remains; retire the workers, then the sockets *)
   Queue.close t.work;
-  close_listeners ();
-  List.iter
-    (fun c ->
-      c.closed <- true;
-      try Unix.close c.fd with Unix.Unix_error _ -> ())
-    ls.ls_conns;
+  close_listeners listeners;
+  List.iter close_conn ls.ls_conns;
   (* the writer sees the flag only after draining one more batch, so every
      chunk handed off before this point reaches the file before close *)
   al_hand_off t;
@@ -1210,22 +982,9 @@ let start cfg =
     with
     | Error e -> Error ("service: " ^ e)
     | Ok _ ->
-    (* continue below *)
-    (* a client hanging up must surface as EPIPE on write, not kill us *)
-    (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
-    let listeners = ref [] in
-    match
-      List.iter
-        (fun addr -> listeners := (bind_address addr, addr) :: !listeners)
-        cfg.addresses
-    with
-    | exception (Failure msg | Sys_error msg) ->
-      List.iter (fun (fd, _) -> try Unix.close fd with Unix.Unix_error _ -> ()) !listeners;
-      Error msg
-    | exception Unix.Unix_error (err, fn, arg) ->
-      List.iter (fun (fd, _) -> try Unix.close fd with Unix.Unix_error _ -> ()) !listeners;
-      Error (Printf.sprintf "%s(%s): %s" fn arg (Unix.error_message err))
-    | () -> (
+    match bind_listeners cfg.addresses with
+    | Error _ as e -> e
+    | Ok listeners -> (
       match
         (* append: an operator's log survives restarts; tests use fresh
            paths.  Opened before the actors so a bad path fails [start]. *)
@@ -1234,13 +993,10 @@ let start cfg =
           cfg.access_log
       with
       | exception Unix.Unix_error (err, _, _) ->
-        List.iter (fun (fd, _) -> try Unix.close fd with Unix.Unix_error _ -> ()) !listeners;
+        close_listeners listeners;
         Error ("access log: " ^ Unix.error_message err)
       | al_fd ->
-        List.iter (fun (lfd, _) -> Unix.set_nonblock lfd) !listeners;
-        let wake_r, wake_w = Unix.pipe ~cloexec:true () in
-        Unix.set_nonblock wake_r;
-        Unix.set_nonblock wake_w;
+        let wake_r, wake_w = wake_pipe () in
         let t =
           {
             cfg =
@@ -1292,13 +1048,13 @@ let start cfg =
         | Some _ -> t.al_writer <- Some (Thread.create (al_writer_loop t) ())
         | None -> ());
         t.worker_domains <- List.init (max 1 cfg.workers) (fun _ -> Domain.spawn (worker_loop t));
-        t.loop_thread <- Some (Thread.create (event_loop t !listeners) ());
+        t.loop_thread <- Some (Thread.create (event_loop t listeners) ());
         Ok t)
   end
 
 let drain t =
   Atomic.set t.stop true;
-  wake t
+  wake t.wake_w
 
 let wait t =
   (match t.loop_thread with Some th -> Thread.join th | None -> ());

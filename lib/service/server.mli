@@ -4,9 +4,8 @@
 
     - the {e event-loop thread}: a single [Unix.select] readiness loop
       multiplexing every listener and every connection over non-blocking
-      fds.  It accepts, parses both wire formats ([/1] JSON lines and
-      [/2] binary frames, negotiated per connection by the first four
-      bytes), runs admission control (a draining server, a per-connection
+      fds.  It accepts, reads both wire formats through the shared
+      connection codec ({!Evloop}), runs admission control (a draining server, a per-connection
       in-flight limit, or a full backlog each turn the request into an
       immediate [rejected:*] response — overload is answered, never
       buffered without bound), owns the verdict cache ({!Dda_batch.Store})
@@ -22,10 +21,8 @@
 
     Deadlines are absolute from admission: a request that expires while
     queued is answered [bounded:deadline] — the same resource-bound shape
-    as a blown configuration budget.  Per-connection output is buffered
-    and flushed opportunistically each loop round; a connection whose
-    output backlog exceeds the high-water mark stops being read from
-    until it drains (pipelining back-pressure).
+    as a blown configuration budget.  Output buffering and pipelining
+    back-pressure are the connection codec's ({!Evloop.conn}).
 
     Graceful drain ({!drain}, wired to SIGTERM/SIGINT by [dda serve]):
     stop accepting connections and requests, answer everything already

@@ -328,6 +328,15 @@ let test_malformed_over_wire () =
       | [ { Sproto.status = Sproto.Error reason; Sproto.rid = "old"; _ } ] ->
         Alcotest.(check bool) "reason names the schema" true (contains "unsupported schema" reason)
       | _ -> Alcotest.fail "version mismatch must produce a structured error with the id");
+      (* 2^61 x 4 cells wrap around to 0 = the label count: the spec check
+         must refuse it before a grid is built on the loop thread *)
+      raw_send fd
+        [ Sproto.request_to_json
+            (decide_of ~id:"huge" { quick_job with Batch.graph = "grid:2305843009213693952x4:" }) ];
+      (match raw_read_responses ic 1 with
+      | [ { Sproto.status = Sproto.Error reason; Sproto.rid = "huge"; _ } ] ->
+        Alcotest.(check bool) "reason names the grid" true (contains "grid" reason)
+      | _ -> Alcotest.fail "an overflowing grid must produce a structured error with the id");
       (* the connection survives bad input *)
       raw_send fd [ Sproto.request_to_json (Sproto.Ping "still-here") ];
       (match raw_read_responses ic 1 with
@@ -335,7 +344,7 @@ let test_malformed_over_wire () =
       | _ -> Alcotest.fail "connection must survive malformed input");
       Unix.close fd;
       let s = Server.stats srv in
-      Alcotest.(check int) "two protocol errors counted" 2 s.Server.errors)
+      Alcotest.(check int) "three errors counted" 3 s.Server.errors)
 
 let test_queue_full_rejection () =
   with_server
@@ -802,6 +811,117 @@ let test_v2_malformed_frames () =
       | exception End_of_file -> ());
       Unix.close fd)
 
+(* --- the shared connection codec, driven without sockets ------------------- *)
+
+module Evloop = Dda_service.Evloop
+
+(* Push [stream] through a fresh connection in chunks of the given sizes
+   (the remainder in one piece), as the event loop would, stopping once
+   the codec sets [eof].  The descriptor is never touched by [feed]. *)
+let feed_in_chunks stream sizes =
+  let c = Evloop.conn Unix.stdin in
+  let got = ref [] in
+  let on_line l = got := ("line", l) :: !got
+  and on_frame p = got := ("frame", p) :: !got in
+  let n = String.length stream in
+  let rec go pos sizes =
+    if pos < n && not c.Evloop.eof then begin
+      let k, rest = match sizes with [] -> (n - pos, []) | k :: rest -> (min k (n - pos), rest) in
+      Evloop.iobuf_add_string c.Evloop.rbuf (String.sub stream pos k);
+      Evloop.feed c ~on_line ~on_frame;
+      go (pos + k) rest
+    end
+  in
+  go 0 sizes;
+  let w = c.Evloop.wbuf in
+  (List.rev !got, Bytes.sub_string w.Evloop.buf w.Evloop.off w.Evloop.len, c.Evloop.eof)
+
+let codec_request =
+  QCheck.Gen.(
+    let str = string_size ~gen:printable (int_bound 24) in
+    oneof
+      [
+        map (fun id -> Sproto.Ping id) str;
+        map (fun id -> Sproto.Health id) str;
+        map (fun id -> Sproto.Stats id) str;
+        map
+          (fun ((id, protocol, graph), (regime, max_configs, deadline_ms, trace)) ->
+            Sproto.Decide { Sproto.id; protocol; graph; regime; max_configs; deadline_ms; trace })
+          (pair (triple str str str)
+             (quad
+                (oneofl [ Spec.Adversarial; Spec.Pseudo_stochastic ])
+                (int_bound 1_000_000) (opt (int_bound 60_000)) (opt str)));
+      ])
+
+(* What follows the requests: nothing, blank /1 lines (skipped), or a
+   fatal framing error — a /1 line one byte past the bound with no newline
+   in sight, or a /2 length of 0 or past the frame cap followed by junk. *)
+type codec_tail = Clean | Blank_lines | Fatal of int
+
+let endless_line = lazy (String.make (Evloop.max_rbuf + 1) 'x')
+let u32 n = String.init 4 (fun i -> Char.chr ((n lsr (8 * (3 - i))) land 0xff))
+
+let codec_stream binary units tail =
+  (if binary then Sproto.magic else "")
+  ^ String.concat "" (List.map (fun u -> if binary then u32 (String.length u) ^ u else u ^ "\n") units)
+  ^
+  match tail with
+  | Clean -> ""
+  | Blank_lines -> if binary then "" else "\n  \n"
+  | Fatal k when binary ->
+    u32 [| 0; Sproto.max_frame + 1; Sproto.max_frame + 2; 0xffff_ffff |].(k) ^ "junk"
+  | Fatal _ -> Lazy.force endless_line
+
+(* exactly one error response, with no id *)
+let lone_error binary out =
+  let is_error = function Ok { Sproto.status = Sproto.Error _; rid = ""; _ } -> true | _ -> false in
+  if binary then
+    String.length out >= 4
+    &&
+    let n = Sproto.frame_length (String.sub out 0 4) in
+    String.length out = 4 + n && is_error (Sproto.decode_response_payload (String.sub out 4 n))
+  else
+    match String.split_on_char '\n' out with
+    | [ line; "" ] -> is_error (Sproto.parse_response line)
+    | _ -> false
+
+(* (binary?, requests, tail, chunk sizes): small chunks dominate, so
+   1-byte splits land inside the magic and inside frame headers *)
+let codec_case =
+  QCheck.Gen.(
+    quad bool
+      (list_size (int_bound 8) codec_request)
+      (frequency
+         [ (2, return Clean); (1, return Blank_lines); (1, map (fun k -> Fatal k) (int_bound 3)) ])
+      (list_size (int_bound 60)
+         (frequency [ (3, return 1); (2, int_range 1 4); (1, int_range 1 80) ])))
+
+let test_codec_chunking =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:300 ~name:"codec: any chunking = whole feed" (QCheck.make codec_case)
+       (fun (binary, reqs, tail, sizes) ->
+         let units =
+           List.map
+             (fun r ->
+               if binary then
+                 let f = Sproto.encode_request_frame r in
+                 String.sub f 4 (String.length f - 4)
+               else Sproto.request_to_json r)
+             reqs
+         in
+         let stream = codec_stream binary units tail in
+         let ((got, out, eof) as chunked) = feed_in_chunks stream sizes in
+         let fatal = match tail with Fatal _ -> true | Clean | Blank_lines -> false in
+         let echo = if binary then Sproto.magic else "" in
+         let echoed = String.sub out 0 (min (String.length out) (String.length echo)) in
+         let responses = String.sub out (String.length echoed) (String.length out - String.length echoed) in
+         chunked = feed_in_chunks stream []
+         && List.map snd got = units
+         && List.for_all (fun (k, _) -> k = if binary then "frame" else "line") got
+         && echoed = echo
+         && eof = fatal
+         && if fatal then lone_error binary responses else responses = ""))
+
 let test_v2_pipelined_load () =
   let dir = fresh_dir () in
   Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
@@ -1191,6 +1311,7 @@ let () =
           Alcotest.test_case "negotiation, both formats live" `Quick test_v2_negotiation;
           Alcotest.test_case "malformed frames over the wire" `Quick test_v2_malformed_frames;
           Alcotest.test_case "pipelined load, cold then warm" `Quick test_v2_pipelined_load;
+          test_codec_chunking;
         ] );
       ( "observability",
         [
