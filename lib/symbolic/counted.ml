@@ -128,10 +128,11 @@ let bytes_match s i buf len =
   s.lens.(i) = len
   &&
   let off = s.offs.(i) in
-  let rec go k =
-    k = len || (Bytes.unsafe_get s.arena (off + k) = Bytes.unsafe_get buf k && go (k + 1))
-  in
-  go 0
+  let k = ref 0 in
+  while !k < len && Bytes.unsafe_get s.arena (off + !k) = Bytes.unsafe_get buf !k do
+    incr k
+  done;
+  !k = len
 
 let grow a n fill =
   let b = Array.make (max n (2 * Array.length a)) fill in

@@ -554,6 +554,7 @@ module Registry = struct
     [
       "engine.configs.interned";
       "engine.configs.dedup_hits";
+      "engine.edges.silent";
       "engine.states.interned";
       "engine.memo.hits";
       "engine.memo.misses";

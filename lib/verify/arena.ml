@@ -3,9 +3,10 @@
    An arena is an append-only byte store segmented into fixed-capacity
    [Bytes] blocks.  Sealed segments (everything but the tail) are immutable;
    under memory pressure the least-recently-used sealed segment is written
-   once to a backing file under [_dda_spill/] and its in-core block dropped,
-   to be faulted back in on demand.  Several arenas (the engine's config
-   and edge stores) share one {!budget}, so eviction is global across them.
+   once to the arena's own backing file under [_dda_spill/] and its in-core
+   block dropped, to be faulted back in on demand.  Several arenas (the
+   engine's config and edge stores) share one {!budget}, so eviction is
+   global across them.
 
    Concurrency contract (matches the engine's phase structure):
    - appends come from a single thread (the engine's sequential phase B);
@@ -103,6 +104,16 @@ let register_cleanup path =
   cleanup_paths := path :: !cleanup_paths;
   Mutex.unlock cleanup_lock
 
+let remove_now path =
+  (try Sys.remove path with Sys_error _ -> ());
+  Mutex.lock cleanup_lock;
+  cleanup_paths := List.filter (fun p -> p <> path) !cleanup_paths;
+  Mutex.unlock cleanup_lock
+
+(* Arenas of one process never share a backing file, however many
+   explorations run at once (batch shards, server workers). *)
+let next_file = Atomic.make 0
+
 (* ------------------------------------------------------------------ *)
 (* Budgets and arenas                                                   *)
 (* ------------------------------------------------------------------ *)
@@ -182,7 +193,7 @@ let account b delta =
 let create budget ~name ~seg_bytes =
   if seg_bytes < 16 then invalid_arg "Arena.create: segment too small";
   let dir = Filename.concat (spill_root ()) (Printf.sprintf "pid.%d" (Unix.getpid ())) in
-  let path = Filename.concat dir (name ^ ".seg") in
+  let path = Filename.concat dir (Printf.sprintf "%s.%d.seg" name (Atomic.fetch_and_add next_file 1)) in
   let a =
     { seg_bytes; segs = [||]; nsegs = 0; tail_used = 0; budget; path; fd = None }
   in
@@ -379,9 +390,9 @@ let read_u32s c pos dst n =
     Array.unsafe_set dst k (u32_at b (off + (4 * k)))
   done
 
-(* Drop the in-core blocks and close the file; the arena must not be used
-   afterwards.  Called by the engine when a spilled space is released, and
-   harmless to skip (at_exit removes the files anyway). *)
+(* Drop the in-core blocks, close and remove the file; the arena must not
+   be used afterwards.  Called by the engine when a spilled space is
+   released, and harmless to skip (at_exit removes the files anyway). *)
 let release a =
   let b = a.budget in
   Mutex.lock b.lock;
@@ -397,7 +408,8 @@ let release a =
   (match a.fd with
   | Some fd ->
     (try Unix.close fd with Unix.Unix_error _ -> ());
-    a.fd <- None
+    a.fd <- None;
+    remove_now a.path
   | None -> ());
   b.arenas <- List.filter (fun x -> x != a) b.arenas;
   Mutex.unlock b.lock

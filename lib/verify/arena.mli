@@ -34,8 +34,10 @@ type spill_stats = {
 val budget_stats : budget -> spill_stats
 
 val create : budget -> name:string -> seg_bytes:int -> t
-(** A fresh arena spilling to [<spill dir>/pid.<pid>/<name>.seg].  The file
-    is created lazily on first eviction and removed at process exit. *)
+(** A fresh arena spilling to [<spill dir>/pid.<pid>/<name>.<k>.seg], where
+    [k] numbers the arenas of the process, so concurrent explorations never
+    share a file.  The file is created lazily on first eviction and removed
+    by {!release} or at process exit. *)
 
 val append : t -> Bytes.t -> int -> int -> int
 (** [append a src off len] commits one record and returns its global
@@ -85,7 +87,7 @@ val length : t -> int
 (** Global position one past the last committed byte. *)
 
 val release : t -> unit
-(** Drop the arena's in-core segments, close and forget its backing file.
+(** Drop the arena's in-core segments, close and remove its backing file.
     The arena must not be used afterwards. *)
 
 (** {2 Varints}

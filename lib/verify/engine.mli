@@ -33,9 +33,18 @@ type stats = {
   state_count : int;  (** Distinct machine states interned. *)
   delta_evals : int;  (** Real delta calls (memo misses). *)
   delta_lookups : int;  (** Total delta requests ([size * node_count]). *)
-  table_probes : int;  (** Config-table slot inspections (probe-sequence cost). *)
+  table_probes : int;
+      (** Config-table slot inspections (probe-sequence cost), over the
+          initial intern and every non-silent successor intern. *)
   table_resizes : int;  (** Config-table rehashes. *)
-  dedup_hits : int;  (** Successor interns that found an existing config. *)
+  dedup_hits : int;
+      (** Successor interns that found an existing config.  Silent moves
+          are not interned, so they are not counted here. *)
+  silent_edges : int;
+      (** Edges whose selected node keeps its state: written as a
+          self-loop with group element 0, without canonicalising or
+          interning.  [size + dedup_hits + silent_edges] is
+          [1 + size * node_count] (the initial intern plus one per edge). *)
   waves : int;  (** Frontier chunks processed. *)
   peak_frontier : int;  (** Max configurations discovered but not yet expanded. *)
   domain_items : int array;
@@ -52,10 +61,11 @@ type edges =
               [k] of [i] went to successor [S] with representative
               [perms.(sigmas.(i * node_count + k)) . S]. *)
     }
-  | Ext_edges of { targets : Arena.t; sigmas : Arena.t option }
+  | Ext_edges of { targets : Arena.t; sigmas : Arena.t option; configs : Arena.t }
       (** Same layout as little-endian u32 records in spillable arenas
           (explored under a memory budget), in segments that hold whole
-          rows of [node_count] records. *)
+          rows of [node_count] records.  [configs] holds the
+          delta-encoded configuration records that [describe] reads. *)
 
 type t = {
   node_count : int;
@@ -132,8 +142,9 @@ val acc : t -> int -> bool
 val rej : t -> int -> bool
 
 val release : t -> unit
-(** Drop external-memory edge arenas (closes spill files).  No-op on
-    resident spaces; the space must not be used afterwards. *)
+(** Drop the external-memory arenas — configurations and edges — and
+    remove their spill files.  No-op on resident spaces; the space must not
+    be used afterwards.  An exploration that raises releases its own. *)
 
 val out_degree : t -> int
 (** = [node_count]: every configuration has one edge per node. *)

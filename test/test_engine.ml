@@ -279,6 +279,18 @@ let test_memo_stats () =
         "memo hits dominate" true
         (s.Engine.delta_evals * 10 <= s.Engine.delta_lookups)
 
+(* Strict majority on line:abbab: 47 % of its 679,400 edges are silent.
+   Every edge is a silent self-loop, a dedup hit or a fresh
+   configuration, so size + dedup_hits + silent_edges = 1 + edges. *)
+let test_silent_pin () =
+  let m = H.majority ~degree_bound:2 in
+  let space = Space.explore ~max_configs:1_000_000 m (G.line [ "a"; "b"; "b"; "a"; "b" ]) in
+  let s = (Option.get (Space.engine space)).Engine.stats in
+  Alcotest.(check int) "size" 135_880 space.Space.size;
+  Alcotest.(check int) "delta_evals" 29_429 s.Engine.delta_evals;
+  Alcotest.(check int) "silent_edges" 318_463 s.Engine.silent_edges;
+  Alcotest.(check int) "dedup_hits" 225_058 s.Engine.dedup_hits
+
 (* ------------------------------------------------------------------ *)
 (* explore_liberal: one edge per non-empty subset, bitmask labels.     *)
 (* ------------------------------------------------------------------ *)
@@ -365,6 +377,7 @@ let () =
       ( "fixes",
         [
           Alcotest.test_case "engine stats" `Quick test_memo_stats;
+          Alcotest.test_case "silent edges on line:abbab" `Quick test_silent_pin;
           Alcotest.test_case "liberal bitmask labels" `Quick test_liberal_masks;
           Alcotest.test_case "dot escaping" `Quick test_dot_escaping;
           Alcotest.test_case "reduced witness refused" `Quick test_reduced_witness_refused;

@@ -345,6 +345,112 @@ let test_small_budget_no_thrash () =
       if faults > 64 then Alcotest.failf "%s: %d segment faults" name faults)
     [ ("adversarial", Decide.adversarial); ("pseudo-stochastic", Decide.pseudo_stochastic) ]
 
+(* Two spilled explorations alive in one process — as under
+   [dda batch --shards 2 --mem-budget] or [dda serve -j 2] with
+   DDA_MEM_BUDGET — must not share spill files: each must read back
+   exactly the resident space.  Releasing a space (or an exploration that
+   raises) must hand back every resident byte and remove its files. *)
+let test_concurrent_spills () =
+  let m = H.weak_majority ~degree_bound:2 in
+  let graphs = [| G.line [ "a"; "b"; "a"; "b" ]; G.cycle [ "a"; "a"; "b"; "b" ] |] in
+  let pid_dir = Filename.concat (Sys.getenv "DDA_SPILL_DIR") (Printf.sprintf "pid.%d" (Unix.getpid ())) in
+  let files () = if Sys.file_exists pid_dir then List.sort compare (Array.to_list (Sys.readdir pid_dir)) else [] in
+  let files0 = files () and resident0 = Arena.resident_bytes () in
+  let domains =
+    Array.map
+      (fun g -> Domain.spawn (fun () -> Space.explore ~mem_budget:tiny_budget ~max_configs:100_000 m g))
+      graphs
+  in
+  let spilled = Array.map Domain.join domains in
+  Array.iteri
+    (fun k g ->
+      let resident = Space.explore ~max_configs:100_000 m g in
+      let name = Printf.sprintf "instance %d" k in
+      let st = Option.get (Engine.spill_stats (Option.get (Space.engine spilled.(k)))) in
+      Alcotest.(check bool) (name ^ " spilled segments") true (st.Arena.segments_out > 0);
+      Alcotest.(check bool) (name ^ " space") true (same_space resident spilled.(k));
+      Alcotest.(check bool) (name ^ " verdicts") true (verdict3 resident = verdict3 spilled.(k)))
+    graphs;
+  Array.iter (fun s -> Engine.release (Option.get (Space.engine s))) spilled;
+  Alcotest.(check int) "resident bytes after release" resident0 (Arena.resident_bytes ());
+  Alcotest.(check (list string)) "spill files after release" files0 (files ());
+  (match Space.explore ~mem_budget:tiny_budget ~max_configs:5_000 m graphs.(0) with
+  | _ -> Alcotest.fail "expected Too_large"
+  | exception Space.Too_large _ -> ());
+  Alcotest.(check int) "resident bytes after Too_large" resident0 (Arena.resident_bytes ());
+  Alcotest.(check (list string)) "spill files after Too_large" files0 (files ())
+
+(* ------------------------------------------------------------------ *)
+(* Silent moves                                                         *)
+(* ------------------------------------------------------------------ *)
+
+(* The engine writes a move that keeps the selected node's state as a
+   self-loop with group element 0 and counts it in [silent_edges].  The
+   oracle is a BFS over raw configurations with [Config.step], as
+   [Space.explore_legacy] does; under a group it counts each orbit once,
+   since an automorphism maps a silent move to a silent move. *)
+let oracle_silent m g perms =
+  let module C = Dda_runtime.Config in
+  let n = G.nodes g in
+  let seen = Hashtbl.create 1024 and orbits = Hashtbl.create 1024 in
+  let queue = Queue.create () in
+  let c0 = C.to_array (C.initial m g) in
+  Hashtbl.replace seen c0 ();
+  Queue.add c0 queue;
+  let silent = ref 0 in
+  while not (Queue.is_empty queue) do
+    let c = Queue.pop queue in
+    let key =
+      Array.fold_left (fun k p -> min k (Array.init n (fun v -> c.(p.(v))))) c perms
+    in
+    let fresh_orbit = not (Hashtbl.mem orbits key) in
+    if fresh_orbit then Hashtbl.replace orbits key ();
+    for v = 0 to n - 1 do
+      let c' = C.to_array (C.step m g (C.of_states c) [ v ]) in
+      if c' = c then (if fresh_orbit then incr silent)
+      else if not (Hashtbl.mem seen c') then begin
+        Hashtbl.replace seen c' ();
+        Queue.add c' queue
+      end
+    done
+  done;
+  !silent
+
+let prop_silent_edges =
+  QCheck.Test.make ~name:"silent edges = oracle self-loops, sigma 0" ~count:60
+    QCheck.(triple small_int (int_range 0 3) bool)
+    (fun (seed, shape, budgeted) ->
+      let m = random_machine seed in
+      let g, sym =
+        match shape with
+        | 0 -> (G.cycle [ 'a'; 'b'; 'a'; 'b' ], Sym.cycle 4)
+        | 1 -> (G.line [ 'a'; 'b'; 'b'; 'a' ], Sym.line 4)
+        | 2 -> (G.star ~centre:'b' ~leaves:[ 'a'; 'a'; 'b' ], Sym.star ~centre:0 4)
+        | _ -> (G.clique [ 'a'; 'a'; 'b' ], Sym.clique 3)
+      in
+      let mem_budget = if budgeted then Some tiny_budget else None in
+      let legacy = Space.explore_legacy ~max_configs:100_000 m g in
+      let legacy_loops =
+        List.fold_left
+          (fun a i -> a + List.length (List.filter (fun (_, j) -> j = i) (legacy.Space.succs i)))
+          0 (Listx.range legacy.Space.size)
+      in
+      List.for_all
+        (fun (symmetry, expected) ->
+          let space = Space.explore ?symmetry ?mem_budget ~max_configs:100_000 m g in
+          let e = Option.get (Space.engine space) in
+          let s = e.Engine.stats and n = Engine.out_degree e in
+          let loops = ref 0 in
+          for i = 0 to e.Engine.size - 1 do
+            for k = 0 to n - 1 do
+              if Engine.target e i k = i && Engine.edge_sigma e i k = 0 then incr loops
+            done
+          done;
+          s.Engine.silent_edges = expected
+          && !loops = expected
+          && e.Engine.size + s.Engine.dedup_hits + s.Engine.silent_edges = 1 + (e.Engine.size * n))
+        [ (None, legacy_loops); (Some sym, oracle_silent m g (Sym.perms sym)) ])
+
 (* ------------------------------------------------------------------ *)
 (* Streaming SCC on resident spaces (DDA_STREAM_SCC=1)                  *)
 (* ------------------------------------------------------------------ *)
@@ -402,6 +508,8 @@ let () =
           Alcotest.test_case "protocol corpus" `Quick test_corpus_differential;
           Alcotest.test_case "width-3 engine rows" `Quick test_engine_rows_width3;
           Alcotest.test_case "64 KiB budget does not thrash" `Quick test_small_budget_no_thrash;
+          Alcotest.test_case "concurrent spilled explorations" `Quick test_concurrent_spills;
+          QCheck_alcotest.to_alcotest prop_silent_edges;
         ] );
       ( "streaming",
         [
