@@ -81,18 +81,17 @@ let mkdir_p dir =
   in
   go dir
 
-(* every file this process created, removed (with its directory, if then
-   empty) on exit *)
+(* every file this process created and has not removed yet, removed on
+   exit together with the directories files were created in (if then
+   empty) *)
 let cleanup_paths : string list ref = ref []
+let cleanup_dirs : string list ref = ref []
 let cleanup_lock = Mutex.create ()
 let cleanup_registered = ref false
 
 let cleanup () =
   List.iter (fun p -> try Sys.remove p with Sys_error _ -> ()) !cleanup_paths;
-  let dirs =
-    List.sort_uniq compare (List.map Filename.dirname !cleanup_paths)
-  in
-  List.iter (fun d -> try Sys.rmdir d with Sys_error _ -> ()) dirs;
+  List.iter (fun d -> try Sys.rmdir d with Sys_error _ -> ()) !cleanup_dirs;
   cleanup_paths := []
 
 let register_cleanup path =
@@ -102,6 +101,8 @@ let register_cleanup path =
     at_exit cleanup
   end;
   cleanup_paths := path :: !cleanup_paths;
+  let dir = Filename.dirname path in
+  if not (List.mem dir !cleanup_dirs) then cleanup_dirs := dir :: !cleanup_dirs;
   Mutex.unlock cleanup_lock
 
 let remove_now path =

@@ -31,8 +31,8 @@
      on a single-core host — only adds overhead.
 
    The hot paths are written as [while] loops over mutable locals, never as
-   local recursive closures: without flambda every call of such a closure
-   allocates it.
+   local recursive closures: ocamlopt without flambda allocates such a
+   closure on every call of the function that defines it.
 
    Telemetry: the hot loops accumulate plain mutable ints (probes, memo
    hits, per-domain items) and flush them into [Dda_telemetry] counters at
@@ -175,15 +175,18 @@ type 's interner = {
 }
 
 let interner_create ~acc ~rej first =
-  {
-    tbl = Hashtbl.create 256;
-    states = Array.make 64 first;
-    flags = Bytes.make 64 '\000';
-    n = 0;
-    lock = Mutex.create ();
-    s_acc = acc;
-    s_rej = rej;
-  }
+  let it =
+    {
+      tbl = Hashtbl.create 256;
+      states = Array.make 64 first;
+      flags = Bytes.make 64 '\000';
+      n = 0;
+      lock = Mutex.create ();
+      s_acc = acc;
+      s_rej = rej;
+    }
+  in
+  it
 
 (* Thread-safe: workers intern delta results concurrently (misses are rare).
    Readers use snapshots of [states]/[n] taken between phases, so no reader
