@@ -1744,7 +1744,7 @@ let bechamel_suite () =
       Test.make ~name:"counted clique space exists-a, n=40"
         (Staged.stage (fun () ->
              ignore
-               (Space.explore_clique ~max_configs:100_000 exists_m
+               (Dda_symbolic.Counted.clique ~max_configs:100_000 exists_m
                   (M.of_counts [ ("a", 10); ("b", 30) ]))));
       Test.make ~name:"pre-star climber"
         (Staged.stage (fun () ->

@@ -82,6 +82,10 @@ let or_die = function
     Format.eprintf "error: %s@." msg;
     exit 2
 
+(* An analysis that refuses its input (e.g. adversarial fairness on more
+   than 62 nodes) raises [Invalid_argument]: report it as refused input. *)
+let or_refuse f = try f () with Invalid_argument msg -> or_die (Error msg)
+
 (* --cache with no argument opens the default root ($DDA_CACHE or
    _dda_cache); --cache DIR opens DIR.  Shared by tables/batch/cache.
    [?memo] (entries) layers the in-memory LRU tier over the disk store —
@@ -269,8 +273,9 @@ let cmd_decide proto_spec graph_spec fairness_str engine_str cache_dir max_confi
       | Some (e, _) -> print_entry e ~tier:"family"
       | None -> (
         let d =
-          Batch.decide ~cache:store ~machine_key:mkey ~jobs ?symmetry ~engine ~regime
-            ~max_configs m g
+          or_refuse (fun () ->
+              Batch.decide ~cache:store ~machine_key:mkey ~jobs ?symmetry ~engine ~regime
+                ~max_configs m g)
         in
         match d.Batch.result with
         | Batch.Bounded n ->
@@ -310,7 +315,7 @@ let cmd_decide proto_spec graph_spec fairness_str engine_str cache_dir max_confi
   | space ->
     let v =
       match fairness with
-      | Classes.Adversarial -> Decide.adversarial space
+      | Classes.Adversarial -> or_refuse (fun () -> Decide.adversarial space)
       | _ -> Decide.pseudo_stochastic space
     in
     let dt = Unix.gettimeofday () -. t0 in

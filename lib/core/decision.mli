@@ -76,7 +76,9 @@ val decide_clique :
   'l Dda_multiset.Multiset.t ->
   outcome
 (** Pseudo-stochastic decision on the clique with the given label count,
-    over counted configurations (logarithmic-space objects). *)
+    over counted configurations (logarithmic-space objects;
+    [Dda_symbolic.Counted.clique]).
+    @raise Invalid_argument when the label count has fewer than 2 nodes. *)
 
 val simulate_verdict :
   ?budget:budget ->

@@ -88,7 +88,7 @@ let space ~max_configs ad g =
     let distinct = Listx.dedup_sorted Stdlib.compare results in
     List.map (fun r -> (0, r)) distinct
   in
-  Dda_verify.Space.explore_custom ~max_configs ~kind:Dda_verify.Space.Counted ~node_count:n
+  Dda_verify.Space.explore_custom ~max_configs ~node_count:n
     ~initial:(Config.to_array (Config.initial ad.base g))
     ~expand
     ~accepting:(Array.for_all ad.base.Machine.accepting)

@@ -89,7 +89,7 @@ let space ~max_configs p g =
     in
     Listx.dedup_sorted Stdlib.compare succs
   in
-  Dda_verify.Space.explore_custom ~max_configs ~kind:Dda_verify.Space.Counted
+  Dda_verify.Space.explore_custom ~max_configs
     ~node_count:(Graph.nodes g)
     ~initial:(Config.to_array (initial p g))
     ~expand

@@ -70,7 +70,7 @@ let space ~max_configs p g =
     in
     Listx.dedup_sorted Stdlib.compare succs
   in
-  Dda_verify.Space.explore_custom ~max_configs ~kind:Dda_verify.Space.Counted ~node_count:n
+  Dda_verify.Space.explore_custom ~max_configs ~node_count:n
     ~initial:(Config.to_array (initial p g))
     ~expand
     ~accepting:(Array.for_all p.accepting)

@@ -166,7 +166,7 @@ let successors wb g c =
        (List.map Config.to_array (neighbourhood_moves @ broadcast_moves)))
 
 let space ~max_configs wb g =
-  Dda_verify.Space.explore_custom ~max_configs ~kind:Dda_verify.Space.Counted
+  Dda_verify.Space.explore_custom ~max_configs
     ~node_count:(Graph.nodes g)
     ~initial:(Config.to_array (Config.initial wb.base g))
     ~expand:(fun arr ->

@@ -408,6 +408,10 @@ let explore (type l s) ~max_configs (m : (l, s) Machine.t) (shape : l shape) : t
   }
 
 let of_shape ~max_configs m shape =
+  (match shape with
+  | S_clique counts when M.size counts < 2 ->
+    invalid_arg "Counted.of_shape: a clique needs at least two nodes"
+  | _ -> ());
   let topo = match shape with S_clique _ -> "clique" | S_star _ -> "star" in
   T.with_span
     ~args:[ ("topology", T.S topo) ]

@@ -56,7 +56,8 @@ type t = {
 val clique :
   max_configs:int -> ('l, 's) Dda_machine.Machine.t -> 'l Dda_multiset.Multiset.t -> t
 (** Counted exploration of the machine on a clique with the given label
-    count.  @raise Too_large over budget. *)
+    count.  @raise Invalid_argument with fewer than 2 nodes.
+    @raise Too_large over budget. *)
 
 val star :
   max_configs:int ->
@@ -68,6 +69,8 @@ val star :
 
 val of_shape :
   max_configs:int -> ('l, 's) Dda_machine.Machine.t -> 'l shape -> t
+(** @raise Invalid_argument for a clique with fewer than 2 nodes.
+    @raise Too_large over budget. *)
 
 val of_graph :
   max_configs:int -> ('l, 's) Dda_machine.Machine.t -> 'l Dda_graph.Graph.t -> t option

@@ -7,12 +7,13 @@ module T = Dda_telemetry.Telemetry
 (* Condensation timed as its own span: together with "explore" and
    "verdict" this gives the explore/scc/verdict phase breakdown in traces
    and metrics.  Cold path — one call per analysis. *)
-let timed_scc_iter ~vertices ~degree ~succ =
+let timed_scc ~vertices ~degree ~succ =
   T.with_span ~args:[ ("vertices", T.I vertices) ] "scc" (fun () ->
       Scc.compute_iter ~vertices ~degree ~succ)
 
-let timed_scc ~vertices ~succs =
-  T.with_span ~args:[ ("vertices", T.I vertices) ] "scc" (fun () -> Scc.compute ~vertices ~succs)
+(* The SCCs of a space, read through its edge view. *)
+let scc_of space =
+  timed_scc ~vertices:space.Space.size ~degree:space.Space.degree ~succ:space.Space.target
 
 type verdict = Accepts | Rejects | Inconsistent of string
 
@@ -26,27 +27,22 @@ let pp_verdict fmt = function
   | Rejects -> Format.pp_print_string fmt "rejects"
   | Inconsistent w -> Format.fprintf fmt "inconsistent (%s)" w
 
-let targets space i = List.map snd (space.Space.succs i)
-
 (* ------------------------------------------------------------------ *)
-(* Packed fast paths                                                    *)
+(* Resident analyses                                                    *)
 (*                                                                      *)
-(* Spaces built by the engine expose their implicit-CSR arrays; the     *)
-(* analyses below run on those with per-component int/bool arrays and   *)
-(* the allocation-free Tarjan, instead of materialising successor and   *)
-(* member lists.  Verdicts (and witness choices) coincide with the      *)
-(* generic code — the differential tests check this.                    *)
+(* Every space exposes one indexed edge view ([Space.degree/target/     *)
+(* label]); the analyses below run on it with the allocation-free       *)
+(* Tarjan and per-component int/bool arrays.  Witnesses are the least   *)
+(* qualifying member of the first qualifying component, so they do not  *)
+(* depend on how the edges are stored.                                  *)
 (* ------------------------------------------------------------------ *)
-
-let mixed_bottom_msg describe w =
-  Printf.sprintf "bottom SCC neither all-accepting nor all-rejecting, e.g. %s" (describe w)
 
 (* Bottom-SCC classification over an indexed edge view ([succ v k] for
-   [k < degree v]): the one body behind packed explicit spaces and counted
-   spaces.  Witnesses are the least non-accepting member of the first mixed
-   bottom component, so the text matches the generic list analysis. *)
+   [k < degree v]): the one body behind resident spaces and counted
+   spaces.  The witness is the least non-accepting member of the first
+   mixed bottom component. *)
 let bottom_scc_verdict ~vertices ~degree ~succ ~acc ~rej ~describe =
-  let scc = timed_scc_iter ~vertices ~degree ~succ in
+  let scc = timed_scc ~vertices ~degree ~succ in
   let comp = scc.Scc.comp in
   let nc = scc.Scc.comp_count in
   let bottom = Array.make nc true in
@@ -74,7 +70,9 @@ let bottom_scc_verdict ~vertices ~degree ~succ ~acc ~rej ~describe =
       else if !mixed = None then mixed := Some witness.(c)
   done;
   match !mixed with
-  | Some w -> Inconsistent (mixed_bottom_msg describe w)
+  | Some w ->
+    Inconsistent
+      (Printf.sprintf "bottom SCC neither all-accepting nor all-rejecting, e.g. %s" (describe w))
   | None ->
     if !accs && !rejs then
       Inconsistent "some pseudo-stochastic fair runs accept while others reject"
@@ -82,14 +80,19 @@ let bottom_scc_verdict ~vertices ~degree ~succ ~acc ~rej ~describe =
     else if !rejs then Rejects
     else Inconsistent "no bottom SCC found"
 
-(* Exact on symmetry quotients too: orbits of bottom SCCs are bottom SCCs of
-   the quotient, and acceptance is invariant under automorphisms. *)
-let packed_pseudo_stochastic e describe =
-  let n = Engine.out_degree e in
-  bottom_scc_verdict ~vertices:e.Engine.size ~degree:(fun _ -> n) ~succ:(Engine.target e)
-    ~acc:(Engine.acc e) ~rej:(Engine.rej e) ~describe
+(* The witness recorded for the lowest-numbered component satisfying [ok],
+   if any ([wit.(c) < 0]: component [c] has none). *)
+let first_witness ok wit =
+  let w = ref None in
+  for c = Array.length wit - 1 downto 0 do
+    if ok c && wit.(c) >= 0 then w := Some wit.(c)
+  done;
+  !w
 
-(* Fair-SCC classification on the engine's arrays.
+(* Fair-SCC classification: the components whose internal edges select
+   every node, and in the first of them (by component number) holding a
+   non-accepting (resp. non-rejecting) configuration, the least such
+   configuration.  Explicit spaces only: edge [k] selects node [k].
 
    For a symmetry-reduced space the quotient's own labels are not sound —
    merging orbit members conflates which node a selection hits — so the
@@ -100,22 +103,22 @@ let packed_pseudo_stochastic e describe =
    to (R', mul.(t).(s)); acceptance of (R, t) is acceptance of R.  Every
    lifted SCC is isomorphic (via p_t) to an SCC of reachable concrete
    configurations and vice versa, so scanning all lifted SCCs is exact.
-   With a trivial group the lifted graph *is* the quotient graph and this
-   degenerates to the plain array analysis. *)
-let packed_adversarial_core e =
-  let n = Engine.out_degree e in
-  if n > 62 then invalid_arg "Decide.adversarial: more than 62 nodes";
-  let ord, mul, perms =
-    match e.Engine.symmetry with
-    | None -> (1, [| [| 0 |] |], [| Array.init n (fun v -> v) |])
-    | Some g -> (Symmetry.order g, Symmetry.mul g, Symmetry.perms g)
+   With a trivial group the lifted graph *is* the space and [comp] numbers
+   its configurations. *)
+let fair_components space =
+  let n = space.Space.node_count in
+  let ord, mul, perms, sigma =
+    match space.Space.engine with
+    | Some ({ Engine.symmetry = Some g; _ } as e) ->
+      (Symmetry.order g, Symmetry.mul g, Symmetry.perms g, Engine.edge_sigma e)
+    | _ -> (1, [| [| 0 |] |], [| Array.init n (fun v -> v) |], fun _ _ -> 0)
   in
-  let sz = e.Engine.size * ord in
+  let sz = space.Space.size * ord in
   let succ x k =
     let i = x / ord and t = x mod ord in
-    (Engine.target e i k * ord) + mul.(t).(Engine.edge_sigma e i k)
+    (space.Space.target i k * ord) + mul.(t).(sigma i k)
   in
-  let scc = timed_scc_iter ~vertices:sz ~degree:(fun _ -> n) ~succ in
+  let scc = timed_scc ~vertices:sz ~degree:(fun _ -> n) ~succ in
   let comp = scc.Scc.comp in
   let nc = scc.Scc.comp_count in
   let full = (1 lsl n) - 1 in
@@ -128,21 +131,12 @@ let packed_adversarial_core e =
     for k = 0 to n - 1 do
       if comp.(succ x k) = c then cov.(c) <- cov.(c) lor (1 lsl perms.(t).(k))
     done;
-    if not (Engine.acc e i) then wit_non_acc.(c) <- i;
-    if not (Engine.rej e i) then wit_non_rej.(c) <- i
+    if not (space.Space.accepting i) then wit_non_acc.(c) <- i;
+    if not (space.Space.rejecting i) then wit_non_rej.(c) <- i
   done;
-  let fair_non_accepting = ref None in
-  let fair_non_rejecting = ref None in
-  for c = 0 to nc - 1 do
-    if cov.(c) = full then begin
-      (* full coverage implies internal edges *)
-      if !fair_non_accepting = None && wit_non_acc.(c) >= 0 then
-        fair_non_accepting := Some wit_non_acc.(c);
-      if !fair_non_rejecting = None && wit_non_rej.(c) >= 0 then
-        fair_non_rejecting := Some wit_non_rej.(c)
-    end
-  done;
-  (!fair_non_accepting, !fair_non_rejecting)
+  (* full coverage implies internal edges *)
+  let fair c = cov.(c) = full in
+  (comp, first_witness fair wit_non_acc, first_witness fair wit_non_rej)
 
 let adversarial_verdict describe = function
   | None, Some _ -> Accepts
@@ -154,6 +148,15 @@ let adversarial_verdict describe = function
          (describe i) (describe j))
   | None, None -> Inconsistent "no fair cycle found (should be impossible)"
 
+let unconditional_verdict describe = function
+  | None, Some _ -> Accepts
+  | Some _, None -> Rejects
+  | Some i, Some j ->
+    Inconsistent
+      (Printf.sprintf "runs can loop through non-accepting %s and non-rejecting %s"
+         (describe i) (describe j))
+  | None, None -> Inconsistent "no cycle found (space must model idling as self-loops)"
+
 (* ------------------------------------------------------------------ *)
 (* Streaming paths                                                      *)
 (*                                                                      *)
@@ -162,7 +165,7 @@ let adversarial_verdict describe = function
 (* analyses below re-derive the same three verdicts from edge-sweep      *)
 (* primitives (Scc.backward_reach / Scc.fair_cycle) that touch each      *)
 (* segment at most once per sweep.  Verdict constructors always agree    *)
-(* with the packed analyses (the spilled-vs-resident differential        *)
+(* with the resident analyses (the spilled-vs-resident differential      *)
 (* checks this); witness examples may differ, since no condensation is   *)
 (* materialised to pick canonical members from.                          *)
 (* ------------------------------------------------------------------ *)
@@ -218,7 +221,7 @@ let streaming_pseudo_stochastic e describe =
         else Inconsistent "no bottom SCC found")
 
 (* Adversarial fairness as two fair-cycle queries on the lifted graph (same
-   lift as [packed_adversarial_core]): a label-covering SCC containing a
+   lift as [fair_components]): a label-covering SCC containing a
    non-accepting (resp. non-rejecting) member exists iff some cycle carries
    all node labels and visits such a vertex.  Lifted row (R, t) is built
    from R's target and sigma rows, read once for the [ord] consecutive
@@ -265,7 +268,7 @@ let streaming_adversarial e describe =
 
 (* Unconditional fairness: a cycle through a non-accepting (resp.
    non-rejecting) configuration, label-free.  Sound on symmetry quotients
-   for the same reason the generic path is: quotient cycles lift to
+   for the same reason the resident path is: quotient cycles lift to
    concrete cycles and acceptance is automorphism-invariant. *)
 let streaming_unconditional e describe =
   let sz = e.Engine.size in
@@ -278,295 +281,146 @@ let streaming_unconditional e describe =
   timed_streaming ~vertices:sz (fun () ->
       let bad_acc = cycle (fun i -> not (Engine.acc e i)) in
       let bad_rej = cycle (fun i -> not (Engine.rej e i)) in
-      match (bad_acc, bad_rej) with
-      | None, Some _ -> Accepts
-      | Some _, None -> Rejects
-      | Some i, Some j ->
-        Inconsistent
-          (Printf.sprintf "runs can loop through non-accepting %s and non-rejecting %s"
-             (describe i) (describe j))
-      | None, None -> Inconsistent "no cycle found (space must model idling as self-loops)")
+      unconditional_verdict describe (bad_acc, bad_rej))
 
-let rec pseudo_stochastic space =
+let pseudo_stochastic space =
   T.with_span ~args:[ ("analysis", T.S "pseudo-stochastic") ] "verdict" (fun () ->
-      match space.Space.backend with
-      | Space.Packed e when use_streaming e -> streaming_pseudo_stochastic e space.Space.describe
-      | Space.Packed e -> packed_pseudo_stochastic e space.Space.describe
-      | Space.Generic -> generic_pseudo_stochastic space)
-
-and generic_pseudo_stochastic space =
-  let succs = targets space in
-  let scc = timed_scc ~vertices:space.Space.size ~succs in
-  let classify_bottom c =
-    let members = scc.Scc.members.(c) in
-    let all_acc = List.for_all space.Space.accepting members in
-    let all_rej = List.for_all space.Space.rejecting members in
-    if all_acc then `Acc
-    else if all_rej then `Rej
-    else begin
-      let witness = List.find (fun i -> not (space.Space.accepting i)) members in
-      `Mixed witness
-    end
-  in
-  let bottoms =
-    List.filter (fun c -> Scc.is_bottom scc ~succs c) (Listx.range scc.Scc.count)
-  in
-  let classes = List.map classify_bottom bottoms in
-  let mixed = List.find_opt (function `Mixed _ -> true | _ -> false) classes in
-  match mixed with
-  | Some (`Mixed w) ->
-    Inconsistent
-      (Printf.sprintf "bottom SCC neither all-accepting nor all-rejecting, e.g. %s"
-         (space.Space.describe w))
-  | _ ->
-    let accs = List.exists (fun c -> c = `Acc) classes in
-    let rejs = List.exists (fun c -> c = `Rej) classes in
-    if accs && rejs then
-      Inconsistent "some pseudo-stochastic fair runs accept while others reject"
-    else if accs then Accepts
-    else if rejs then Rejects
-    else Inconsistent "no bottom SCC found"
+      match space.Space.engine with
+      | Some e when use_streaming e -> streaming_pseudo_stochastic e space.Space.describe
+      | _ ->
+        bottom_scc_verdict ~vertices:space.Space.size ~degree:space.Space.degree
+          ~succ:space.Space.target ~acc:space.Space.accepting ~rej:space.Space.rejecting
+          ~describe:space.Space.describe)
 
 let pseudo_stochastic_certificate space =
   let n = space.Space.size in
-  let succs = targets space in
-  (* can_reach.(i) <- configuration i reaches some configuration in [bad] *)
+  let preds = Array.make n [] in
+  for i = 0 to n - 1 do
+    for k = 0 to space.Space.degree i - 1 do
+      let j = space.Space.target i k in
+      preds.(j) <- i :: preds.(j)
+    done
+  done;
+  (* reach.(i) <- configuration i reaches some configuration in [bad] *)
   let backward bad =
-    let preds = Array.make n [] in
-    for i = 0 to n - 1 do
-      List.iter (fun j -> preds.(j) <- i :: preds.(j)) (succs i)
-    done;
-    let reach = Array.make n false in
+    let reach = Array.init n bad in
     let queue = Queue.create () in
-    List.iter
-      (fun i ->
-        if not reach.(i) then begin
-          reach.(i) <- true;
-          Queue.add i queue
-        end)
-      bad;
+    Array.iteri (fun i r -> if r then Queue.add i queue) reach;
     while not (Queue.is_empty queue) do
-      let j = Queue.pop queue in
       List.iter
         (fun i ->
           if not reach.(i) then begin
             reach.(i) <- true;
             Queue.add i queue
           end)
-        preds.(j)
+        preds.(Queue.pop queue)
     done;
     reach
   in
-  let all = Dda_util.Listx.range n in
-  let non_accepting = List.filter (fun i -> not (space.Space.accepting i)) all in
-  let non_rejecting = List.filter (fun i -> not (space.Space.rejecting i)) all in
-  let spoils_accept = backward non_accepting in
-  let spoils_reject = backward non_rejecting in
+  let spoils_accept = backward (fun i -> not (space.Space.accepting i)) in
+  let spoils_reject = backward (fun i -> not (space.Space.rejecting i)) in
   (* every explored configuration is reachable from the initial one *)
-  let accept_certificate =
-    List.exists (fun i -> space.Space.accepting i && not spoils_accept.(i)) all
-  in
-  let reject_certificate =
-    List.exists (fun i -> space.Space.rejecting i && not spoils_reject.(i)) all
-  in
-  match (accept_certificate, reject_certificate) with
+  let certificate wanted spoils = List.exists (fun i -> wanted i && not spoils.(i)) (Listx.range n) in
+  match
+    ( certificate space.Space.accepting spoils_accept,
+      certificate space.Space.rejecting spoils_reject )
+  with
   | true, false -> Accepts
   | false, true -> Rejects
   | true, true -> Inconsistent "both an accepting and a rejecting certificate exist"
   | false, false ->
     Inconsistent "no certificate: every configuration can still be diverted"
 
-let adversarial_witness space ~against =
+(* Fair-cycle analyses read edge [k] as a selection of node [k] and keep
+   the covered nodes of a component in one int. *)
+let require_fair_space name space =
   if space.Space.kind <> Space.Explicit then
-    invalid_arg "Decide.adversarial_witness: needs an explicit space";
+    invalid_arg (name ^ ": needs an explicit space (node identity)");
+  if space.Space.node_count > 62 then invalid_arg (name ^ ": more than 62 nodes")
+
+let adversarial_witness space ~against =
+  require_fair_space "Decide.adversarial_witness" space;
   if Space.is_reduced space then
     invalid_arg
       "Decide.adversarial_witness: reduced space (selections are quotiented); explore without \
        symmetry";
-  let n = space.Space.node_count in
-  let succs = targets space in
-  let scc = timed_scc ~vertices:space.Space.size ~succs in
-  let offending = match against with `Accepting -> space.Space.accepting | `Rejecting -> space.Space.rejecting in
-  (* find an SCC with internal label coverage and a non-[against] member *)
-  let candidate = ref None in
-  for c = 0 to scc.Scc.count - 1 do
-    if !candidate = None then begin
-      let members = scc.Scc.members.(c) in
-      let covered = Array.make n false in
-      let internal = ref false in
-      List.iter
-        (fun i ->
-          List.iter
-            (fun (label, j) ->
-              if scc.Scc.component.(j) = c then begin
-                internal := true;
-                if label >= 0 && label < n then covered.(label) <- true
-              end)
-            (space.Space.succs i))
-        members;
-      if !internal && Array.for_all (fun b -> b) covered then
-        match List.find_opt (fun i -> not (offending i)) members with
-        | Some bad -> candidate := Some (c, bad)
-        | None -> ()
-    end
-  done;
-  match !candidate with
-  | None -> None
-  | Some (c, bad) ->
-    (* BFS restricted to the component, returning edge labels *)
-    let inside i = scc.Scc.component.(i) = c in
-    let path_inside source goal =
-      if source = goal then Some []
-      else begin
-        let parent = Hashtbl.create 64 in
-        let queue = Queue.create () in
-        Queue.add source queue;
-        Hashtbl.add parent source None;
-        let found = ref false in
-        while (not !found) && not (Queue.is_empty queue) do
-          let i = Queue.pop queue in
-          List.iter
-            (fun (label, j) ->
-              if inside j && not (Hashtbl.mem parent j) then begin
-                Hashtbl.add parent j (Some (i, label));
-                if j = goal then found := true;
-                Queue.add j queue
-              end)
-            (space.Space.succs i)
-        done;
-        if not !found then None
-        else begin
-          let rec unwind i acc =
-            match Hashtbl.find parent i with
-            | None -> acc
-            | Some (p, label) -> unwind p (label :: acc)
-          in
-          Some (unwind goal [])
-        end
-      end
-    in
-    (* entry into the component *)
-    (match Space.shortest_path space ~goal:inside with
-    | None -> None
-    | Some (prefix, entry) ->
-      (* stitch a cycle from [entry]: visit an edge for every node label,
-         visit [bad], return to [entry].  All pieces stay inside c. *)
-      let find_edge label =
-        List.find_map
-          (fun i ->
-            List.find_map
-              (fun (l, j) -> if l = label && inside j then Some (i, j) else None)
-              (space.Space.succs i))
-          scc.Scc.members.(c)
-      in
-      let rec stitch at labels acc =
-        match labels with
-        | [] -> (
-          match path_inside at bad with
-          | None -> None
-          | Some to_bad -> (
-            match path_inside bad entry with
-            | None -> None
-            | Some home -> Some (acc @ to_bad @ home)))
-        | label :: rest -> (
-          match find_edge label with
-          | None -> None
-          | Some (x, y) -> (
-            match path_inside at x with
-            | None -> None
-            | Some hop -> stitch y rest (acc @ hop @ [ label ])))
-      in
-      (match stitch entry (Listx.range n) [] with
-      | None -> None
-      | Some cycle -> Some (prefix, cycle)))
+  let ( let* ) = Option.bind in
+  let comp, non_acc, non_rej = fair_components space in
+  let* bad = match against with `Accepting -> non_acc | `Rejecting -> non_rej in
+  (* every piece of the lasso after the prefix stays inside bad's component *)
+  let inside i = comp.(i) = comp.(bad) in
+  let path_inside source goal =
+    Option.map fst (Space.shortest_path space ~from:source ~within:inside ~goal:(( = ) goal))
+  in
+  let* prefix, entry = Space.shortest_path space ~goal:inside in
+  (* the internal edge selecting node [v] out of the least member having one *)
+  let rec edge_for v i =
+    if i = space.Space.size then None
+    else if inside i && inside (space.Space.target i v) then Some (i, space.Space.target i v)
+    else edge_for v (i + 1)
+  in
+  (* stitch a cycle from [entry]: an internal edge for every node, then
+     [bad], then back to [entry] *)
+  let rec stitch at v acc =
+    if v < space.Space.node_count then
+      let* x, y = edge_for v 0 in
+      let* hop = path_inside at x in
+      stitch y (v + 1) (acc @ hop @ [ v ])
+    else
+      let* to_bad = path_inside at bad in
+      let* home = path_inside bad entry in
+      Some (prefix, acc @ to_bad @ home)
+  in
+  stitch entry 0 []
 
 let certificate_path space target =
-  let succs = targets space in
-  let scc = timed_scc ~vertices:space.Space.size ~succs in
+  let scc = scc_of space in
+  let comp = scc.Scc.comp in
   let wanted = match target with `Accepting -> space.Space.accepting | `Rejecting -> space.Space.rejecting in
-  (* components whose members are uniformly of the wanted polarity and that
-     have no outgoing edges *)
-  let good_component = Array.make scc.Scc.count false in
-  for c = 0 to scc.Scc.count - 1 do
-    good_component.(c) <-
-      Scc.is_bottom scc ~succs c && List.for_all wanted scc.Scc.members.(c)
+  (* components that have no outgoing edges and whose members are all of
+     the wanted polarity *)
+  let good = Array.make scc.Scc.comp_count true in
+  for i = 0 to space.Space.size - 1 do
+    let c = comp.(i) in
+    if not (wanted i) then good.(c) <- false;
+    for k = 0 to space.Space.degree i - 1 do
+      if comp.(space.Space.target i k) <> c then good.(c) <- false
+    done
   done;
-  Space.shortest_path space ~goal:(fun i -> good_component.(scc.Scc.component.(i)))
-
-let unconditional_body space =
-  let succs = targets space in
-  let scc = timed_scc ~vertices:space.Space.size ~succs in
-  (* A configuration lies on a cycle iff its SCC has an internal edge. *)
-  let bad_for_accept = ref None in
-  let bad_for_reject = ref None in
-  for c = 0 to scc.Scc.count - 1 do
-    if Scc.has_internal_edge scc ~succs c then begin
-      let members = scc.Scc.members.(c) in
-      (match List.find_opt (fun i -> not (space.Space.accepting i)) members with
-      | Some i when !bad_for_accept = None -> bad_for_accept := Some i
-      | _ -> ());
-      match List.find_opt (fun i -> not (space.Space.rejecting i)) members with
-      | Some i when !bad_for_reject = None -> bad_for_reject := Some i
-      | _ -> ()
-    end
-  done;
-  match (!bad_for_accept, !bad_for_reject) with
-  | None, Some _ -> Accepts
-  | Some _, None -> Rejects
-  | Some i, Some j ->
-    Inconsistent
-      (Printf.sprintf "runs can loop through non-accepting %s and non-rejecting %s"
-         (space.Space.describe i) (space.Space.describe j))
-  | None, None -> Inconsistent "no cycle found (space must model idling as self-loops)"
+  Space.shortest_path space ~goal:(fun i -> good.(comp.(i)))
 
 let unconditional space =
   T.with_span ~args:[ ("analysis", T.S "unconditional") ] "verdict" (fun () ->
-      match space.Space.backend with
-      | Space.Packed e when use_streaming e -> streaming_unconditional e space.Space.describe
-      | _ -> unconditional_body space)
+      match space.Space.engine with
+      | Some e when use_streaming e -> streaming_unconditional e space.Space.describe
+      | _ ->
+        let scc = scc_of space in
+        let comp = scc.Scc.comp in
+        let nc = scc.Scc.comp_count in
+        (* a configuration lies on a cycle iff its SCC has an internal edge *)
+        let cyclic = Array.make nc false in
+        let non_acc = Array.make nc (-1) in
+        let non_rej = Array.make nc (-1) in
+        for i = space.Space.size - 1 downto 0 do
+          let c = comp.(i) in
+          for k = 0 to space.Space.degree i - 1 do
+            if comp.(space.Space.target i k) = c then cyclic.(c) <- true
+          done;
+          if not (space.Space.accepting i) then non_acc.(c) <- i;
+          if not (space.Space.rejecting i) then non_rej.(c) <- i
+        done;
+        unconditional_verdict space.Space.describe
+          (first_witness (Array.get cyclic) non_acc, first_witness (Array.get cyclic) non_rej))
 
-let rec adversarial space =
-  if space.Space.kind <> Space.Explicit then
-    invalid_arg "Decide.adversarial: needs an explicit space (node identity)";
+let adversarial space =
+  require_fair_space "Decide.adversarial" space;
   T.with_span ~args:[ ("analysis", T.S "adversarial") ] "verdict" (fun () ->
-      match space.Space.backend with
-      | Space.Packed e when use_streaming e && Engine.out_degree e <= 61 ->
+      match space.Space.engine with
+      | Some e when use_streaming e && space.Space.node_count <= 61 ->
         streaming_adversarial e space.Space.describe
-      | Space.Packed e -> adversarial_verdict space.Space.describe (packed_adversarial_core e)
-      | Space.Generic -> generic_adversarial space)
-
-and generic_adversarial space =
-  let n = space.Space.node_count in
-  let succs = targets space in
-  let scc = timed_scc ~vertices:space.Space.size ~succs in
-  (* For each SCC: do its internal edges cover every node label, and does it
-     contain non-accepting / non-rejecting configurations? *)
-  let fair_non_accepting = ref None in
-  let fair_non_rejecting = ref None in
-  for c = 0 to scc.Scc.count - 1 do
-    let members = scc.Scc.members.(c) in
-    let covered = Array.make n false in
-    let has_internal = ref false in
-    List.iter
-      (fun i ->
-        List.iter
-          (fun (label, j) ->
-            if scc.Scc.component.(j) = c then begin
-              has_internal := true;
-              if label >= 0 && label < n then covered.(label) <- true
-            end)
-          (space.Space.succs i))
-      members;
-    if !has_internal && Array.for_all (fun b -> b) covered then begin
-      (match List.find_opt (fun i -> not (space.Space.accepting i)) members with
-      | Some i when !fair_non_accepting = None -> fair_non_accepting := Some i
-      | _ -> ());
-      match List.find_opt (fun i -> not (space.Space.rejecting i)) members with
-      | Some i when !fair_non_rejecting = None -> fair_non_rejecting := Some i
-      | _ -> ()
-    end
-  done;
-  adversarial_verdict space.Space.describe (!fair_non_accepting, !fair_non_rejecting)
+      | _ ->
+        let _, non_acc, non_rej = fair_components space in
+        adversarial_verdict space.Space.describe (non_acc, non_rej))
 
 let synchronous ~max_steps m g =
   let seen = Hashtbl.create 256 in

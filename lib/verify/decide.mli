@@ -34,7 +34,8 @@ type verdict =
           string describes a witness configuration. *)
 
 val pseudo_stochastic : Space.t -> verdict
-(** Bottom-SCC classification; works on explicit and counted spaces. *)
+(** Bottom-SCC classification over the space's edge view; works on explicit
+    and counted spaces. *)
 
 val bottom_scc_verdict :
   vertices:int ->
@@ -47,8 +48,8 @@ val bottom_scc_verdict :
 (** The bottom-SCC classification of {!pseudo_stochastic} over an indexed
     edge view: vertex [v] has successors [succ v 0 .. succ v (degree v - 1)],
     [acc]/[rej] say whether all its agents accept/reject.  Runs the
-    allocation-free {!Scc.compute_iter}; shared by packed explicit spaces
-    and counted spaces ([Dda_symbolic.Analysis]). *)
+    allocation-free {!Scc.compute_iter}; shared by resident spaces and
+    counted spaces ([Dda_symbolic.Analysis]). *)
 
 val pseudo_stochastic_certificate : Space.t -> verdict
 (** The acceptance test of Proposition D.2, literally: the automaton accepts
@@ -70,12 +71,14 @@ val unconditional : Space.t -> verdict
     as cycles. *)
 
 val adversarial : Space.t -> verdict
-(** Fair-SCC (Streett-style) classification.  On packed spaces the analysis
-    runs allocation-free on the engine's arrays; on symmetry-reduced spaces
-    it analyses the {e lifted} graph of (representative, group element)
-    pairs, which restores the node identities the quotient merged — verdicts
-    are exactly those of the unreduced space.
-    @raise Invalid_argument on a counted space (node identity is needed). *)
+(** Fair-SCC (Streett-style) classification, allocation-free over the
+    space's edge view.  On symmetry-reduced spaces it analyses the
+    {e lifted} graph of (representative, group element) pairs, which
+    restores the node identities the quotient merged — verdicts are exactly
+    those of the unreduced space.
+    @raise Invalid_argument on a counted space (node identity is needed).
+    @raise Invalid_argument on more than 62 nodes (the nodes a component
+    covers are the bits of one [int]); checked before any analysis work. *)
 
 val synchronous :
   max_steps:int -> ('l, 's) Dda_machine.Machine.t -> 'l Dda_graph.Graph.t -> verdict option
@@ -93,9 +96,11 @@ val adversarial_witness :
     configuration, selects every node at least once, and passes through a
     non-accepting (resp. non-rejecting) configuration.  Replaying
     [prefix @ cycle*] is a concrete fair schedule witnessing the failure —
-    the diagnosis behind an [Inconsistent] adversarial verdict.  Explicit,
-    {e unreduced} spaces only (selections in a symmetry quotient do not
-    replay literally). *)
+    the diagnosis behind an [Inconsistent] adversarial verdict.  The lasso
+    runs through the component and witness that {!adversarial} reports.
+    @raise Invalid_argument unless the space is explicit, {e unreduced}
+    (selections in a symmetry quotient do not replay literally) and has at
+    most 62 nodes. *)
 
 val certificate_path :
   Space.t -> [ `Accepting | `Rejecting ] -> (int list * int) option

@@ -1054,9 +1054,6 @@ let edge_sigma e i k =
     | None -> 0
     | Some a -> Arena.read_u32 a (((i * e.node_count) + k) * 4))
 
-let succs e i =
-  List.init e.node_count (fun k -> (k, target e i k))
-
 (* Row readers: each holds its own arena cursor, so a sweep over ascending
    or descending ids re-enters [Arena.view] only at segment crossings. *)
 let arena_rows n a =

@@ -170,9 +170,6 @@ val sigmas_reader : t -> int -> int array -> unit
 (** Same as {!targets_reader} for the per-edge group elements
     ([dst.(k) = edge_sigma e i k]; all zero when unreduced). *)
 
-val succs : t -> int -> (int * int) list
-(** [(label, target)] list, legacy [Space.succs] shape. *)
-
 (** {2 Delta memo}
 
     The string-keyed open-addressing table behind the engine's delta

@@ -1,69 +1,5 @@
-type result = { count : int; component : int array; members : int list array }
-
-let compute ~vertices ~succs =
-  let index = Array.make vertices (-1) in
-  let lowlink = Array.make vertices 0 in
-  let on_stack = Array.make vertices false in
-  let component = Array.make vertices (-1) in
-  let stack = ref [] in
-  let next_index = ref 0 in
-  let next_comp = ref 0 in
-  (* Iterative Tarjan: explicit call stack of (vertex, remaining successors). *)
-  let visit root =
-    let call_stack = ref [ (root, ref (succs root)) ] in
-    index.(root) <- !next_index;
-    lowlink.(root) <- !next_index;
-    incr next_index;
-    stack := root :: !stack;
-    on_stack.(root) <- true;
-    while !call_stack <> [] do
-      match !call_stack with
-      | [] -> ()
-      | (v, remaining) :: rest -> (
-        match !remaining with
-        | w :: more ->
-          remaining := more;
-          if index.(w) = -1 then begin
-            index.(w) <- !next_index;
-            lowlink.(w) <- !next_index;
-            incr next_index;
-            stack := w :: !stack;
-            on_stack.(w) <- true;
-            call_stack := (w, ref (succs w)) :: !call_stack
-          end
-          else if on_stack.(w) then lowlink.(v) <- min lowlink.(v) index.(w)
-        | [] ->
-          call_stack := rest;
-          (match rest with
-          | (parent, _) :: _ -> lowlink.(parent) <- min lowlink.(parent) lowlink.(v)
-          | [] -> ());
-          if lowlink.(v) = index.(v) then begin
-            let comp = !next_comp in
-            incr next_comp;
-            let continue = ref true in
-            while !continue do
-              match !stack with
-              | [] -> continue := false
-              | w :: tail ->
-                stack := tail;
-                on_stack.(w) <- false;
-                component.(w) <- comp;
-                if w = v then continue := false
-            done
-          end)
-    done
-  in
-  for v = 0 to vertices - 1 do
-    if index.(v) = -1 then visit v
-  done;
-  let members = Array.make !next_comp [] in
-  for v = vertices - 1 downto 0 do
-    members.(component.(v)) <- v :: members.(component.(v))
-  done;
-  { count = !next_comp; component; members }
-
-(* Allocation-free variant for packed spaces: successors are addressed as
-   [succ v k] for [k < degree v], the result carries no member lists, and all
+(* Iterative, allocation-free Tarjan: successors are addressed as [succ v k]
+   for [k < degree v], the result carries no member lists, and all
    bookkeeping lives in int arrays (the DFS stack included), so graphs with
    millions of edges need no list cells at all. *)
 type components = { comp_count : int; comp : int array }
@@ -130,14 +66,6 @@ let compute_iter ~vertices ~degree ~succ =
     end
   done;
   { comp_count = !next_comp; comp }
-
-let is_bottom r ~succs c =
-  List.for_all
-    (fun v -> List.for_all (fun w -> r.component.(w) = c) (succs v))
-    r.members.(c)
-
-let has_internal_edge r ~succs c =
-  List.exists (fun v -> List.exists (fun w -> r.component.(w) = c) (succs v)) r.members.(c)
 
 (* ------------------------------------------------------------------ *)
 (* Streaming primitives                                                 *)

@@ -5,19 +5,6 @@
     fair runs, and label-covering SCCs are the possible infinitely-visited
     sets of adversarial fair runs. *)
 
-type result = {
-  count : int;  (** Number of components. *)
-  component : int array;  (** [component.(v)] is the component of vertex [v]. *)
-  members : int list array;  (** Vertices of each component. *)
-}
-
-val compute : vertices:int -> succs:(int -> int list) -> result
-(** Components are numbered in reverse topological order: every edge goes
-    from a component with a {e higher or equal} number to a lower-or-equal
-    one (Tarjan numbering), so component 0 has no outgoing edges to other
-    components reachable... more precisely, for every edge [u -> v],
-    [component.(u) >= component.(v)]. *)
-
 type components = {
   comp_count : int;  (** Number of components. *)
   comp : int array;  (** [comp.(v)] is the component of vertex [v]. *)
@@ -25,18 +12,12 @@ type components = {
 
 val compute_iter :
   vertices:int -> degree:(int -> int) -> succ:(int -> int -> int) -> components
-(** Allocation-free Tarjan over an indexed successor relation: vertex [v] has
-    successors [succ v 0 .. succ v (degree v - 1)].  Same reverse-topological
-    component numbering as {!compute} (for every edge [u -> v],
-    [comp.(u) >= comp.(v)]), but no member lists are materialised — sized for
-    packed spaces with millions of edges. *)
-
-val is_bottom : result -> succs:(int -> int list) -> int -> bool
-(** [is_bottom r ~succs c] holds iff no edge leaves component [c]. *)
-
-val has_internal_edge : result -> succs:(int -> int list) -> int -> bool
-(** Component [c] contains an edge (it supports a cycle; single vertices with
-    a self-loop count). *)
+(** Iterative, allocation-free Tarjan over an indexed successor relation:
+    vertex [v] has successors [succ v 0 .. succ v (degree v - 1)].  Roots
+    are visited in ascending order and successors in index order.
+    Components are numbered in reverse topological order: for every edge
+    [u -> v], [comp.(u) >= comp.(v)].  No member lists are materialised —
+    sized for packed spaces with millions of edges. *)
 
 (** {2 Streaming variants}
 

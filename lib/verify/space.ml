@@ -1,115 +1,106 @@
 module Graph = Dda_graph.Graph
 module Machine = Dda_machine.Machine
-module Neighbourhood = Dda_machine.Neighbourhood
-module Multiset = Dda_multiset.Multiset
+module Config = Dda_runtime.Config
 module Listx = Dda_util.Listx
 module T = Dda_telemetry.Telemetry
 
 type kind = Explicit | Counted
-
-type backend = Generic | Packed of Engine.t
 
 type t = {
   kind : kind;
   node_count : int;
   size : int;
   initial : int;
-  succs : int -> (int * int) list;
+  degree : int -> int;
+  target : int -> int -> int;
+  label : int -> int -> int;
   accepting : int -> bool;
   rejecting : int -> bool;
   describe : int -> string;
-  backend : backend;
+  engine : Engine.t option;
 }
 
 exception Too_large of int
 
-let engine space = match space.backend with Packed e -> Some e | Generic -> None
-let is_reduced space = match space.backend with Packed e -> Engine.reduced e | Generic -> false
+let engine space = space.engine
+let is_reduced space = match space.engine with Some e -> Engine.reduced e | None -> false
 
-(* Generic worklist exploration over an abstract configuration type ['c].
-   [expand c] lists (label, successor) pairs. *)
-let explore_generic ~max_configs ~initial ~expand =
+(* Worklist exploration over an abstract configuration type ['c]: [expand c]
+   lists (label, successor) pairs.  Configurations are numbered in BFS
+   order, so the [i]-th one popped is configuration [i] and its edges are
+   [off.(i) .. off.(i + 1) - 1] of the [dst]/[lbl] arrays. *)
+let explore_custom ~max_configs ~node_count ~initial ~expand ~accepting ~rejecting ~describe =
   let index = Hashtbl.create 1024 in
   let configs = ref [] (* reversed *) in
   let count = ref 0 in
   let intern c =
     match Hashtbl.find_opt index c with
-    | Some i -> (i, false)
+    | Some i -> i
     | None ->
       if !count >= max_configs then raise (Too_large !count);
       let i = !count in
       Hashtbl.add index c i;
       configs := c :: !configs;
       incr count;
-      (i, true)
+      i
   in
-  let i0, _ = intern initial in
-  let edges = ref [] (* reversed list of (label, j) list, per config index *) in
+  let i0 = intern initial in
   let queue = Queue.create () in
   Queue.add initial queue;
-  let processed = ref 0 in
+  let offs = ref [ 0 ] (* reversed *) in
+  let dst = ref (Array.make 1024 0) and lbl = ref (Array.make 1024 0) in
+  let ne = ref 0 in
   while not (Queue.is_empty queue) do
-    let c = Queue.pop queue in
-    let out =
-      List.map
-        (fun (label, c') ->
-          let j, fresh = intern c' in
-          if fresh then Queue.add c' queue;
-          (label, j))
-        (expand c)
-    in
-    edges := out :: !edges;
-    incr processed
+    List.iter
+      (fun (label, c') ->
+        let fresh = !count (* the index a new configuration gets *) in
+        let j = intern c' in
+        if j = fresh then Queue.add c' queue;
+        if !ne = Array.length !dst then begin
+          dst := Array.append !dst !dst;
+          lbl := Array.append !lbl !lbl
+        end;
+        !dst.(!ne) <- j;
+        !lbl.(!ne) <- label;
+        incr ne)
+      (expand (Queue.pop queue));
+    offs := !ne :: !offs
   done;
-  let config_arr = Array.of_list (List.rev !configs) in
-  let edge_arr = Array.of_list (List.rev !edges) in
-  assert (Array.length config_arr = Array.length edge_arr);
-  (config_arr, edge_arr, i0)
-
-let explore_custom ~max_configs ~kind ~node_count ~initial ~expand ~accepting ~rejecting
-    ~describe =
-  let configs, edges, i0 = explore_generic ~max_configs ~initial ~expand in
+  let configs = Array.of_list (List.rev !configs) in
+  let off = Array.of_list (List.rev !offs) and dst = !dst and lbl = !lbl in
   {
-    kind;
+    kind = Counted;
     node_count;
     size = Array.length configs;
     initial = i0;
-    succs = (fun i -> edges.(i));
+    degree = (fun i -> off.(i + 1) - off.(i));
+    target = (fun i k -> dst.(off.(i) + k));
+    label = (fun i k -> lbl.(off.(i) + k));
     accepting = (fun i -> accepting configs.(i));
     rejecting = (fun i -> rejecting configs.(i));
     describe = (fun i -> describe configs.(i));
-    backend = Generic;
+    engine = None;
   }
 
-(* The pre-engine explicit explorer, kept verbatim: the differential tests
-   check the packed engine against it, and it accepts machines whose states
-   are any structurally-hashable value without interning overhead. *)
-let explore_legacy ~max_configs m g =
-  let n = Graph.nodes g in
+(* The pre-engine explorers over state arrays: one edge per selection in
+   [moves], labelled as given.  [explore_legacy] is the differential
+   oracle of the packed engine (same numbering, same edges). *)
+let explore_states ~max_configs m g moves =
   let expand c =
     List.map
-      (fun v ->
-        let c' = Dda_runtime.Config.step m g (Dda_runtime.Config.of_states c) [ v ] in
-        (v, Dda_runtime.Config.to_array c'))
-      (Listx.range n)
+      (fun (label, sel) -> (label, Config.to_array (Config.step m g (Config.of_states c) sel)))
+      moves
   in
-  let initial = Dda_runtime.Config.to_array (Dda_runtime.Config.initial m g) in
-  let configs, edges, i0 = explore_generic ~max_configs ~initial ~expand in
-  let all p i = Array.for_all p configs.(i) in
-  {
-    kind = Explicit;
-    node_count = n;
-    size = Array.length configs;
-    initial = i0;
-    succs = (fun i -> edges.(i));
-    accepting = (fun i -> all m.Machine.accepting i);
-    rejecting = (fun i -> all m.Machine.rejecting i);
-    describe =
-      (fun i ->
-        Format.asprintf "%a" (Dda_runtime.Config.pp m.Machine.pp_state)
-          (Dda_runtime.Config.of_states configs.(i)));
-    backend = Generic;
-  }
+  explore_custom ~max_configs ~node_count:(Graph.nodes g)
+    ~initial:(Config.to_array (Config.initial m g))
+    ~expand
+    ~accepting:(Array.for_all m.Machine.accepting)
+    ~rejecting:(Array.for_all m.Machine.rejecting)
+    ~describe:(fun c -> Format.asprintf "%a" (Config.pp m.Machine.pp_state) (Config.of_states c))
+
+let explore_legacy ~max_configs m g =
+  let moves = List.map (fun v -> (v, [ v ])) (Listx.range (Graph.nodes g)) in
+  { (explore_states ~max_configs m g moves) with kind = Explicit }
 
 let explore ?jobs ?symmetry ?states ?mem_budget ~max_configs m g =
   let e =
@@ -120,16 +111,19 @@ let explore ?jobs ?symmetry ?states ?mem_budget ~max_configs m g =
         (fun () -> Engine.explore ?jobs ?symmetry ?states ?mem_budget ~max_configs m g)
     with Engine.Too_large n -> raise (Too_large n)
   in
+  let n = e.Engine.node_count in
   {
     kind = Explicit;
-    node_count = e.Engine.node_count;
+    node_count = n;
     size = e.Engine.size;
     initial = e.Engine.initial;
-    succs = Engine.succs e;
+    degree = (fun _ -> n);
+    target = (fun i k -> Engine.target e i k);
+    label = (fun _ k -> k);
     accepting = (fun i -> Engine.acc e i);
     rejecting = (fun i -> Engine.rej e i);
     describe = e.Engine.describe;
-    backend = Packed e;
+    engine = Some e;
   }
 
 let explore_liberal ~max_configs m g =
@@ -137,35 +131,10 @@ let explore_liberal ~max_configs m g =
   if n > 16 then invalid_arg "Space.explore_liberal: exponential branching, 16 nodes max";
   (* every non-empty subset of nodes, as a bitmask; the mask doubles as the
      edge label so schedules are replayable *)
-  let subsets =
-    List.init ((1 lsl n) - 1) (fun k ->
-        let mask = k + 1 in
-        (mask, List.filter (fun v -> mask land (1 lsl v) <> 0) (Listx.range n)))
-  in
-  let expand c =
-    List.map
-      (fun (mask, sel) ->
-        let c' = Dda_runtime.Config.step m g (Dda_runtime.Config.of_states c) sel in
-        (mask, Dda_runtime.Config.to_array c'))
-      subsets
-  in
-  let initial = Dda_runtime.Config.to_array (Dda_runtime.Config.initial m g) in
-  let configs, edges, i0 = explore_generic ~max_configs ~initial ~expand in
-  let all p i = Array.for_all p configs.(i) in
-  {
-    kind = Counted;
-    node_count = n;
-    size = Array.length configs;
-    initial = i0;
-    succs = (fun i -> edges.(i));
-    accepting = (fun i -> all m.Machine.accepting i);
-    rejecting = (fun i -> all m.Machine.rejecting i);
-    describe =
-      (fun i ->
-        Format.asprintf "%a" (Dda_runtime.Config.pp m.Machine.pp_state)
-          (Dda_runtime.Config.of_states configs.(i)));
-    backend = Generic;
-  }
+  explore_states ~max_configs m g
+    (List.init ((1 lsl n) - 1) (fun k ->
+         let mask = k + 1 in
+         (mask, List.filter (fun v -> mask land (1 lsl v) <> 0) (Listx.range n))))
 
 (* Escape a node label for dot: backslash-escape quotes and backslashes. *)
 let dot_escape s =
@@ -190,35 +159,36 @@ let to_dot ?(max_size = 200) fmt space =
       (if i = space.initial then ",style=bold" else "")
   done;
   for i = 0 to space.size - 1 do
-    List.iter
-      (fun (label, j) ->
-        if i <> j || space.kind = Explicit then
-          Format.fprintf fmt "  c%d -> c%d%s;@," i j
-            (if space.kind = Explicit then Printf.sprintf " [label=\"%d\"]" label else ""))
-      (space.succs i)
+    for k = 0 to space.degree i - 1 do
+      let j = space.target i k in
+      if i <> j || space.kind = Explicit then
+        Format.fprintf fmt "  c%d -> c%d%s;@," i j
+          (if space.kind = Explicit then Printf.sprintf " [label=\"%d\"]" (space.label i k)
+           else "")
+    done
   done;
   Format.fprintf fmt "}@]"
 
-let shortest_path space ~goal =
-  let n = space.size in
-  let parent = Array.make n None in
-  let seen = Array.make n false in
+let shortest_path ?from ?(within = fun _ -> true) space ~goal =
+  let source = Option.value from ~default:space.initial in
+  let parent = Array.make space.size None in
+  let seen = Array.make space.size false in
   let queue = Queue.create () in
-  seen.(space.initial) <- true;
-  Queue.add space.initial queue;
+  seen.(source) <- true;
+  Queue.add source queue;
   let found = ref None in
   while !found = None && not (Queue.is_empty queue) do
     let i = Queue.pop queue in
     if goal i then found := Some i
     else
-      List.iter
-        (fun (label, j) ->
-          if not seen.(j) then begin
-            seen.(j) <- true;
-            parent.(j) <- Some (i, label);
-            Queue.add j queue
-          end)
-        (space.succs i)
+      for k = 0 to space.degree i - 1 do
+        let j = space.target i k in
+        if (not seen.(j)) && within j then begin
+          seen.(j) <- true;
+          parent.(j) <- Some (i, space.label i k);
+          Queue.add j queue
+        end
+      done
   done;
   match !found with
   | None -> None
@@ -227,74 +197,3 @@ let shortest_path space ~goal =
       match parent.(i) with None -> acc | Some (p, label) -> unwind p (label :: acc)
     in
     Some (unwind target [], target)
-
-(* Counted clique: a configuration is the multiset of states.  A step picks
-   one agent in state [q]; it observes every other agent, i.e. the multiset
-   minus one occurrence of [q], capped at β. *)
-let explore_clique ~max_configs m label_count =
-  let n = Multiset.size label_count in
-  if n < 2 then invalid_arg "Space.explore_clique: need at least two nodes";
-  let initial = Multiset.map m.Machine.init label_count in
-  let neighbourhood_of counts q =
-    List.map (fun (s, c) -> (s, min c m.Machine.beta)) (Multiset.to_counts (Multiset.remove q counts))
-  in
-  let expand counts =
-    List.map
-      (fun (q, _) ->
-        let q' = m.Machine.delta q (neighbourhood_of counts q) in
-        (0, Multiset.add q' (Multiset.remove q counts)))
-      (Multiset.to_counts counts)
-  in
-  let configs, edges, i0 = explore_generic ~max_configs ~initial ~expand in
-  let all p i = List.for_all (fun (s, _) -> p s) (Multiset.to_counts configs.(i)) in
-  {
-    kind = Counted;
-    node_count = n;
-    size = Array.length configs;
-    initial = i0;
-    succs = (fun i -> edges.(i));
-    accepting = (fun i -> all m.Machine.accepting i);
-    rejecting = (fun i -> all m.Machine.rejecting i);
-    describe = (fun i -> Format.asprintf "%a" (Multiset.pp m.Machine.pp_state) configs.(i));
-    backend = Generic;
-  }
-
-(* Counted star: (centre state, leaf state count).  The centre observes the
-   capped leaf counts; a leaf observes only the centre. *)
-let explore_star ~max_configs m ~centre ~leaves =
-  let n = 1 + Multiset.size leaves in
-  let initial = (m.Machine.init centre, Multiset.map m.Machine.init leaves) in
-  let expand (ctr, counts) =
-    let centre_nbh =
-      List.map (fun (s, c) -> (s, min c m.Machine.beta)) (Multiset.to_counts counts)
-    in
-    let centre_move = (0, (m.Machine.delta ctr centre_nbh, counts)) in
-    let leaf_moves =
-      List.map
-        (fun (q, _) ->
-          let q' = m.Machine.delta q [ (ctr, 1) ] in
-          (0, (ctr, Multiset.add q' (Multiset.remove q counts))))
-        (Multiset.to_counts counts)
-    in
-    centre_move :: leaf_moves
-  in
-  let configs, edges, i0 = explore_generic ~max_configs ~initial ~expand in
-  let all p i =
-    let ctr, counts = configs.(i) in
-    p ctr && List.for_all (fun (s, _) -> p s) (Multiset.to_counts counts)
-  in
-  {
-    kind = Counted;
-    node_count = n;
-    size = Array.length configs;
-    initial = i0;
-    succs = (fun i -> edges.(i));
-    accepting = (fun i -> all m.Machine.accepting i);
-    rejecting = (fun i -> all m.Machine.rejecting i);
-    describe =
-      (fun i ->
-        let ctr, counts = configs.(i) in
-        Format.asprintf "ctr=%a leaves=%a" m.Machine.pp_state ctr
-          (Multiset.pp m.Machine.pp_state) counts);
-    backend = Generic;
-  }

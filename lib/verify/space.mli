@@ -1,47 +1,43 @@
 (** Configuration spaces: the reachability graph of an automaton on a graph.
 
     The verifier decides acceptance by analysing the {e finite} graph of
-    configurations reachable from the initial configuration under exclusive
-    selection.  Three representations are provided:
+    configurations reachable from the initial configuration.  Every space
+    exposes the same indexed edge view — configuration [i] has edges
+    [0 .. degree i - 1], edge [k] going to [target i k] with label
+    [label i k] — whatever stores it:
 
-    - {!explore}: explicit configurations [C : V -> Q]; edges are labelled by
-      the selected node, so adversarial fairness (every node selected
-      infinitely often) can be checked.  Size is up to [|Q|^n].
-    - {!explore_clique}: configurations of a clique quotiented by the natural
-      symmetry — a configuration is just the multiset of states.  This is
-      precisely the logarithmic-space object of the NL upper bound
-      (Lemma 5.1): the Turing machine "ignores G and simulates P on Ĝ",
-      storing the number of agents in each state.
-    - {!explore_star}: configurations of a star — (centre state, leaf state
-      count) — the objects of the Lemma 3.5 cutoff argument.
+    - {!explore}: explicit configurations [C : V -> Q] under exclusive
+      selection, on the packed engine; the view reads the engine's edge
+      arrays.  Size is up to [|Q|^n].
+    - {!explore_legacy}, {!explore_liberal} and {!explore_custom}: a
+      polymorphic worklist that records its edges as a CSR (offset, target
+      and label arrays) in BFS order; the view reads those arrays.
 
-    Counted spaces lose node identity, so they support pseudo-stochastic
-    decisions only; explicit spaces support both fairness notions. *)
+    Counted clique and star quotients (the objects of Lemma 5.1 and the
+    Lemma 3.5 cutoff argument) live in [Dda_symbolic.Counted]. *)
 
 type kind =
-  | Explicit  (** Edge labels are selected nodes. *)
+  | Explicit
+      (** Edge [k] of every configuration selects node [k]: [degree i =
+          node_count] and [label i k = k] (silent moves are self-loops). *)
   | Counted  (** Edge labels do not identify nodes. *)
-
-type backend =
-  | Generic  (** List-of-lists edges from the polymorphic worklist. *)
-  | Packed of Engine.t
-      (** The packed engine's arrays are available; {!Decide} uses them for
-          allocation-free SCC analyses and the lifted symmetry-aware
-          adversarial check. *)
 
 type t = {
   kind : kind;
   node_count : int;  (** Nodes of the underlying communication graph. *)
   size : int;  (** Number of reachable configurations. *)
   initial : int;
-  succs : int -> (int * int) list;
-      (** [succs i] lists [(label, j)] edges; for explicit spaces the label is
-          the selected node and every node contributes exactly one edge
-          (silent moves give self-loops). *)
+  degree : int -> int;  (** Out-edges of a configuration. *)
+  target : int -> int -> int;  (** [target i k]: where edge [k] of [i] goes. *)
+  label : int -> int -> int;
+      (** [label i k]: the label of edge [k] of [i] — the selected node on
+          explicit spaces. *)
   accepting : int -> bool;  (** All nodes of the configuration accepting. *)
   rejecting : int -> bool;
   describe : int -> string;  (** Human-readable configuration, for reports. *)
-  backend : backend;
+  engine : Engine.t option;
+      (** The packed engine behind the view, when there is one: {!Decide}
+          reads its symmetry group and its spill state from it. *)
 }
 
 exception Too_large of int
@@ -57,7 +53,6 @@ val is_reduced : t -> bool
 
 val explore_custom :
   max_configs:int ->
-  kind:kind ->
   node_count:int ->
   initial:'c ->
   expand:('c -> (int * 'c) list) ->
@@ -66,10 +61,11 @@ val explore_custom :
   describe:('c -> string) ->
   t
 (** Generic worklist exploration over an arbitrary configuration type
-    (hashable by structure): the engine behind all the spaces in this module
-    and behind the native-semantics spaces of the extension modules
-    (weak broadcasts, absence detection, population and strong-broadcast
-    protocols).  [expand] lists the labelled successors of a configuration.
+    (hashable by structure), giving a [Counted] space: the engine behind
+    the native-semantics spaces of the extension modules (weak broadcasts,
+    absence detection, population and strong-broadcast protocols).
+    [expand] lists the labelled successors of a configuration, in edge
+    order.
     @raise Too_large when more than [max_configs] configurations are
     found. *)
 
@@ -97,17 +93,9 @@ val explore :
 
 val explore_legacy :
   max_configs:int -> ('l, 's) Dda_machine.Machine.t -> 'l Dda_graph.Graph.t -> t
-(** The pre-engine explorer (polymorphic hashing, list edges), kept as the
+(** The pre-engine explorer (polymorphic hashing, worklist CSR), kept as the
     differential-testing oracle and benchmark baseline.
     @raise Too_large when more than [max_configs] configurations are found. *)
-
-val explore_clique :
-  max_configs:int ->
-  ('l, 's) Dda_machine.Machine.t ->
-  'l Dda_multiset.Multiset.t ->
-  t
-(** Counted exploration of the clique with the given label count.
-    @raise Invalid_argument if the label count has fewer than 2 nodes. *)
 
 val explore_liberal :
   max_configs:int -> ('l, 's) Dda_machine.Machine.t -> 'l Dda_graph.Graph.t -> t
@@ -118,11 +106,13 @@ val explore_liberal :
     check the selection-irrelevance theorem of [16] on concrete instances:
     the pseudo-stochastic verdict must agree with the exclusive one. *)
 
-val shortest_path : t -> goal:(int -> bool) -> (int list * int) option
-(** BFS from the initial configuration to the nearest configuration
-    satisfying [goal]: returns the edge labels along the path and the goal
-    index.  On explicit spaces the labels are the selected nodes, i.e. the
-    path is a {e replayable schedule prefix}. *)
+val shortest_path :
+  ?from:int -> ?within:(int -> bool) -> t -> goal:(int -> bool) -> (int list * int) option
+(** BFS from [from] (default: the initial configuration) to the nearest
+    configuration satisfying [goal], through configurations satisfying
+    [within] (default: all): returns the edge labels along the path and the
+    goal index.  On explicit spaces the labels are the selected nodes, i.e.
+    the path is a {e replayable schedule prefix}. *)
 
 val to_dot : ?max_size:int -> Format.formatter -> t -> unit
 (** Graphviz rendering of the configuration graph (accepting configurations
@@ -130,12 +120,3 @@ val to_dot : ?max_size:int -> Format.formatter -> t -> unit
     selected nodes on explicit spaces).
     @raise Invalid_argument if the space exceeds [max_size] (default 200)
     configurations — render small spaces only. *)
-
-val explore_star :
-  max_configs:int ->
-  ('l, 's) Dda_machine.Machine.t ->
-  centre:'l ->
-  leaves:'l Dda_multiset.Multiset.t ->
-  t
-(** Counted exploration of the star with the given centre label and leaf
-    label count. *)

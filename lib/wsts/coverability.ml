@@ -187,4 +187,4 @@ let cutoff_bound ~states m =
    extend to e.g. cliques": on a clique, the last agent leaving a state
    changes the presence observation of every other agent, so the stratified
    order is not compatible with the step relation there.  Counted clique
-   spaces (Dda_verify.Space.explore_clique) are the right tool for cliques. *)
+   spaces (Dda_symbolic.Counted.clique) are the right tool for cliques. *)

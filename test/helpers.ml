@@ -50,3 +50,9 @@ let clique_two_a : (char, int) Machine.t =
     ~accepting:(fun q -> q = 2)
     ~rejecting:(fun q -> q < 2)
     ~pp_state:Format.pp_print_int ()
+
+(* The [(label, target)] edges of configuration [i], read through the
+   space's edge view. *)
+let edges space i =
+  List.init (space.Dda_verify.Space.degree i) (fun k ->
+      (space.Dda_verify.Space.label i k, space.Dda_verify.Space.target i k))

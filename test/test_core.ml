@@ -79,9 +79,22 @@ let test_decide_no_cycle () =
   | _ -> Alcotest.fail "expected No_cycle"
 
 let test_decide_clique () =
-  match Decision.decide_clique exists_a (M.of_counts [ ("a", 2); ("b", 5) ]) with
+  (match Decision.decide_clique exists_a (M.of_counts [ ("a", 2); ("b", 5) ]) with
   | Ok Decide.Accepts -> ()
-  | _ -> Alcotest.fail "clique decision"
+  | _ -> Alcotest.fail "clique decision");
+  (* counted configurations need a clique of at least two nodes *)
+  List.iter
+    (fun lc ->
+      Alcotest.check_raises "fewer than 2 nodes refused"
+        (Invalid_argument "Counted.of_shape: a clique needs at least two nodes") (fun () ->
+          ignore (Decision.decide_clique exists_a lc)))
+    [ M.empty; M.of_counts [ ("a", 1) ] ];
+  match
+    Decision.decide_clique ~budget:{ Decision.default_budget with max_configs = 3 } exists_a
+      (M.of_counts [ ("a", 1); ("b", 5) ])
+  with
+  | Error (`Too_large _) -> ()
+  | _ -> Alcotest.fail "expected Too_large"
 
 let test_simulate_verdict () =
   let g = G.line [ "b"; "a"; "b"; "b" ] in

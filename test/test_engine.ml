@@ -63,7 +63,7 @@ let shape_graph = function
   | 3 -> G.star ~centre:'a' ~leaves:[ 'b'; 'b'; 'a' ]
   | _ -> G.line [ 'b'; 'a' ]
 
-let edges_of space i = space.Space.succs i
+let edges_of = Helpers.edges
 
 (* ------------------------------------------------------------------ *)
 (* Engine = legacy, exactly: same numbering, same edges, same flags,
@@ -240,11 +240,28 @@ let test_group_mul () =
     [ Sym.cycle 4; Sym.star ~centre:0 4; Sym.line 5; Sym.clique 3 ]
 
 (* ------------------------------------------------------------------ *)
-(* Iterative Tarjan agrees with the legacy recursive one.              *)
+(* Iterative Tarjan against an oracle that shares no code with it:     *)
+(* mutual reachability, by one BFS per vertex.                         *)
 (* ------------------------------------------------------------------ *)
 
+let reachable succ src =
+  let seen = Array.make (Array.length succ) false in
+  let queue = Queue.create () in
+  seen.(src) <- true;
+  Queue.add src queue;
+  while not (Queue.is_empty queue) do
+    Array.iter
+      (fun w ->
+        if not seen.(w) then begin
+          seen.(w) <- true;
+          Queue.add w queue
+        end)
+      succ.(Queue.pop queue)
+  done;
+  seen
+
 let prop_scc_iter_matches =
-  QCheck.Test.make ~name:"Scc.compute_iter = Scc.compute" ~count:200
+  QCheck.Test.make ~name:"SCCs = mutual reachability" ~count:200
     QCheck.small_int
     (fun seed ->
       let rng = Prng.create (0xabcd + seed) in
@@ -253,13 +270,23 @@ let prop_scc_iter_matches =
         Array.init n (fun _ ->
             Array.init (Prng.int rng 4) (fun _ -> Prng.int rng n))
       in
-      let r = Scc.compute ~vertices:n ~succs:(fun v -> Array.to_list succ.(v)) in
       let it =
         Scc.compute_iter ~vertices:n
           ~degree:(fun v -> Array.length succ.(v))
           ~succ:(fun v k -> succ.(v).(k))
       in
-      r.Scc.count = it.Scc.comp_count && r.Scc.component = it.Scc.comp)
+      let comp = it.Scc.comp in
+      let reach = Array.init n (reachable succ) in
+      let used = Array.make it.Scc.comp_count false in
+      Array.iter (fun c -> used.(c) <- true) comp;
+      Array.for_all Fun.id used
+      && List.for_all
+           (fun u ->
+             List.for_all
+               (fun v -> comp.(u) = comp.(v) = (reach.(u).(v) && reach.(v).(u)))
+               (Listx.range n)
+             && Array.for_all (fun w -> comp.(u) >= comp.(w)) succ.(u))
+           (Listx.range n))
 
 (* ------------------------------------------------------------------ *)
 (* Engine internals: memoisation effectiveness, stats plausibility.    *)
@@ -298,7 +325,7 @@ let test_silent_pin () =
 let test_liberal_masks () =
   let g = G.line [ 'a'; 'b'; 'b' ] in
   let space = Space.explore_liberal ~max_configs:10_000 Helpers.exists_a g in
-  let labels = List.sort compare (List.map fst (space.Space.succs space.Space.initial)) in
+  let labels = List.sort compare (List.map fst (Helpers.edges space space.Space.initial)) in
   Alcotest.(check (list int))
     "masks 1..2^n-1" (List.init 7 (fun k -> k + 1)) labels;
   (* liberal selection must not change the pseudo-stochastic verdict

@@ -197,7 +197,7 @@ let same_space a b =
   && a.Space.initial = b.Space.initial
   && List.for_all
        (fun i ->
-         a.Space.succs i = b.Space.succs i
+         Helpers.edges a i = Helpers.edges b i
          && a.Space.accepting i = b.Space.accepting i
          && a.Space.rejecting i = b.Space.rejecting i)
        (Listx.range a.Space.size)
@@ -432,7 +432,7 @@ let prop_silent_edges =
       let legacy = Space.explore_legacy ~max_configs:100_000 m g in
       let legacy_loops =
         List.fold_left
-          (fun a i -> a + List.length (List.filter (fun (_, j) -> j = i) (legacy.Space.succs i)))
+          (fun a i -> a + List.length (List.filter (fun (_, j) -> j = i) (Helpers.edges legacy i)))
           0 (Listx.range legacy.Space.size)
       in
       List.for_all

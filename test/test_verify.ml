@@ -3,6 +3,8 @@ module M = Dda_multiset.Multiset
 module Space = Dda_verify.Space
 module Scc = Dda_verify.Scc
 module Decide = Dda_verify.Decide
+module Counted = Dda_symbolic.Counted
+module Analysis = Dda_symbolic.Analysis
 open Helpers
 
 let verdict = Alcotest.testable Decide.pp_verdict (fun a b -> a = b)
@@ -14,6 +16,23 @@ let is_inconsistent = function Decide.Inconsistent _ -> true | _ -> false
 
 (* --- SCC ---------------------------------------------------------------- *)
 
+(* Tarjan over adjacency lists, plus the two component facts the analyses
+   read off it: no edge leaves the component (bottom) / some edge stays
+   inside it (it carries a cycle). *)
+let scc_of_lists ~vertices succs =
+  let succ = Array.init vertices (fun v -> Array.of_list (succs v)) in
+  let r =
+    Scc.compute_iter ~vertices ~degree:(fun v -> Array.length succ.(v)) ~succ:(fun v k -> succ.(v).(k))
+  in
+  let edges_of c p =
+    List.concat_map
+      (fun v -> if r.Scc.comp.(v) = c then List.map (fun w -> p r.Scc.comp.(w)) (succs v) else [])
+      (Dda_util.Listx.range vertices)
+  in
+  let bottom c = List.for_all Fun.id (edges_of c (fun d -> d = c)) in
+  let cyclic c = List.exists Fun.id (edges_of c (fun d -> d = c)) in
+  (r, bottom, cyclic)
+
 let test_scc_basic () =
   (* 0 <-> 1 -> 2 -> 3 <-> 4, plus 2 self-loop *)
   let succs = function
@@ -24,32 +43,38 @@ let test_scc_basic () =
     | 4 -> [ 3 ]
     | _ -> []
   in
-  let r = Scc.compute ~vertices:5 ~succs in
-  Alcotest.(check int) "three components" 3 r.Scc.count;
-  Alcotest.(check bool) "0,1 together" true (r.Scc.component.(0) = r.Scc.component.(1));
-  Alcotest.(check bool) "3,4 together" true (r.Scc.component.(3) = r.Scc.component.(4));
-  Alcotest.(check bool) "2 alone" true
-    (r.Scc.component.(2) <> r.Scc.component.(0) && r.Scc.component.(2) <> r.Scc.component.(3));
+  let r, bottom, cyclic = scc_of_lists ~vertices:5 succs in
+  let comp = r.Scc.comp in
+  Alcotest.(check int) "three components" 3 r.Scc.comp_count;
+  Alcotest.(check bool) "0,1 together" true (comp.(0) = comp.(1));
+  Alcotest.(check bool) "3,4 together" true (comp.(3) = comp.(4));
+  Alcotest.(check bool) "2 alone" true (comp.(2) <> comp.(0) && comp.(2) <> comp.(3));
   (* bottom: only {3,4} *)
-  Alcotest.(check bool) "34 bottom" true (Scc.is_bottom r ~succs r.Scc.component.(3));
-  Alcotest.(check bool) "01 not bottom" false (Scc.is_bottom r ~succs r.Scc.component.(0));
-  Alcotest.(check bool) "2 has self loop" true (Scc.has_internal_edge r ~succs r.Scc.component.(2));
-  Alcotest.(check bool) "01 has internal edge" true (Scc.has_internal_edge r ~succs r.Scc.component.(0))
+  Alcotest.(check bool) "34 bottom" true (bottom comp.(3));
+  Alcotest.(check bool) "01 not bottom" false (bottom comp.(0));
+  Alcotest.(check bool) "2 not bottom" false (bottom comp.(2));
+  Alcotest.(check bool) "2 has self loop" true (cyclic comp.(2));
+  Alcotest.(check bool) "01 has internal edge" true (cyclic comp.(0))
 
 let test_scc_edge_direction () =
   (* Tarjan numbering: every edge goes to an equal-or-lower component id. *)
   let succs = function 0 -> [ 1 ] | 1 -> [ 2 ] | 2 -> [] | _ -> [] in
-  let r = Scc.compute ~vertices:3 ~succs in
-  Alcotest.(check int) "three singletons" 3 r.Scc.count;
-  Alcotest.(check bool) "ordering" true
-    (r.Scc.component.(0) >= r.Scc.component.(1) && r.Scc.component.(1) >= r.Scc.component.(2))
+  let r, bottom, cyclic = scc_of_lists ~vertices:3 succs in
+  let comp = r.Scc.comp in
+  Alcotest.(check int) "three singletons" 3 r.Scc.comp_count;
+  Alcotest.(check bool) "ordering" true (comp.(0) >= comp.(1) && comp.(1) >= comp.(2));
+  Alcotest.(check bool) "sink is bottom" true (bottom comp.(2));
+  Alcotest.(check bool) "no cycles" false
+    (List.exists cyclic [ comp.(0); comp.(1); comp.(2) ])
 
 let test_scc_large_path () =
   (* deep path should not overflow the stack (iterative Tarjan) *)
   let n = 200_000 in
-  let succs v = if v + 1 < n then [ v + 1 ] else [] in
-  let r = Scc.compute ~vertices:n ~succs in
-  Alcotest.(check int) "all singletons" n r.Scc.count
+  let r =
+    Scc.compute_iter ~vertices:n ~degree:(fun v -> if v + 1 < n then 1 else 0) ~succ:(fun v _ -> v + 1)
+  in
+  Alcotest.(check int) "all singletons" n r.Scc.comp_count;
+  Alcotest.(check bool) "reverse topological" true (r.Scc.comp.(0) = n - 1 && r.Scc.comp.(n - 1) = 0)
 
 (* --- Spaces -------------------------------------------------------------- *)
 
@@ -60,7 +85,9 @@ let test_explicit_space () =
   Alcotest.(check int) "three configs" 3 space.Space.size;
   Alcotest.(check bool) "initial not accepting" false (space.Space.accepting space.Space.initial);
   (* each config has exactly n labelled edges *)
-  Alcotest.(check int) "3 edges" 3 (List.length (space.Space.succs space.Space.initial))
+  Alcotest.(check int) "3 edges" 3 (space.Space.degree space.Space.initial);
+  Alcotest.(check (list int)) "edge k selects node k" [ 0; 1; 2 ]
+    (List.map fst (edges space space.Space.initial))
 
 let test_explicit_too_large () =
   let g = G.clique [ 'a'; 'b'; 'b'; 'b' ] in
@@ -70,15 +97,22 @@ let test_explicit_too_large () =
 
 let test_counted_clique_space () =
   let lc = M.of_counts [ ('a', 1); ('b', 4) ] in
-  let space = Space.explore_clique ~max_configs:1000 exists_a lc in
+  let space = Counted.clique ~max_configs:1000 exists_a lc in
   (* counted configs: (Yes^k No^(5-k)) for k = 1..5 *)
-  Alcotest.(check int) "five counted configs" 5 space.Space.size
+  Alcotest.(check int) "five counted configs" 5 space.Counted.size;
+  (* a clique needs two nodes: there is nothing to decide on fewer *)
+  List.iter
+    (fun lc ->
+      Alcotest.check_raises "fewer than 2 nodes refused"
+        (Invalid_argument "Counted.of_shape: a clique needs at least two nodes") (fun () ->
+          ignore (Counted.clique ~max_configs:1000 exists_a lc)))
+    [ M.empty; M.of_list [ 'a' ] ]
 
 let test_counted_star_space () =
   let space =
-    Space.explore_star ~max_configs:1000 exists_a ~centre:'b' ~leaves:(M.of_counts [ ('a', 2); ('b', 2) ])
+    Counted.star ~max_configs:1000 exists_a ~centre:'b' ~leaves:(M.of_counts [ ('a', 2); ('b', 2) ])
   in
-  Alcotest.(check bool) "non-trivial" true (space.Space.size >= 3)
+  Alcotest.(check bool) "non-trivial" true (space.Counted.size >= 3)
 
 (* --- Decisions ------------------------------------------------------------ *)
 
@@ -134,10 +168,10 @@ let test_counted_matches_explicit_on_cliques () =
     (fun labels ->
       let g = G.clique labels in
       let explicit = Space.explore ~max_configs:200000 exists_a g in
-      let counted = Space.explore_clique ~max_configs:200000 exists_a (M.of_list labels) in
+      let counted = Counted.clique ~max_configs:200000 exists_a (M.of_list labels) in
       Alcotest.check verdict "same verdict"
         (Decide.pseudo_stochastic explicit)
-        (Decide.pseudo_stochastic counted))
+        (Analysis.pseudo_stochastic counted))
     [ [ 'a'; 'b'; 'b' ]; [ 'b'; 'b'; 'b' ]; [ 'a'; 'a'; 'b'; 'b' ]; [ 'b'; 'c'; 'b'; 'c' ] ]
 
 let test_clique_two_a_on_cliques () =
@@ -162,10 +196,27 @@ let test_clique_two_a_fails_on_lines () =
     (Decide.pseudo_stochastic space)
 
 let test_adversarial_requires_explicit () =
-  let counted = Space.explore_clique ~max_configs:1000 exists_a (M.of_counts [ ('a', 1); ('b', 2) ]) in
+  (* liberal selection labels edges by node sets, not nodes *)
+  let liberal = Space.explore_liberal ~max_configs:1000 exists_a (G.line [ 'a'; 'b'; 'b' ]) in
   Alcotest.check_raises "counted rejected"
     (Invalid_argument "Decide.adversarial: needs an explicit space (node identity)") (fun () ->
-      ignore (Decide.adversarial counted))
+      ignore (Decide.adversarial liberal))
+
+(* Covered nodes are bits of one int: 63 nodes are refused up front, on
+   both explicit explorers, while 62 still decide. *)
+let test_adversarial_node_bound () =
+  let line k = G.line ('a' :: List.init (k - 1) (fun _ -> 'b')) in
+  List.iter
+    (fun explore ->
+      Alcotest.check verdict "62 nodes" accepts (Decide.adversarial (explore (line 62)));
+      let space = explore (line 63) in
+      Alcotest.check_raises "63 nodes refused"
+        (Invalid_argument "Decide.adversarial: more than 62 nodes") (fun () ->
+          ignore (Decide.adversarial space)))
+    [
+      (fun g -> Space.explore ~max_configs:1000 exists_a g);
+      (fun g -> Space.explore_legacy ~max_configs:1000 exists_a g);
+    ]
 
 (* A machine that accepts only under pseudo-stochastic fairness: a node needs
    to see its two cycle-neighbours in different states to accept... we use a
@@ -238,12 +289,10 @@ let test_counted_star_matches_explicit () =
     (fun (centre, leaves) ->
       let g = G.star ~centre ~leaves in
       let explicit = Space.explore ~max_configs:300000 exists_a g in
-      let counted =
-        Space.explore_star ~max_configs:300000 exists_a ~centre ~leaves:(M.of_list leaves)
-      in
+      let counted = Counted.star ~max_configs:300000 exists_a ~centre ~leaves:(M.of_list leaves) in
       Alcotest.check verdict "star quotient"
         (Decide.pseudo_stochastic explicit)
-        (Decide.pseudo_stochastic counted))
+        (Analysis.pseudo_stochastic counted))
     [ ('b', [ 'a'; 'b'; 'b' ]); ('a', [ 'b'; 'b' ]); ('b', [ 'b'; 'b'; 'b'; 'b' ]); ('c', [ 'a'; 'a' ]) ]
 
 let test_liberal_selection_irrelevance () =
@@ -328,6 +377,37 @@ let test_adversarial_witness_absent_when_consistent () =
   Alcotest.(check bool) "lasso against reject" true
     (Decide.adversarial_witness space ~against:`Rejecting <> None)
 
+(* The evidence surfaces on the Lemma 4.10 majority automaton, pinned
+   byte for byte: the packed engine and the legacy explorer must give the
+   same lassos, paths and verdict texts, whatever stores their edges. *)
+let test_evidence_pinned () =
+  let m = Dda_extensions.Population.compile Dda_protocols.Pop_examples.majority_4state in
+  let g = G.cycle [ 'a'; 'a'; 'b' ] in
+  let lasso = Alcotest.(option (pair (list int) (list int))) in
+  let path = Alcotest.(option (pair (list int) int)) in
+  List.iter
+    (fun space ->
+      Alcotest.check lasso "lasso against acceptance"
+        (Some ([ 0; 2; 0; 2; 0 ], [ 0; 0; 1; 1; 2; 2 ]))
+        (Decide.adversarial_witness space ~against:`Accepting);
+      Alcotest.check lasso "lasso against rejection"
+        (Some ([ 0; 2; 0; 2; 0; 0; 1; 0; 1; 0; 0; 2; 0; 2 ], [ 0; 0; 2; 0; 2; 0; 0; 2; 0; 2; 1; 2 ]))
+        (Decide.adversarial_witness space ~against:`Rejecting);
+      Alcotest.check path "accepting certificate path"
+        (Some ([ 0; 2; 0; 2; 0; 0; 1; 0; 1; 0; 0; 2; 0; 2 ], 141))
+        (Decide.certificate_path space `Accepting);
+      Alcotest.check path "no rejecting certificate path" None
+        (Decide.certificate_path space `Rejecting);
+      Alcotest.check verdict "adversarial text"
+        (Decide.Inconsistent
+           "fair runs revisit non-accepting [b A b] and non-rejecting [A\u{2713}a a A] configurations")
+        (Decide.adversarial space);
+      Alcotest.check verdict "unconditional text"
+        (Decide.Inconsistent
+           "runs can loop through non-accepting [a a b\u{2713}A] and non-rejecting [A\u{2713}a a A]")
+        (Decide.unconditional space))
+    [ Space.explore ~max_configs:200000 m g; Space.explore_legacy ~max_configs:200000 m g ]
+
 let test_space_to_dot () =
   let g = G.line [ 'a'; 'b'; 'b' ] in
   let space = Space.explore ~max_configs:1000 exists_a g in
@@ -374,6 +454,7 @@ let () =
           Alcotest.test_case "clique-two-a on cliques" `Quick test_clique_two_a_on_cliques;
           Alcotest.test_case "clique-two-a fails on lines" `Quick test_clique_two_a_fails_on_lines;
           Alcotest.test_case "adversarial needs explicit" `Quick test_adversarial_requires_explicit;
+          Alcotest.test_case "adversarial node bound" `Quick test_adversarial_node_bound;
           Alcotest.test_case "certificate decider (Prop D.2)" `Quick test_certificate_matches_bottom_scc;
           QCheck_alcotest.to_alcotest prop_certificate_consistent;
           Alcotest.test_case "certificate path (witness schedule)" `Quick test_certificate_path;
@@ -381,6 +462,7 @@ let () =
           Alcotest.test_case "liberal selection irrelevance" `Quick test_liberal_selection_irrelevance;
           Alcotest.test_case "adversarial lasso witness" `Quick test_adversarial_witness;
           Alcotest.test_case "no lasso when consistent" `Quick test_adversarial_witness_absent_when_consistent;
+          Alcotest.test_case "evidence pinned" `Quick test_evidence_pinned;
           Alcotest.test_case "space dot export" `Quick test_space_to_dot;
           Alcotest.test_case "verdict bool" `Quick test_verdict_bool;
         ] );
