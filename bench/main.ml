@@ -1328,7 +1328,7 @@ let experiment_symbolic () =
           | Certify.Window w -> Printf.sprintf "w=%d" w)
           fv.Certify.configs median;
         (name, fv, times))
-      [ ("adversarial", `Adversarial); ("pseudo_stochastic", `Pseudo_stochastic) ]
+      [ ("adversarial", Decide.Adversarial); ("pseudo_stochastic", Decide.Pseudo_stochastic) ]
   in
   (* the explicit engine's view of the same family: one instance at a time,
      |Q|^n configurations each *)

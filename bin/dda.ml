@@ -33,7 +33,6 @@ module Json = Dda_telemetry.Json
 module Spec = Dda_batch.Spec
 module Batch = Dda_batch.Batch
 module Store = Dda_batch.Store
-module Fingerprint = Dda_batch.Fingerprint
 module Sproto = Dda_service.Protocol
 module Server = Dda_service.Server
 module Router = Dda_service.Router
@@ -65,12 +64,6 @@ let parse_graph = Spec.parse_graph
 let parse_protocol = Spec.parse_protocol
 let parse_scheduler = Spec.parse_scheduler
 let alphabet_of = Spec.alphabet_of
-
-let fairness_of_regime = function
-  | Spec.Adversarial -> Classes.Adversarial
-  | Spec.Pseudo_stochastic -> Classes.Pseudo_stochastic
-
-let parse_fairness s = Result.map fairness_of_regime (Spec.parse_regime s)
 
 (* ------------------------------------------------------------------ *)
 (* Commands                                                             *)
@@ -227,8 +220,7 @@ let cmd_decide proto_spec graph_spec fairness_str engine_str cache_dir max_confi
     reduce mem_budget trace metrics journal progress =
   telemetry_init trace metrics journal progress;
   set_mem_budget mem_budget;
-  let fairness = or_die (parse_fairness fairness_str) in
-  let regime = Dda_core.Decision.regime_of_fairness fairness in
+  let regime = or_die (Spec.parse_regime fairness_str) in
   let engine = or_die (Spec.parse_engine engine_str) in
   let cache = open_cache cache_dir in
   let _lock = lock_cache `Shared cache in
@@ -237,69 +229,42 @@ let cmd_decide proto_spec graph_spec fairness_str engine_str cache_dir max_confi
   | Spec.Concrete g ->
   let (Spec.Packed m) = or_die (parse_protocol proto_spec g) in
   let symmetry = if reduce then symmetry_of_spec graph_spec (G.nodes g) else None in
-  let shape =
-    match engine with
-    | Spec.Explicit -> None
-    | Spec.Symbolic | Spec.Auto -> Dda_symbolic.Counted.shape_of_graph g
+  let plan =
+    or_die (Batch.plan ?cache ~graph_spec ~jobs ?symmetry ~engine ~regime ~max_configs m g)
   in
-  (match (engine, shape) with
-  | Spec.Symbolic, None ->
-    or_die (Error "the symbolic engine needs a clique or star graph")
-  | _ -> ());
-  let engine_used = if Option.is_some shape then "symbolic" else "explicit" in
+  let symbolic = plan.Batch.engine = "symbolic" in
   Format.printf "automaton: %s   graph: %s (n=%d)   fairness: %s%s%s%s@." m.Machine.name graph_spec
     (G.nodes g)
-    (match fairness with Classes.Adversarial -> "adversarial" | _ -> "pseudo-stochastic")
-    (if engine_used <> "explicit" then "   engine: symbolic" else "")
+    (match regime with Spec.Adversarial -> "adversarial" | _ -> "pseudo-stochastic")
+    (if symbolic then "   engine: symbolic" else "")
     (if jobs > 1 then Printf.sprintf "   jobs: %d" jobs else "")
     (match symmetry with
     | Some s -> Printf.sprintf "   symmetry: order %d" (Dda_verify.Symmetry.order s)
     | None -> "");
   match cache with
   | Some store -> (
-    let mkey = Fingerprint.machine ~labels:(alphabet_of g) m in
-    let key =
-      Fingerprint.key ~engine:engine_used ~machine:mkey ~graph:(Fingerprint.graph g)
-        ~regime:(Spec.regime_name regime) ~max_configs ()
-    in
-    match Store.find_tier store key with
-    | Some (e, tier) ->
-      print_entry e ~tier:(match tier with `Mem -> "mem" | `Disk -> "disk")
+    match Batch.lookup store plan with
+    | Some (e, tier) -> print_entry e ~tier:(Batch.tier_name tier)
     | None -> (
-      (* a clique/star instance may be covered by a certified family entry
-         even when its own key misses — at any n, including sizes far past
-         the explicit engine's reach *)
-      match Batch.family_hit ~cache:store ~machine_key:mkey ~regime ~max_configs graph_spec with
-      | Some (e, _) -> print_entry e ~tier:"family"
-      | None -> (
-        let d =
-          or_refuse (fun () ->
-              Batch.decide ~cache:store ~machine_key:mkey ~jobs ?symmetry ~engine ~regime
-                ~max_configs m g)
-        in
-        match d.Batch.result with
-        | Batch.Bounded n ->
-          Format.printf "state space exceeds %d configurations; try `dda simulate` instead@." n;
-          exit 1
-        | Batch.Verdict v ->
-          Format.printf "verdict: %s@." (verdict_name v);
-          Format.printf "space: %d configurations in %.2fs@." d.Batch.configs d.Batch.seconds;
-          Format.printf "tier: none@.")))
-  | None ->
-  match shape with
-  | Some shape -> (
+      let ((d, _) as c) = or_die (plan.Batch.compute ()) in
+      Batch.record store plan c;
+      match d.Batch.result with
+      | Batch.Bounded n ->
+        Format.printf "state space exceeds %d configurations; try `dda simulate` instead@." n;
+        exit 1
+      | Batch.Verdict v ->
+        Format.printf "verdict: %s@." (verdict_name v);
+        Format.printf "space: %d configurations in %.2fs@." d.Batch.configs d.Batch.seconds;
+        Format.printf "tier: none@."))
+  | None when symbolic -> (
     (* uncached symbolic path: one counted exploration, no witness support *)
     let t0 = Unix.gettimeofday () in
-    match Dda_symbolic.Counted.of_shape ~max_configs m shape with
+    match Option.get (Dda_symbolic.Counted.of_graph ~max_configs m g) with
     | exception Dda_symbolic.Counted.Too_large n ->
       Format.printf "counted space exceeds %d configurations; raise --max-configs@." n;
       exit 1
     | c ->
-      let v =
-        match fairness with
-        | Classes.Adversarial -> Dda_symbolic.Analysis.adversarial c
-        | _ -> Dda_symbolic.Analysis.pseudo_stochastic c
-      in
+      let v = Dda_symbolic.Analysis.for_regime regime c in
       Format.printf "verdict: %a@." Decide.pp_verdict v;
       Format.printf "counted space: %d configurations (%d states interned) in %.2fs@."
         c.Dda_symbolic.Counted.size c.Dda_symbolic.Counted.state_count
@@ -313,11 +278,7 @@ let cmd_decide proto_spec graph_spec fairness_str engine_str cache_dir max_confi
     Format.printf "state space exceeds %d configurations; try `dda simulate` instead@." n;
     exit 1
   | space ->
-    let v =
-      match fairness with
-      | Classes.Adversarial -> or_refuse (fun () -> Decide.adversarial space)
-      | _ -> Decide.pseudo_stochastic space
-    in
+    let v = or_refuse (fun () -> Decide.for_regime regime space) in
     let dt = Unix.gettimeofday () -. t0 in
     Format.printf "verdict: %a@." Decide.pp_verdict v;
     (match Dda_verify.Space.engine space with

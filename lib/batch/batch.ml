@@ -55,106 +55,56 @@ let verdict_of_result = function
   | Verdict (Decide.Inconsistent w) -> Store.Inconsistent w
   | Bounded n -> Store.Bounded n
 
-let time thunk =
-  let t0 = Unix.gettimeofday () in
-  let result, configs = thunk () in
+let of_entry (e : Store.entry) =
+  {
+    result = result_of_verdict e.Store.verdict;
+    cached = true;
+    configs = e.Store.configs;
+    seconds = e.Store.seconds;
+  }
+
+(* --- The tier chain ----------------------------------------------------------- *)
+
+type computed = decision * Store.family_cert option
+
+type tier = Mem | Disk | Family
+
+let tier_name = function Mem -> "mem" | Disk -> "disk" | Family -> "family"
+
+type plan = {
+  compute : unit -> (computed, string) result;
+  key : string;
+  machine_key : string;
+  graph_key : string;
+  engine : string;
+  regime : Spec.regime;
+  max_configs : int;
+  fallback : (string * int) option Lazy.t;
+}
+
+let timed t0 result configs =
   { result; cached = false; configs; seconds = Unix.gettimeofday () -. t0 }
 
-let store_decision ?(count = true) ?(engine = "explicit") ?family cache ~key
-    ~machine_key ~graph_key ~regime ~max_configs d =
-  Store.put cache
-    {
-      Store.key;
-      machine = machine_key;
-      graph = graph_key;
-      regime = Spec.regime_name regime;
-      max_configs;
-      verdict = verdict_of_result d.result;
-      configs = d.configs;
-      seconds = d.seconds;
-      engine;
-      family;
-    };
-  if count then T.incr c_stores
-
-let cached ?cache ?(count = true) ?(engine = "explicit") ~machine_key ~graph_key
-    ~regime ~max_configs thunk =
-  match cache with
-  | None -> time thunk
-  | Some store -> (
-    let key =
-      Fingerprint.key ~engine ~machine:machine_key ~graph:graph_key
-        ~regime:(Spec.regime_name regime) ~max_configs ()
-    in
-    match Store.find store key with
-    | Some e ->
-      note_hit count;
-      {
-        result = result_of_verdict e.Store.verdict;
-        cached = true;
-        configs = e.Store.configs;
-        seconds = e.Store.seconds;
-      }
-    | None ->
-      note_miss count;
-      let d = time thunk in
-      store_decision ~count ~engine store ~key ~machine_key ~graph_key ~regime
-        ~max_configs d;
-      d)
-
-let classify regime space =
-  match (regime : Spec.regime) with
-  | Spec.Adversarial -> Decide.adversarial space
-  | Spec.Pseudo_stochastic -> Decide.pseudo_stochastic space
+(* an analysis that refuses its input (adversarial fairness beyond 62
+   nodes) is an error value, like a family that does not stabilise *)
+let computing thunk () =
+  let t0 = Unix.gettimeofday () in
+  match thunk () with
+  | result, configs -> Ok (timed t0 result configs, None)
+  | exception Invalid_argument msg -> Error msg
 
 let explore_and_classify ?jobs ?symmetry ~regime ~max_configs m g () =
   match Space.explore ?jobs ?symmetry ~max_configs m g with
   | exception Space.Too_large n -> (Bounded n, n)
   | exception Dda_wsts.Coverability.Too_large n -> (Bounded n, n)
-  | space -> (Verdict (classify regime space), space.Space.size)
-
-let counted_regime = function
-  | Spec.Adversarial -> `Adversarial
-  | Spec.Pseudo_stochastic -> `Pseudo_stochastic
+  | space -> (Verdict (Decide.for_regime regime space), space.Space.size)
 
 let explore_and_classify_counted ~regime ~max_configs m shape () =
   match Dda_symbolic.Counted.of_shape ~max_configs m shape with
   | exception Dda_symbolic.Counted.Too_large n -> (Bounded n, n)
   | space ->
-    ( Verdict (Dda_symbolic.Analysis.for_regime (counted_regime regime) space),
+    ( Verdict (Dda_symbolic.Analysis.for_regime regime space),
       space.Dda_symbolic.Counted.size )
-
-let decide ?cache ?count ?machine_key ?jobs ?symmetry ?(engine = Spec.Explicit)
-    ~regime ~max_configs m g =
-  (* the symbolic engine only has counted semantics for cliques and stars;
-     Auto falls back to the explicit engine elsewhere *)
-  let shape =
-    match engine with
-    | Spec.Explicit -> None
-    | Spec.Symbolic | Spec.Auto -> Dda_symbolic.Counted.shape_of_graph g
-  in
-  (match (engine, shape) with
-  | Spec.Symbolic, None ->
-    invalid_arg "Batch.decide: the symbolic engine needs a clique or star graph"
-  | _ -> ());
-  let engine_used, thunk =
-    match shape with
-    | Some shape ->
-      ("symbolic", explore_and_classify_counted ~regime ~max_configs m shape)
-    | None -> ("explicit", explore_and_classify ?jobs ?symmetry ~regime ~max_configs m g)
-  in
-  match cache with
-  | None -> time thunk (* no fingerprint work on the uncached path *)
-  | Some _ ->
-    let machine_key =
-      match machine_key with
-      | Some k -> k
-      | None -> Fingerprint.machine ~labels:(Spec.alphabet_of g) m
-    in
-    cached ?cache ?count ~engine:engine_used ~machine_key
-      ~graph_key:(Fingerprint.graph g) ~regime ~max_configs thunk
-
-(* --- Family verdicts --------------------------------------------------------- *)
 
 let cert_of_family (fv : Dda_symbolic.Certify.t) =
   {
@@ -171,66 +121,146 @@ let family_key ~machine_key ~regime ~max_configs fam =
     ~graph:(Fingerprint.family fam) ~regime:(Spec.regime_name regime)
     ~max_configs ()
 
-let decide_family ?cache ?(count = true) ?machine_key ~regime ~max_configs m fam
-    =
+(* the family entry of a concrete clique/star spec, with the instance size *)
+let family_fallback ~machine_key ~regime ~max_configs spec =
+  Option.map
+    (fun (fam, n) -> (family_key ~machine_key ~regime ~max_configs fam, n))
+    (Spec.family_of_instance spec)
+
+let find_family store (key, n) =
+  match Store.find store key with
+  | Some ({ Store.family = Some fc; _ } as e) when n >= fc.Store.from_n -> Some e
+  | Some _ | None -> None
+
+let keyed cache compute ~engine ~machine_key ~graph_key ~regime ~max_configs
+    ~fallback =
+  let key =
+    match cache with
+    | None -> ""
+    | Some _ ->
+      Fingerprint.key ~engine ~machine:machine_key ~graph:graph_key
+        ~regime:(Spec.regime_name regime) ~max_configs ()
+  in
+  { compute; key; machine_key; graph_key; engine; regime; max_configs; fallback }
+
+let machine_key_of cache machine_key labels m =
+  match (cache, machine_key) with
+  | None, _ -> ""  (* no fingerprint work on the uncached path *)
+  | Some _, Some k -> k
+  | Some _, None -> Fingerprint.machine ~labels:(labels ()) m
+
+let plan ?cache ?machine_key ?graph_spec ?jobs ?symmetry ?(engine = Spec.Explicit)
+    ~regime ~max_configs m g =
+  (* the symbolic engine only has counted semantics for cliques and stars;
+     Auto falls back to the explicit engine elsewhere *)
+  let shape =
+    match engine with
+    | Spec.Explicit -> None
+    | Spec.Symbolic | Spec.Auto -> Dda_symbolic.Counted.shape_of_graph g
+  in
+  match (engine, shape) with
+  | Spec.Symbolic, None -> Error "the symbolic engine needs a clique or star graph"
+  | _ ->
+    let engine, thunk =
+      match shape with
+      | Some shape ->
+        ("symbolic", explore_and_classify_counted ~regime ~max_configs m shape)
+      | None -> ("explicit", explore_and_classify ?jobs ?symmetry ~regime ~max_configs m g)
+    in
+    let machine_key = machine_key_of cache machine_key (fun () -> Spec.alphabet_of g) m in
+    let fallback =
+      match (cache, graph_spec) with
+      | Some _, Some spec -> lazy (family_fallback ~machine_key ~regime ~max_configs spec)
+      | _ -> lazy None
+    in
+    Ok
+      (keyed cache (computing thunk) ~engine ~machine_key
+         ~graph_key:(if cache = None then "" else Fingerprint.graph g)
+         ~regime ~max_configs ~fallback)
+
+let plan_family ?cache ?machine_key ~regime ~max_configs m fam =
   let compute () =
-    match
-      Dda_symbolic.Certify.decide_family ~max_configs
-        ~regime:(counted_regime regime) m fam
-    with
+    let t0 = Unix.gettimeofday () in
+    match Dda_symbolic.Certify.decide_family ~max_configs ~regime m fam with
     | Ok fv ->
       Ok
-        ( time (fun () -> (Verdict fv.Dda_symbolic.Certify.verdict, fv.Dda_symbolic.Certify.configs)),
+        ( timed t0 (Verdict fv.Dda_symbolic.Certify.verdict) fv.Dda_symbolic.Certify.configs,
           Some (cert_of_family fv) )
-    | Error (`Too_large n) -> Ok (time (fun () -> (Bounded n, n)), None)
+    | Error (`Too_large n) -> Ok (timed t0 (Bounded n) n, None)
     | Error (`Unsupported msg) -> Error msg
   in
-  match cache with
+  let machine_key =
+    machine_key_of cache machine_key (fun () -> Dda_symbolic.Family.alphabet fam) m
+  in
+  keyed cache compute ~engine:"symbolic" ~machine_key
+    ~graph_key:(if cache = None then "" else Fingerprint.family fam)
+    ~regime ~max_configs ~fallback:(lazy None)
+
+let lookup store p =
+  match Store.find_tier store p.key with
+  | Some (e, `Mem) -> Some (e, Mem)
+  | Some (e, `Disk) -> Some (e, Disk)
   | None ->
-    let t0 = Unix.gettimeofday () in
-    Result.map
-      (fun (d, cert) -> ({ d with seconds = Unix.gettimeofday () -. t0 }, cert))
-      (compute ())
+    (* on an exact miss, an instance of a certified family may still be
+       answered by the family's single store entry, whatever its size *)
+    Option.bind (Lazy.force p.fallback) (fun fb ->
+        Option.map (fun e -> (e, Family)) (find_family store fb))
+
+let record store p ((d, family) : computed) =
+  Store.put store
+    {
+      Store.key = p.key;
+      machine = p.machine_key;
+      graph = p.graph_key;
+      regime = Spec.regime_name p.regime;
+      max_configs = p.max_configs;
+      verdict = verdict_of_result d.result;
+      configs = d.configs;
+      seconds = d.seconds;
+      engine = p.engine;
+      family;
+    }
+
+(* lookup, else compute and record — with the batch layer's counters *)
+let through ?cache ~count p =
+  match cache with
+  | None -> p.compute ()
   | Some store -> (
-    let machine_key =
-      match machine_key with
-      | Some k -> k
-      | None ->
-        Fingerprint.machine ~labels:(Dda_symbolic.Family.alphabet fam) m
-    in
-    let key = family_key ~machine_key ~regime ~max_configs fam in
-    match Store.find store key with
-    | Some e ->
+    match lookup store p with
+    | Some (e, _) ->
       note_hit count;
-      Ok
-        ( {
-            result = result_of_verdict e.Store.verdict;
-            cached = true;
-            configs = e.Store.configs;
-            seconds = e.Store.seconds;
-          },
-          e.Store.family )
+      Ok (of_entry e, e.Store.family)
     | None ->
       note_miss count;
-      let t0 = Unix.gettimeofday () in
-      Result.map
-        (fun (d, cert) ->
-          let d = { d with seconds = Unix.gettimeofday () -. t0 } in
-          store_decision ~count ~engine:"symbolic" ?family:cert store ~key
-            ~machine_key ~graph_key:(Fingerprint.family fam) ~regime ~max_configs
-            d;
-          (d, cert))
-        (compute ()))
+      let c = p.compute () in
+      Result.iter
+        (fun c ->
+          record store p c;
+          if count then T.incr c_stores)
+        c;
+      c)
+
+let decision_exn = function Ok (d, _) -> d | Error msg -> invalid_arg msg
+
+let cached ?cache ?(count = true) ?(engine = "explicit") ~machine_key ~graph_key
+    ~regime ~max_configs thunk =
+  decision_exn
+    (through ?cache ~count
+       (keyed cache (computing thunk) ~engine ~machine_key ~graph_key ~regime
+          ~max_configs ~fallback:(lazy None)))
+
+let decide ?cache ?(count = true) ?machine_key ?jobs ?symmetry ?engine ~regime
+    ~max_configs m g =
+  match plan ?cache ?machine_key ?jobs ?symmetry ?engine ~regime ~max_configs m g with
+  | Error msg -> invalid_arg msg
+  | Ok p -> decision_exn (through ?cache ~count p)
+
+let decide_family ?cache ?(count = true) ?machine_key ~regime ~max_configs m fam =
+  through ?cache ~count (plan_family ?cache ?machine_key ~regime ~max_configs m fam)
 
 let family_hit ~cache ~machine_key ~regime ~max_configs graph_spec =
-  match Spec.family_of_instance graph_spec with
-  | None -> None
-  | Some (fam, n) -> (
-    let key = family_key ~machine_key ~regime ~max_configs fam in
-    match Store.find cache key with
-    | Some ({ Store.family = Some fc; _ } as e) when n >= fc.Store.from_n ->
-      Some (e, key)
-    | Some _ | None -> None)
+  Option.bind (family_fallback ~machine_key ~regime ~max_configs graph_spec)
+    (fun ((key, _) as fb) -> Option.map (fun e -> (e, key)) (find_family cache fb))
 
 (* --- Manifests -------------------------------------------------------------- *)
 
@@ -314,17 +344,6 @@ type report = {
   seconds : float;
 }
 
-type resolved = {
-  r_compute : unit -> result_ * int;
-  r_key : string;  (* "" when running uncached *)
-  r_machine : string;
-  r_graph : string;
-  r_engine : string;
-  (* filled by family compute thunks on the worker domain; Domain.join
-     publishes it before the main domain reads it back *)
-  r_family : Store.family_cert option ref;
-}
-
 let machine_fp memo ~protocol ~alphabet m =
   let mkey = (protocol, alphabet) in
   match Hashtbl.find_opt memo mkey with
@@ -336,69 +355,25 @@ let machine_fp memo ~protocol ~alphabet m =
 
 let resolve ?cache memo job =
   let ( let* ) = Result.bind in
-  let* gspec = Spec.parse_graph_spec job.graph in
+  let prefix what = Result.map_error (fun msg -> what ^ ": " ^ msg) in
+  let* gspec = prefix "graph" (Spec.parse_graph_spec job.graph) in
+  (* families build their protocol over the smallest instance — every
+     instance shares the family's alphabet *)
+  let rep, alphabet =
+    match gspec with
+    | Spec.Concrete g -> (g, Spec.alphabet_of g)
+    | Spec.Family fam -> (Spec.family_representative fam, Dda_symbolic.Family.alphabet fam)
+  in
+  let* (Spec.Packed m) = prefix "protocol" (Spec.parse_protocol job.protocol rep) in
+  (* one machine fingerprint per (protocol, alphabet) pair, not per job *)
+  let machine_key =
+    Option.map (fun _ -> machine_fp memo ~protocol:job.protocol ~alphabet m) cache
+  in
+  let regime = job.regime and max_configs = job.max_configs in
   match gspec with
-  | Spec.Concrete g -> (
-    let* (Spec.Packed m) = Spec.parse_protocol job.protocol g in
-    let r_compute =
-      explore_and_classify ~regime:job.regime ~max_configs:job.max_configs m g
-    in
-    let r_family = ref None in
-    match cache with
-    | None ->
-      Ok
-        {
-          r_compute;
-          r_key = "";
-          r_machine = "";
-          r_graph = "";
-          r_engine = "explicit";
-          r_family;
-        }
-    | Some _ ->
-      (* one machine fingerprint per (protocol, alphabet) pair, not per job *)
-      let alphabet = Spec.alphabet_of g in
-      let r_machine = machine_fp memo ~protocol:job.protocol ~alphabet m in
-      let r_graph = Fingerprint.graph g in
-      let r_key =
-        Fingerprint.key ~machine:r_machine ~graph:r_graph
-          ~regime:(Spec.regime_name job.regime) ~max_configs:job.max_configs ()
-      in
-      Ok { r_compute; r_key; r_machine; r_graph; r_engine = "explicit"; r_family })
-  | Spec.Family fam ->
-    let rep = Spec.family_representative fam in
-    let* (Spec.Packed m) = Spec.parse_protocol job.protocol rep in
-    let r_family = ref None in
-    let r_compute () =
-      match
-        Dda_symbolic.Certify.decide_family ~max_configs:job.max_configs
-          ~regime:(counted_regime job.regime) m fam
-      with
-      | Ok fv ->
-        r_family := Some (cert_of_family fv);
-        (Verdict fv.Dda_symbolic.Certify.verdict, fv.Dda_symbolic.Certify.configs)
-      | Error (`Too_large n) -> (Bounded n, n)
-      | Error (`Unsupported msg) -> failwith msg
-    in
-    if cache = None then
-      Ok
-        {
-          r_compute;
-          r_key = "";
-          r_machine = "";
-          r_graph = "";
-          r_engine = "symbolic";
-          r_family;
-        }
-    else
-      let alphabet = Dda_symbolic.Family.alphabet fam in
-      let r_machine = machine_fp memo ~protocol:job.protocol ~alphabet m in
-      let r_graph = Fingerprint.family fam in
-      let r_key =
-        family_key ~machine_key:r_machine ~regime:job.regime
-          ~max_configs:job.max_configs fam
-      in
-      Ok { r_compute; r_key; r_machine; r_graph; r_engine = "symbolic"; r_family }
+  | Spec.Concrete g ->
+    plan ?cache ?machine_key ~graph_spec:job.graph ~regime ~max_configs m g
+  | Spec.Family fam -> Ok (plan_family ?cache ?machine_key ~regime ~max_configs m fam)
 
 (* Execute a shard's share of the cache misses.  Runs on a worker domain:
    no cache access, no telemetry counters — only the spans inside the
@@ -406,7 +381,7 @@ let resolve ?cache memo job =
 let exec_shard ?time_budget ~interrupted items =
   let t0 = Unix.gettimeofday () in
   List.map
-    (fun (idx, r) ->
+    (fun (idx, p) ->
       let over_budget =
         match time_budget with
         | Some b -> Unix.gettimeofday () -. t0 > b
@@ -415,8 +390,9 @@ let exec_shard ?time_budget ~interrupted items =
       if interrupted () then (idx, `Interrupted)
       else if over_budget then (idx, `Skipped)
       else
-        match time r.r_compute with
-        | d -> (idx, `Computed d)
+        match p.compute () with
+        | Ok c -> (idx, `Computed (p, c))
+        | Error msg -> (idx, `Failed msg)
         | exception e -> (idx, `Failed (Printexc.to_string e)))
     items
 
@@ -429,41 +405,18 @@ let run ?cache ?(shards = 1) ?time_budget ?(interrupted = fun () -> false) jobs 
   let shard_of = Array.make n (-1) in
   (* resolve and answer hits on the main domain; collect the misses *)
   let misses = ref [] in
-  let resolved = Array.make n None in
   List.iteri
     (fun idx job ->
       match resolve ?cache memo job with
       | Error msg -> outcomes.(idx) <- Failed msg
-      | Ok r -> (
-        resolved.(idx) <- Some r;
-        let direct =
-          Option.bind cache (fun store -> Store.find store r.r_key)
-        in
-        (* on an exact miss, an instance of a certified family may still be
-           answered by the family's single store entry *)
-        let hit =
-          match (direct, cache) with
-          | (Some _ as h), _ -> h
-          | None, Some store ->
-            Option.map fst
-              (family_hit ~cache:store ~machine_key:r.r_machine
-                 ~regime:job.regime ~max_configs:job.max_configs job.graph)
-          | None, None -> None
-        in
-        match hit with
-        | Some e ->
+      | Ok p -> (
+        match Option.bind cache (fun store -> lookup store p) with
+        | Some (e, _) ->
           note_hit true;
-          outcomes.(idx) <-
-            Done
-              {
-                result = result_of_verdict e.Store.verdict;
-                cached = true;
-                configs = e.Store.configs;
-                seconds = e.Store.seconds;
-              }
+          outcomes.(idx) <- Done (of_entry e)
         | None ->
           if cache <> None then note_miss true;
-          misses := (idx, r) :: !misses))
+          misses := (idx, p) :: !misses))
     jobs;
   let misses = List.rev !misses in
   (* round-robin static partition across the shards *)
@@ -488,15 +441,13 @@ let run ?cache ?(shards = 1) ?time_budget ?(interrupted = fun () -> false) jobs 
          | `Skipped -> outcomes.(idx) <- Skipped
          | `Interrupted -> outcomes.(idx) <- Interrupted
          | `Failed msg -> outcomes.(idx) <- Failed msg
-         | `Computed d ->
+         | `Computed (p, ((d, _) as c)) ->
            outcomes.(idx) <- Done d;
-           (match (cache, resolved.(idx)) with
-           | Some store, Some r ->
-             let job = List.nth jobs idx in
-             store_decision ~engine:r.r_engine ?family:!(r.r_family) store
-               ~key:r.r_key ~machine_key:r.r_machine ~graph_key:r.r_graph
-               ~regime:job.regime ~max_configs:job.max_configs d
-           | _ -> ())))
+           Option.iter
+             (fun store ->
+               record store p c;
+               T.incr c_stores)
+             cache))
     results;
   (* telemetry aggregation, all on the main domain *)
   if T.enabled () then begin

@@ -1,8 +1,8 @@
 (** Sharded batch verification with the persistent verdict cache.
 
     The runner takes a manifest of jobs — protocol × graph × fairness
-    regime, each with a configuration budget — resolves every job's cache
-    key ({!Fingerprint}), answers hits from the {!Store}, shards the misses
+    regime, each with a configuration budget — resolves every job to a
+    {!plan}, answers hits from the {!Store}, shards the misses
     round-robin across worker domains, and persists fresh verdicts.  Cache
     lookups and writes happen only on the main domain; workers just
     explore, so the store never sees concurrent writers from one process.
@@ -30,6 +30,70 @@ val cache_stats : unit -> int * int
     with telemetry disabled. *)
 
 val reset_cache_stats : unit -> unit
+
+(** {1 The tier chain}
+
+    Every cached front end — {!run}, {!decide}, {!decide_family},
+    {!cached}, [dda decide --cache] and the server — answers a request the
+    same way: build its {!plan}, {!lookup} the plan in the store (memory,
+    then disk, then — for a concrete clique/star instance — its family's
+    certified entry), and on a miss run the plan's [compute] and {!record}
+    the result.  [lookup] and [record] count nothing: each front end keeps
+    its own counters ([cache.*] and {!cache_stats} here, [service.*] in the
+    server). *)
+
+type computed = decision * Store.family_cert option
+(** A fresh result, with the certification record of a family verdict. *)
+
+type tier =
+  | Mem  (** the store's in-memory LRU *)
+  | Disk  (** an entry file *)
+  | Family  (** a certified family entry covering the instance *)
+
+val tier_name : tier -> string
+(** ["mem"], ["disk"], ["family"] — the access log's and the CLI's names. *)
+
+type plan = {
+  compute : unit -> (computed, string) result;
+      (** The exploration, timed; a resource bound is an [Ok] [Bounded]
+          result, a refused input or an unstabilised family an [Error].
+          Pure: safe to run on any domain. *)
+  key : string;  (** the exact cache key; [""] for a plan built without a cache *)
+  machine_key : string;
+  graph_key : string;  (** {!Fingerprint.graph} or {!Fingerprint.family} *)
+  engine : string;  (** provenance: ["explicit"] or ["symbolic"] *)
+  regime : Spec.regime;
+  max_configs : int;
+  fallback : (string * int) option Lazy.t;
+      (** A concrete clique/star instance's family key and size; forced by
+          {!lookup} only after an exact miss. *)
+}
+
+val plan :
+  ?cache:Store.t ->
+  ?machine_key:string ->
+  ?graph_spec:string ->
+  ?jobs:int ->
+  ?symmetry:Dda_verify.Symmetry.t ->
+  ?engine:Spec.engine ->
+  regime:Spec.regime ->
+  max_configs:int ->
+  (string, 's) Dda_machine.Machine.t ->
+  string Dda_graph.Graph.t ->
+  (plan, string) result
+(** The plan for a built machine and graph.  Fingerprints are computed only
+    with [?cache] ([machine_key] amortises the machine's across calls); the
+    uncached plan does no fingerprint work.  [graph_spec], the graph's spec
+    string, enables the family fallback.  [engine] (default [Explicit])
+    picks the backend: [Symbolic] decides over counted configurations
+    (clique/star graphs only — [Error] otherwise) and [Auto] uses the
+    counted engine when the graph is a clique or star, the explicit engine
+    otherwise.  Symbolic verdicts live under engine-salted keys. *)
+
+val lookup : Store.t -> plan -> (Store.entry * tier) option
+
+val record : Store.t -> plan -> computed -> unit
+(** Persist a fresh result under the plan's key, with its provenance. *)
 
 val cached :
   ?cache:Store.t ->
@@ -61,17 +125,12 @@ val decide :
   (string, 's) Dda_machine.Machine.t ->
   string Dda_graph.Graph.t ->
   decision
-(** Cached exact decision: explore the configuration space and classify by
-    the regime (fair-SCC for adversarial, bottom-SCC for
-    pseudo-stochastic).  [machine_key] lets callers amortise the machine
-    fingerprint across many graphs; it is only computed (or used) when a
-    cache is present — the uncached path does no fingerprint work.
-
-    [engine] (default [Explicit]) picks the configuration-space backend:
-    [Symbolic] decides over counted configurations (clique/star graphs
-    only — [Invalid_argument] otherwise) and [Auto] uses the counted
-    engine when the graph is a clique or star, the explicit engine
-    otherwise.  Symbolic verdicts are cached under engine-salted keys. *)
+(** Cached exact decision: {!plan}, then the tier chain.  The regime
+    classifies the explored space (fair-SCC for adversarial, bottom-SCC for
+    pseudo-stochastic).
+    @raise Invalid_argument when the plan or its computation refuses the
+    input (symbolic engine on another topology, adversarial fairness on
+    more than 62 nodes). *)
 
 (** {1 Family verdicts (symbolic engine)} *)
 
@@ -83,7 +142,7 @@ val decide_family :
   max_configs:int ->
   (string, 's) Dda_machine.Machine.t ->
   Dda_symbolic.Family.t ->
-  (decision * Store.family_cert option, string) result
+  (computed, string) result
 (** Decide a whole graph family ([clique:ab*], [star:ba*]) with the
     symbolic engine and persist the certified verdict as {e one} store
     entry (graph slot = {!Fingerprint.family}).  The certification record
@@ -105,8 +164,9 @@ val family_hit :
     verdict: collapse the spec to its family ({!Spec.family_of_instance}),
     look up the family entry, and return it (with its key) when the
     instance size is within the certified range ([n >= from_n]).  This is
-    how one family entry answers every instance-n query — including sizes
-    far beyond the explicit engine's reach. *)
+    the {!Family} tier of {!lookup}: one family entry answers every
+    instance-n query — including sizes far beyond the explicit engine's
+    reach. *)
 
 (** {1 Manifests and the sharded runner} *)
 
@@ -130,6 +190,17 @@ val manifest_of_string :
 
 val manifest_of_file :
   ?default_max_configs:int -> string -> (job list, string) result
+
+val resolve :
+  ?cache:Store.t ->
+  (string * string list, string) Hashtbl.t ->
+  job ->
+  (plan, string) result
+(** The plan of a job given as spec strings: a concrete graph goes through
+    {!plan} (explicit engine, with its spec as the family fallback), a
+    family through the symbolic engine.  The table memoises machine fingerprints per
+    (protocol, alphabet) across jobs.  [Error] names the spec that failed
+    to parse (["graph: ..."], ["protocol: ..."]). *)
 
 type outcome =
   | Done of decision

@@ -5,7 +5,7 @@ module Scheduler = Dda_scheduler.Scheduler
 
 type packed = Packed : (string, 's) Machine.t -> packed
 
-type regime = Adversarial | Pseudo_stochastic
+type regime = Dda_verify.Decide.regime = Adversarial | Pseudo_stochastic
 
 let regime_name = function Adversarial -> "f" | Pseudo_stochastic -> "F"
 

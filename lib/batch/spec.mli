@@ -9,11 +9,10 @@
 type packed = Packed : (string, 's) Dda_machine.Machine.t -> packed
 (** Protocols packed existentially, so one table covers all state types. *)
 
-type regime = Adversarial | Pseudo_stochastic
+type regime = Dda_verify.Decide.regime = Adversarial | Pseudo_stochastic
 (** The fairness regime of a verification job — the paper's f (adversarial)
-    and F (pseudo-stochastic) classes.  Redeclared here (rather than reusing
-    [Dda_core.Classes.fairness]) so the batch layer does not depend on the
-    high-level core; [Dda_core] converts trivially. *)
+    and F (pseudo-stochastic) classes; [Dda_core.Classes.fairness] is the
+    same type. *)
 
 val regime_name : regime -> string
 (** ["f"] for adversarial, ["F"] for pseudo-stochastic — the names used in

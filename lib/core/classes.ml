@@ -1,6 +1,6 @@
 type detection = Non_counting | Counting
 type acceptance = Halting | Stable_consensus
-type fairness = Adversarial | Pseudo_stochastic
+type fairness = Dda_verify.Decide.regime = Adversarial | Pseudo_stochastic
 
 type t = { detection : detection; acceptance : acceptance; fairness : fairness }
 

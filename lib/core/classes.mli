@@ -11,7 +11,8 @@
 
 type detection = Non_counting | Counting
 type acceptance = Halting | Stable_consensus
-type fairness = Adversarial | Pseudo_stochastic
+type fairness = Dda_verify.Decide.regime = Adversarial | Pseudo_stochastic
+(** The regime type of the decision procedures, under its class name. *)
 
 type t = { detection : detection; acceptance : acceptance; fairness : fairness }
 

@@ -1,6 +1,5 @@
 module Machine = Dda_machine.Machine
 module Graph = Dda_graph.Graph
-module Space = Dda_verify.Space
 module Decide = Dda_verify.Decide
 module Scheduler = Dda_scheduler.Scheduler
 module Run = Dda_runtime.Run
@@ -11,47 +10,15 @@ let default_budget = { max_configs = 200_000; max_steps = 1_000_000 }
 
 type outcome = (Decide.verdict, [ `Too_large of int | `No_cycle ]) result
 
-let decide ?(budget = default_budget) ?jobs ?symmetry
-    ?(engine = Dda_batch.Spec.Explicit) ~fairness m g =
-  let explicit () =
-    match Space.explore ?jobs ?symmetry ~max_configs:budget.max_configs m g with
-    | exception Space.Too_large n -> Error (`Too_large n)
-    | space -> (
-      match (fairness : Classes.fairness) with
-      | Classes.Adversarial -> Ok (Decide.adversarial space)
-      | Classes.Pseudo_stochastic -> Ok (Decide.pseudo_stochastic space))
+let decide ?cache ?machine_key ?(budget = default_budget) ?jobs ?symmetry ?engine
+    ~fairness m g =
+  let d =
+    Dda_batch.Batch.decide ?cache ?machine_key ?jobs ?symmetry ?engine ~regime:fairness
+      ~max_configs:budget.max_configs m g
   in
-  match engine with
-  | Dda_batch.Spec.Explicit -> explicit ()
-  | Dda_batch.Spec.Symbolic | Dda_batch.Spec.Auto -> (
-    match Dda_symbolic.Counted.of_graph ~max_configs:budget.max_configs m g with
-    | exception Dda_symbolic.Counted.Too_large n -> Error (`Too_large n)
-    | Some c ->
-      Ok
-        (match (fairness : Classes.fairness) with
-        | Classes.Adversarial -> Dda_symbolic.Analysis.adversarial c
-        | Classes.Pseudo_stochastic -> Dda_symbolic.Analysis.pseudo_stochastic c)
-    | None ->
-      if engine = Dda_batch.Spec.Symbolic then
-        invalid_arg "Decision.decide: the symbolic engine needs a clique or star graph"
-      else explicit ())
-
-let regime_of_fairness = function
-  | Classes.Adversarial -> Dda_batch.Spec.Adversarial
-  | Classes.Pseudo_stochastic -> Dda_batch.Spec.Pseudo_stochastic
-
-let decide_cached ?cache ?machine_key ?(budget = default_budget) ?jobs ?symmetry
-    ?engine ~fairness m g =
-  match cache with
-  | None -> decide ~budget ?jobs ?symmetry ?engine ~fairness m g
-  | Some _ ->
-    let d =
-      Dda_batch.Batch.decide ?cache ?machine_key ?jobs ?symmetry ?engine
-        ~regime:(regime_of_fairness fairness) ~max_configs:budget.max_configs m g
-    in
-    (match d.Dda_batch.Batch.result with
-    | Dda_batch.Batch.Verdict v -> Ok v
-    | Dda_batch.Batch.Bounded n -> Error (`Too_large n))
+  match d.Dda_batch.Batch.result with
+  | Dda_batch.Batch.Verdict v -> Ok v
+  | Dda_batch.Batch.Bounded n -> Error (`Too_large n)
 
 let decide_synchronous ?(budget = default_budget) m g =
   match Decide.synchronous ~max_steps:budget.max_steps m g with

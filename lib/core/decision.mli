@@ -18,33 +18,6 @@ val default_budget : budget
 type outcome = (Dda_verify.Decide.verdict, [ `Too_large of int | `No_cycle ]) result
 
 val decide :
-  ?budget:budget ->
-  ?jobs:int ->
-  ?symmetry:Dda_verify.Symmetry.t ->
-  ?engine:Dda_batch.Spec.engine ->
-  fairness:Classes.fairness ->
-  ('l, 's) Dda_machine.Machine.t ->
-  'l Dda_graph.Graph.t ->
-  outcome
-(** Exact decision by state-space analysis.  [`Too_large] reports an
-    exceeded configuration budget.  [jobs] parallelises exploration over
-    OCaml 5 domains; [symmetry] quotients the space by a group of adjacency
-    automorphisms of [g] (verdicts are unchanged — see
-    [Dda_verify.Engine]).
-
-    [engine] (default [Explicit]) selects the backend: [Symbolic] decides
-    over counted configurations — multisets of states rather than node
-    vectors — and only accepts clique and star graphs
-    ([Invalid_argument] otherwise); [Auto] uses the counted engine when
-    the graph is a clique or star and falls back to the explicit engine
-    for every other topology.  Verdicts agree across engines wherever
-    both apply. *)
-
-val regime_of_fairness : Classes.fairness -> Dda_batch.Spec.regime
-(** [Classes.fairness] and the batch layer's regime are the same two-point
-    type; this is the conversion used by every cached entry point. *)
-
-val decide_cached :
   ?cache:Dda_batch.Store.t ->
   ?machine_key:string ->
   ?budget:budget ->
@@ -55,12 +28,25 @@ val decide_cached :
   (string, 's) Dda_machine.Machine.t ->
   string Dda_graph.Graph.t ->
   outcome
-(** {!decide} through the persistent verdict cache.  Without [?cache] it is
-    exactly {!decide} — no fingerprint is computed.  [machine_key] lets
-    callers that decide many graphs with one machine amortise the machine
-    fingerprint ({!Dda_batch.Fingerprint.machine}) across the calls.
-    [engine] routes as in {!decide}; symbolic verdicts live under
-    engine-salted cache keys, so the two engines never share entries. *)
+(** Exact decision by state-space analysis: {!Dda_batch.Batch.decide} with
+    the budget's configuration bound.  [`Too_large] reports an exceeded
+    configuration budget.  [jobs] parallelises exploration over OCaml 5
+    domains; [symmetry] quotients the space by a group of adjacency
+    automorphisms of [g] (verdicts are unchanged — see
+    [Dda_verify.Engine]).
+
+    [engine] (default [Explicit]) selects the backend: [Symbolic] decides
+    over counted configurations — multisets of states rather than node
+    vectors — and only accepts clique and star graphs
+    ([Invalid_argument] otherwise); [Auto] uses the counted engine when
+    the graph is a clique or star and falls back to the explicit engine
+    for every other topology.  Verdicts agree across engines wherever
+    both apply.
+
+    With [?cache] the verdict goes through the persistent verdict cache;
+    without it no fingerprint is computed.  [machine_key] lets callers that
+    decide many graphs with one machine amortise the machine fingerprint
+    ({!Dda_batch.Fingerprint.machine}) across the calls. *)
 
 val decide_synchronous :
   ?budget:budget ->

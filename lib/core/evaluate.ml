@@ -41,7 +41,7 @@ let against_predicate ?cache ?budget ~fairness ~machine ~predicate ~graphs () =
       Some (Dda_batch.Fingerprint.machine ~labels machine)
   in
   run_cases
-    (fun g -> Decision.decide_cached ?cache ?machine_key ?budget ~fairness machine g)
+    (fun g -> Decision.decide ?cache ?machine_key ?budget ~fairness machine g)
     ~predicate ~graphs
 
 let against_predicate_synchronous ?budget ~machine ~predicate ~graphs () =

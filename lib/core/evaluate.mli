@@ -26,7 +26,7 @@ val against_predicate :
   unit ->
   case list
 (** With [?cache], verdicts go through the persistent cache
-    ({!Decision.decide_cached}); the machine fingerprint is computed once
+    ({!Decision.decide}); the machine fingerprint is computed once
     for the whole suite. *)
 
 val against_predicate_synchronous :

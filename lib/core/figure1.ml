@@ -67,7 +67,7 @@ let arbitrary_table ?cache ?(max_nodes = 4) () =
     let halted_exists = Machine.halting exists_a in
     let witness =
       let g = G.cycle [ "a"; "b"; "b" ] in
-      match Decision.decide_cached ?cache ~budget ~fairness:Classes.Adversarial halted_exists g with
+      match Decision.decide ?cache ~budget ~fairness:Classes.Adversarial halted_exists g with
       | Ok v when Decide.verdict_bool v = Some true ->
         ("halting ∃a-automaton unexpectedly still decides", false)
       | Ok v ->
@@ -126,7 +126,7 @@ let arbitrary_table ?cache ?(max_nodes = 4) () =
           ()
       in
       let g = G.line [ "a"; "b"; "b"; "a" ] in
-      match Decision.decide_cached ?cache ~budget ~fairness:Classes.Adversarial m g with
+      match Decision.decide ?cache ~budget ~fairness:Classes.Adversarial m g with
       | Ok Decide.Rejects ->
         ("candidate counting automaton wrongly rejects the line a-b-b-a (cutoff β+1)", true)
       | _ -> ("witness did not behave as predicted", false)
@@ -152,7 +152,7 @@ let arbitrary_table ?cache ?(max_nodes = 4) () =
     let adversarial_witness =
       (* the same automaton is inconsistent under adversarial fairness *)
       let g = G.cycle [ "a"; "a"; "b" ] in
-      match Decision.decide_cached ?cache ~budget ~fairness:Classes.Adversarial (pop_majority ()) g with
+      match Decision.decide ?cache ~budget ~fairness:Classes.Adversarial (pop_majority ()) g with
       | Ok (Decide.Inconsistent _) ->
         ("the Lemma 4.10 majority automaton has non-converging fair runs under f", true)
       | Ok v -> (Format.asprintf "unexpectedly %a under f" Decide.pp_verdict v, false)
@@ -163,7 +163,7 @@ let arbitrary_table ?cache ?(max_nodes = 4) () =
          machine confuses (3,2) with (2,2) *)
       let m = Dda_protocols.Cutoff_broadcast.machine ~alphabet ~k:2 majority in
       let g = G.cycle [ "a"; "a"; "a"; "b"; "b" ] in
-      match Decision.decide_cached ?cache ~budget ~fairness:Classes.Pseudo_stochastic m g with
+      match Decision.decide ?cache ~budget ~fairness:Classes.Pseudo_stochastic m g with
       | Ok Decide.Rejects ->
         ("the cutoff-2 majority automaton wrongly rejects 3a2b (⌈(3,2)⌉₂ = (2,2))", true)
       | Ok v -> (Format.asprintf "unexpectedly %a" Decide.pp_verdict v, false)
@@ -273,7 +273,7 @@ let simulate_majority_cell ?cache ~class_name ~schedulers_of () =
     (fun (g, expected) ->
       if G.nodes g <= 4 then begin
         incr exact_total;
-        match Decision.decide_cached ?cache ~budget:exact_budget ~fairness:Classes.Adversarial m g with
+        match Decision.decide ?cache ~budget:exact_budget ~fairness:Classes.Adversarial m g with
         | Ok v -> if Decide.verdict_bool v = Some expected then incr exact_good
         | Error _ -> ()
       end)
@@ -331,7 +331,7 @@ let bounded_table ?cache ?(max_nodes = 4) () =
   in
   let dAf_witness =
     let g = G.cycle [ "a"; "a"; "b" ] in
-    match Decision.decide_cached ?cache ~budget ~fairness:Classes.Adversarial (pop_majority ()) g with
+    match Decision.decide ?cache ~budget ~fairness:Classes.Adversarial (pop_majority ()) g with
     | Ok (Decide.Inconsistent _) ->
       {
         class_name = "dAf";
@@ -386,7 +386,7 @@ let bounded_table ?cache ?(max_nodes = 4) () =
       List.length
         (List.filter
            (fun (g, expected) ->
-             match Decision.decide_cached ?cache ~budget ~fairness:Classes.Pseudo_stochastic m g with
+             match Decision.decide ?cache ~budget ~fairness:Classes.Pseudo_stochastic m g with
              | Ok v -> Decide.verdict_bool v = Some expected
              | Error _ -> false)
            cases)

@@ -1,7 +1,6 @@
 module Store = Dda_batch.Store
 module Batch = Dda_batch.Batch
 module Spec = Dda_batch.Spec
-module Fingerprint = Dda_batch.Fingerprint
 module Decide = Dda_verify.Decide
 module T = Dda_telemetry.Telemetry
 module Json = Dda_telemetry.Json
@@ -66,23 +65,11 @@ type pending = {
   p_deadline : float option;  (* absolute wall-clock *)
 }
 
-(* What a worker explores: a concrete graph with the explicit engine, or a
-   whole clique/star family with the symbolic engine. *)
-type spec_task =
-  | T_instance of string Dda_graph.Graph.t
-  | T_family of Dda_symbolic.Family.t
-
-type work = {
-  wk_pending : pending;
-  wk_machine : Spec.packed;
-  wk_task : spec_task;
-  wk_key : (string * string * string) option;  (* cache key, machine fp, graph fp *)
-  wk_engine : string;  (* provenance recorded with the persisted entry *)
-  wk_max_configs : int;
-}
+(* A miss handed to a worker: the request's memoised plan runs there. *)
+type work = { wk_pending : pending; wk_plan : Batch.plan }
 
 type work_result =
-  | W_decision of Batch.decision * Store.family_cert option
+  | W_decision of Batch.computed
   | W_deadline
   | W_error of string
 
@@ -343,7 +330,7 @@ let log_line t ~verb ~id ?key ?tier ?trace ~status ~queue_ms ~compute_ms ~total_
    and feeds stats, the latency window, telemetry and the access log.
    [compute_s] is the worker wall-clock (0 when none ran), subtracted from
    the total to report the queueing share.  [tier] names what answered a
-   cached request (mem | disk | coalesced).  Loop-thread only. *)
+   cached request (mem | disk | family | coalesced).  Loop-thread only. *)
 let respond_admitted t p ?(compute_s = 0.) ?key ?tier status =
   let total_ms = (T.monotonic () -. p.p_admitted) *. 1000. in
   let queue_ms = Float.max 0. (total_ms -. (compute_s *. 1000.)) in
@@ -385,28 +372,15 @@ let worker_loop t () =
     match Queue.pop t.work with
     | None -> ()
     | Some w ->
+      (* no store access here: workers never touch the cache — the loop
+         thread records, so the store sees one writer per process *)
       let r =
         if expired w.wk_pending (Unix.gettimeofday ()) then W_deadline
         else
-          let (Spec.Packed m) = w.wk_machine in
-          let regime = w.wk_pending.p_req.Protocol.regime in
-          match w.wk_task with
-          | T_instance g -> (
-            match
-              Batch.decide ~count:false ~regime ~max_configs:w.wk_max_configs m g
-            with
-            | d -> W_decision (d, None)
-            | exception e -> W_error (Printexc.to_string e))
-          | T_family fam -> (
-            (* no cache here: workers never touch the store — the loop
-               thread persists, exactly as for instance verdicts *)
-            match
-              Batch.decide_family ~count:false ~regime
-                ~max_configs:w.wk_max_configs m fam
-            with
-            | Ok (d, cert) -> W_decision (d, cert)
-            | Error msg -> W_error msg
-            | exception e -> W_error (Printexc.to_string e))
+          match w.wk_plan.Batch.compute () with
+          | Ok c -> W_decision c
+          | Error msg -> W_error msg
+          | exception e -> W_error (Printexc.to_string e)
       in
       Queue.force_push t.done_q (w, r);
       wake t.wake_w;
@@ -446,29 +420,8 @@ let status_of_decision (d : Batch.decision) =
       { verdict = verdict_string v; cached = false; configs = d.Batch.configs; seconds = d.Batch.seconds }
   | Batch.Bounded n -> Protocol.Bounded { reason = "budget"; configs = n }
 
-let store_verdict_of = function
-  | Batch.Verdict Decide.Accepts -> Store.Accepts
-  | Batch.Verdict Decide.Rejects -> Store.Rejects
-  | Batch.Verdict (Decide.Inconsistent w) -> Store.Inconsistent w
-  | Batch.Bounded n -> Store.Bounded n
-
-(* The fully derived form of one request shape: parsed specs, fingerprints
-   and the cache key.  Deriving it costs a graph parse, a machine build
-   and two fingerprints — far more than serving a warm hit — so the loop
-   memoises it per distinct (protocol, graph, regime, budget) tuple and
-   the steady-state warm path never parses a spec at all. *)
-type spec_info = {
-  si_machine : Spec.packed;
-  si_task : spec_task;
-  si_key : (string * string * string) option;  (* cache key, machine fp, graph fp *)
-  si_engine : string;
-  si_family_key : (string * int) option;
-      (* for concrete clique/star specs with a cache: the spec's family
-         cache key and instance size — the family-tier fallback lookup *)
-}
-
-(* workload diversity bounds the memo in practice; reset is the backstop
-   against a client streaming unboundedly many distinct specs *)
+(* workload diversity bounds the plan memo in practice; reset is the
+   backstop against a client streaming unboundedly many distinct specs *)
 let max_spec_memo = 8192
 
 (* Everything the event loop owns and mutates without locking.  Bundled in
@@ -477,7 +430,10 @@ let max_spec_memo = 8192
    backlogs — from inside request handling. *)
 type loop_state = {
   ls_memo : (string * string list, string) Hashtbl.t;  (* (protocol, alphabet) -> machine fp *)
-  ls_spec_memo : (string, spec_info) Hashtbl.t;
+  ls_plans : (string, Batch.plan) Hashtbl.t;
+      (* spec ident -> plan.  Building one costs a graph parse, a machine
+         build and two fingerprints — far more than serving a warm hit — so
+         the steady-state warm path never parses a spec at all. *)
   ls_waiters : (string, pending list) Hashtbl.t;  (* cache key -> coalesced misses *)
   mutable ls_conns : conn list;
 }
@@ -487,133 +443,40 @@ let spec_ident (d : Protocol.decide) max_configs =
     [ d.Protocol.protocol; d.Protocol.graph; Spec.regime_name d.Protocol.regime;
       string_of_int max_configs ]
 
-let derive_spec t memo (d : Protocol.decide) max_configs =
-  match Spec.parse_graph_spec d.Protocol.graph with
-  | Error msg -> Error ("graph: " ^ msg)
-  | Ok gspec -> (
-    (* families build their protocol over the smallest instance — every
-       instance shares the family's alphabet *)
-    let rep =
-      match gspec with
-      | Spec.Concrete g -> g
-      | Spec.Family fam -> Spec.family_representative fam
+let plan_of t ls (d : Protocol.decide) max_configs =
+  let sid = spec_ident d max_configs in
+  match Hashtbl.find_opt ls.ls_plans sid with
+  | Some pl -> Ok pl
+  | None ->
+    let job =
+      { Batch.protocol = d.Protocol.protocol; graph = d.Protocol.graph;
+        regime = d.Protocol.regime; max_configs }
     in
-    match Spec.parse_protocol d.Protocol.protocol rep with
-    | Error msg -> Error ("protocol: " ^ msg)
-    | Ok (Spec.Packed m as packed) ->
-      let task, engine =
-        match gspec with
-        | Spec.Concrete g -> (T_instance g, "explicit")
-        | Spec.Family fam -> (T_family fam, "symbolic")
-      in
-      let key, family_key =
-        match t.cfg.cache with
-        | None -> (None, None)
-        | Some _ ->
-          (* amortise the machine fingerprint per (protocol, alphabet),
-             as the batch runner does *)
-          let alphabet = Spec.alphabet_of rep in
-          let mkey = (d.Protocol.protocol, alphabet) in
-          let mfp =
-            match Hashtbl.find_opt memo mkey with
-            | Some fp -> fp
-            | None ->
-              let fp = Fingerprint.machine ~labels:alphabet m in
-              Hashtbl.add memo mkey fp;
-              fp
-          in
-          let regime = Spec.regime_name d.Protocol.regime in
-          (match gspec with
-          | Spec.Concrete g ->
-            let gfp = Fingerprint.graph g in
-            let key =
-              Fingerprint.key ~machine:mfp ~graph:gfp ~regime ~max_configs ()
-            in
-            (* a clique/star instance can also be answered by its family's
-               cached verdict; derive that key once *)
-            let fkey =
-              Option.map
-                (fun (fam, n) ->
-                  ( Fingerprint.key ~engine:"symbolic" ~machine:mfp
-                      ~graph:(Fingerprint.family fam) ~regime ~max_configs (),
-                    n ))
-                (Spec.family_of_instance d.Protocol.graph)
-            in
-            (Some (key, mfp, gfp), fkey)
-          | Spec.Family fam ->
-            let gfp = Fingerprint.family fam in
-            let key =
-              Fingerprint.key ~engine:"symbolic" ~machine:mfp ~graph:gfp ~regime
-                ~max_configs ()
-            in
-            (Some (key, mfp, gfp), None))
-      in
-      Ok
-        {
-          si_machine = packed;
-          si_task = task;
-          si_key = key;
-          si_engine = engine;
-          si_family_key = family_key;
-        })
+    Result.map
+      (fun pl ->
+        if Hashtbl.length ls.ls_plans >= max_spec_memo then Hashtbl.reset ls.ls_plans;
+        Hashtbl.add ls.ls_plans sid pl;
+        pl)
+      (Batch.resolve ?cache:t.cfg.cache ls.ls_memo job)
+
+(* the cache key a plan is logged and coalesced under; none without a cache *)
+let key_of t (pl : Batch.plan) = Option.map (fun _ -> pl.Batch.key) t.cfg.cache
 
 let handle_incoming t ls p =
   let now = Unix.gettimeofday () in
   if expired p now then respond_admitted t p (Protocol.Bounded { reason = "deadline"; configs = 0 })
-  else begin
+  else
     let max_configs = min p.p_req.Protocol.max_configs t.cfg.max_configs_cap in
-    let sid = spec_ident p.p_req max_configs in
-    let info =
-      match Hashtbl.find_opt ls.ls_spec_memo sid with
-      | Some si -> Ok si
-      | None -> (
-        match derive_spec t ls.ls_memo p.p_req max_configs with
-        | Error _ as e -> e
-        | Ok si ->
-          if Hashtbl.length ls.ls_spec_memo >= max_spec_memo then Hashtbl.reset ls.ls_spec_memo;
-          Hashtbl.add ls.ls_spec_memo sid si;
-          Ok si)
-    in
-    match info with
+    match plan_of t ls p.p_req max_configs with
     | Error msg -> respond_admitted t p (Protocol.Error msg)
-    | Ok si -> (
-      let hit =
-        match (t.cfg.cache, si.si_key) with
-        | Some store, Some (k, _, _) -> (
-          match Store.find_tier store k with
-          | Some (e, tier) ->
-            Some (e, (match tier with `Mem -> "mem" | `Disk -> "disk"))
-          | None -> (
-            (* family tier: a clique/star instance answered by its
-               family's single certified entry, whatever the size n *)
-            match si.si_family_key with
-            | Some (fk, n) -> (
-              match Store.find store fk with
-              | Some ({ Store.family = Some fc; _ } as e)
-                when n >= fc.Store.from_n ->
-                Some (e, "family")
-              | Some _ | None -> None)
-            | None -> None))
-        | _ -> None
-      in
-      match hit with
-      | Some (e, tier) ->
-        let key = match si.si_key with Some (k, _, _) -> Some k | None -> None in
-        respond_admitted t p ?key ~tier (status_of_entry e)
+    | Ok pl -> (
+      let key = key_of t pl in
+      match Option.bind t.cfg.cache (fun store -> Batch.lookup store pl) with
+      | Some (e, tier) -> respond_admitted t p ?key ~tier:(Batch.tier_name tier) (status_of_entry e)
       | None -> (
-        let enqueue () =
-          Queue.force_push t.work
-            {
-              wk_pending = p;
-              wk_machine = si.si_machine;
-              wk_task = si.si_task;
-              wk_key = si.si_key;
-              wk_engine = si.si_engine;
-              wk_max_configs = max_configs;
-            }
-        in
-        match si.si_key with
-        | Some (k, _, _) -> (
+        let enqueue () = Queue.force_push t.work { wk_pending = p; wk_plan = pl } in
+        match key with
+        | Some k -> (
           (* coalesce identical concurrent misses: one computation per
              cache key in flight; everyone else waits for its result
              instead of occupying another worker *)
@@ -623,16 +486,15 @@ let handle_incoming t ls p =
             Hashtbl.add ls.ls_waiters k [];
             enqueue ())
         | None -> enqueue ()))
-  end
 
 let handle_done t ls w r =
   let waiters = ls.ls_waiters in
   let p = w.wk_pending in
-  let wkey = match w.wk_key with Some (k, _, _) -> Some k | None -> None in
+  let wkey = key_of t w.wk_plan in
   let coalesced =
-    match w.wk_key with
+    match wkey with
     | None -> []
-    | Some (key, _, _) -> (
+    | Some key -> (
       match Hashtbl.find_opt waiters key with
       | None -> []
       | Some l ->
@@ -651,9 +513,7 @@ let handle_done t ls w r =
           go rest
         end
         else begin
-          (match w.wk_key with
-          | Some (k, _, _) -> Hashtbl.add waiters k rest
-          | None -> ());
+          Option.iter (fun k -> Hashtbl.add waiters k rest) wkey;
           Queue.force_push t.work { w with wk_pending = wp }
         end
     in
@@ -666,26 +526,11 @@ let handle_done t ls w r =
   | W_error msg ->
     respond_admitted t p ?key:wkey (Protocol.Error msg);
     requeue_waiters ()
-  | W_decision (d, cert) ->
+  | W_decision ((d, _) as c) ->
     (* persist on the loop thread: the store never sees concurrent writers
        from this process (budget bounds are deterministic and cacheable;
        deadline expiries never reach this arm) *)
-    (match (t.cfg.cache, w.wk_key) with
-    | Some store, Some (key, mfp, gfp) ->
-      Store.put store
-        {
-          Store.key;
-          machine = mfp;
-          graph = gfp;
-          regime = Spec.regime_name p.p_req.Protocol.regime;
-          max_configs = w.wk_max_configs;
-          verdict = store_verdict_of d.Batch.result;
-          configs = d.Batch.configs;
-          seconds = d.Batch.seconds;
-          engine = w.wk_engine;
-          family = cert;
-        }
-    | _ -> ());
+    Option.iter (fun store -> Batch.record store w.wk_plan c) t.cfg.cache;
     respond_admitted t p ~compute_s:d.Batch.seconds ?key:wkey (status_of_decision d);
     (* waiters are answered from the just-stored result — a cache hit in
        every observable sense (their own deadlines still apply) *)
@@ -882,7 +727,7 @@ let event_loop t listeners () =
   let ls =
     {
       ls_memo = Hashtbl.create 16;
-      ls_spec_memo = Hashtbl.create 256;
+      ls_plans = Hashtbl.create 256;
       (* cache key -> admitted misses awaiting an identical in-flight
          computation; loop-private, so no locking *)
       ls_waiters = Hashtbl.create 16;

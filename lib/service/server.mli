@@ -14,10 +14,13 @@
       concurrent misses (one computation per cache key in flight; every
       waiter is answered from its result as a cache hit), and hands
       misses to
-    - {e worker domains}, which run the exact decision procedure through
-      {!Dda_batch.Batch.decide} with the request's (capped) configuration
-      budget and report completions back through a queue plus a self-pipe
-      byte that wakes the loop out of [select].
+    - {e worker domains}, which run the request's plan
+      ({!Dda_batch.Batch.resolve}, memoised per request shape on the loop)
+      with its (capped) configuration budget and report completions back
+      through a queue plus a self-pipe byte that wakes the loop out of
+      [select].  The loop looks hits up and records fresh verdicts through
+      the same {!Dda_batch.Batch.lookup}/{!Dda_batch.Batch.record} chain
+      as [dda batch] and [dda decide --cache].
 
     Deadlines are absolute from admission: a request that expires while
     queued is answered [bounded:deadline] — the same resource-bound shape

@@ -122,8 +122,8 @@ let adversarial (c : Counted.t) =
 
 let for_regime regime c =
   match regime with
-  | `Adversarial -> adversarial c
-  | `Pseudo_stochastic -> pseudo_stochastic c
+  | Decide.Adversarial -> adversarial c
+  | Decide.Pseudo_stochastic -> pseudo_stochastic c
 
 (* ------------------------------------------------------------------ *)
 (* Synchronous regime on multisets                                     *)

@@ -45,4 +45,4 @@ val synchronous :
 (** @raise Invalid_argument when the graph is neither clique nor star. *)
 
 val for_regime :
-  [ `Adversarial | `Pseudo_stochastic ] -> Counted.t -> Dda_verify.Decide.verdict
+  Dda_verify.Decide.regime -> Counted.t -> Dda_verify.Decide.verdict

@@ -5,8 +5,6 @@ module Cov = Dda_wsts.Coverability
 module Decide = Dda_verify.Decide
 module T = Dda_telemetry.Telemetry
 
-type regime = [ `Adversarial | `Pseudo_stochastic ]
-
 type certificate = Cutoff of int | Window of int
 
 type t = {

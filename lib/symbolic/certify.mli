@@ -19,8 +19,6 @@
     The reported [from_n] is the smallest instance from which the verdict
     is constant up to the horizon. *)
 
-type regime = [ `Adversarial | `Pseudo_stochastic ]
-
 type certificate =
   | Cutoff of int  (** Certified: coverability cutoff [K]. *)
   | Window of int  (** Heuristic: stabilisation window width. *)
@@ -39,7 +37,7 @@ val pp : Format.formatter -> t -> unit
 val decide_family :
   ?max_configs:int ->
   ?window:int ->
-  regime:regime ->
+  regime:Dda_verify.Decide.regime ->
   (string, 's) Dda_machine.Machine.t ->
   Family.t ->
   (t, [ `Too_large of int | `Unsupported of string ]) result

@@ -17,6 +17,8 @@ let scc_of space =
 
 type verdict = Accepts | Rejects | Inconsistent of string
 
+type regime = Adversarial | Pseudo_stochastic
+
 let verdict_bool = function
   | Accepts -> Some true
   | Rejects -> Some false
@@ -421,6 +423,11 @@ let adversarial space =
       | _ ->
         let _, non_acc, non_rej = fair_components space in
         adversarial_verdict space.Space.describe (non_acc, non_rej))
+
+let for_regime regime space =
+  match regime with
+  | Adversarial -> adversarial space
+  | Pseudo_stochastic -> pseudo_stochastic space
 
 let synchronous ~max_steps m g =
   let seen = Hashtbl.create 256 in

@@ -33,6 +33,14 @@ type verdict =
           fair run neither accepts nor rejects, or fair runs disagree); the
           string describes a witness configuration. *)
 
+type regime = Adversarial | Pseudo_stochastic
+(** The fairness regime of a decision: the paper's f (adversarial) and F
+    (pseudo-stochastic) class suffixes.  The one definition; [Spec.regime]
+    and [Classes.fairness] re-export it. *)
+
+val for_regime : regime -> Space.t -> verdict
+(** {!adversarial} or {!pseudo_stochastic}, by regime. *)
+
 val pseudo_stochastic : Space.t -> verdict
 (** Bottom-SCC classification over the space's edge view; works on explicit
     and counted spaces. *)

@@ -10,6 +10,9 @@ module Store = Dda_batch.Store
 module Spec = Dda_batch.Spec
 module Batch = Dda_batch.Batch
 module Decide = Dda_verify.Decide
+module Server = Dda_service.Server
+module Client = Dda_service.Client
+module Sproto = Dda_service.Protocol
 
 let exists_a = Dda_protocols.Cutoff_one.exists_label ~alphabet:[ "a"; "b" ] "a"
 let ab = [ "a"; "b" ]
@@ -460,7 +463,7 @@ let check_result msg a b =
     | Batch.Bounded na, Batch.Bounded nb -> na = nb
     | _ -> false)
 
-let test_decide_cached_matches_fresh () =
+let test_cached_decide_matches_fresh () =
   with_store (fun store ->
       let g = G.cycle [ "a"; "b"; "b" ] in
       let fresh =
@@ -480,7 +483,7 @@ let test_decide_cached_matches_fresh () =
       Alcotest.(check int) "hit reports the original configs" cold.Batch.configs
         warm.Batch.configs)
 
-let test_decide_cached_recovers_from_corruption () =
+let test_cached_decide_recovers_from_corruption () =
   with_store (fun store ->
       let g = G.cycle [ "a"; "b"; "b" ] in
       let regime = Spec.Pseudo_stochastic and max_configs = 10_000 in
@@ -604,6 +607,101 @@ let test_run_reports_failures () =
   let json = Batch.report_json report in
   Alcotest.(check bool) "report JSON parses" true
     (Result.is_ok (Dda_telemetry.Json.parse json))
+
+(* a family that never stabilises fails with the bare reason, the same
+   text [decide_family] (and so [dda decide] and the server) reports — not
+   an exception printer's [Failure("...")] *)
+let test_run_family_error_text () =
+  let job =
+    { Batch.protocol = "slp-mod:2,0"; graph = "clique:ab*"; regime = Spec.Pseudo_stochastic;
+      max_configs = 500_000 }
+  in
+  let expected = "no stabilisation: verdicts of clique:ab* still changing at n = 26" in
+  (match (Batch.run [ job ]).Batch.jobs with
+  | [ (_, Batch.Failed msg, _) ] -> Alcotest.(check string) "batch error text" expected msg
+  | _ -> Alcotest.fail "the family job should fail");
+  let fam = Result.get_ok (Dda_symbolic.Family.parse "clique:ab*") in
+  let (Spec.Packed m) =
+    Result.get_ok (Spec.parse_protocol job.Batch.protocol (Spec.family_representative fam))
+  in
+  match Batch.decide_family ~regime:job.Batch.regime ~max_configs:job.Batch.max_configs m fam with
+  | Error msg -> Alcotest.(check string) "decide_family error text" expected msg
+  | Ok _ -> Alcotest.fail "decide_family should fail"
+
+(* --- one tier chain: pinned keys, shared by every front end ----------------- *)
+
+(* Store file names written by [dda decide --cache --max-configs 200000]
+   before the front ends shared one plan; a key that moves orphans every
+   existing cache. *)
+let pinned_keys =
+  [
+    ("exists:a", "cycle:abb", Spec.Pseudo_stochastic, Spec.Explicit,
+     "d8555af0525600fbb902d5d0856725b5");
+    ("exists:a", "star:ba*", Spec.Pseudo_stochastic, Spec.Explicit,
+     "3d921e4459a2fbe750b4280755d19cbb");
+    ("threshold:a,2", "clique:aab", Spec.Adversarial, Spec.Symbolic,
+     "f884c5c0c030f80ebdf120ba0e8a8033");
+  ]
+
+let job_of (protocol, graph, regime, _, _) = { Batch.protocol; graph; regime; max_configs = 200_000 }
+
+let test_keys_pinned_across_front_ends () =
+  with_store (fun store ->
+      (* the batch runner writes the explicit and family entries under the
+         pinned keys; the symbolic one goes through [Batch.decide] *)
+      let explicit, symbolic = List.partition (fun (_, _, _, e, _) -> e = Spec.Explicit) pinned_keys in
+      let report = Batch.run ~cache:store (List.map job_of explicit) in
+      Alcotest.(check int) "batch computed both" 2 report.Batch.misses;
+      let decide ((protocol, graph, regime, engine, _) as pk) =
+        let g = Result.get_ok (Spec.parse_graph graph) in
+        let (Spec.Packed m) = Result.get_ok (Spec.parse_protocol protocol g) in
+        Batch.decide ~cache:store ~engine ~regime ~max_configs:(job_of pk).Batch.max_configs m g
+      in
+      List.iter (fun pk -> ignore (decide pk)) symbolic;
+      List.iter
+        (fun (_, graph, _, _, key) ->
+          Alcotest.(check bool) ("entry stored under the pinned key for " ^ graph) true
+            (Store.find store key <> None))
+        pinned_keys;
+      (* the library and the server answer from those entries *)
+      List.iter
+        (fun ((_, graph, _, _, _) as pk) ->
+          if graph <> "star:ba*" then
+            Alcotest.(check bool) ("Batch.decide hit on " ^ graph) true (decide pk).Batch.cached)
+        pinned_keys;
+      let dir = fresh_root () in
+      Unix.mkdir dir 0o700;
+      let sock = Filename.concat dir "s.sock" in
+      let srv =
+        match
+          Server.start
+            { Server.default_config with addresses = [ Sproto.Unix_socket sock ]; cache = Some store; workers = 1 }
+        with
+        | Ok srv -> srv
+        | Error e -> Alcotest.failf "server: %s" e
+      in
+      Fun.protect
+        ~finally:(fun () ->
+          Server.drain srv;
+          ignore (Server.wait srv);
+          rm_rf dir)
+        (fun () ->
+          let c = Result.get_ok (Client.connect (Sproto.Unix_socket sock)) in
+          List.iter
+            (fun ((protocol, graph, regime, _, _) as pk) ->
+              let req =
+                Sproto.Decide
+                  { Sproto.id = graph; protocol; graph; regime; max_configs = (job_of pk).Batch.max_configs;
+                    deadline_ms = None; trace = None }
+              in
+              match Client.rpc c req with
+              | Ok { Sproto.status = Sproto.Verdict v; _ } ->
+                Alcotest.(check bool) ("server hit on " ^ graph) true v.cached
+              | Ok r -> Alcotest.failf "server: unexpected %s" (Sproto.status_name r.Sproto.status)
+              | Error e -> Alcotest.failf "server: %s" e)
+            explicit;
+          Client.close c);
+      Alcotest.(check int) "hits never add entries" 3 (Store.stats store).Store.entries)
 
 (* --- interruption ----------------------------------------------------------- *)
 
@@ -735,9 +833,9 @@ let () =
         ] );
       ( "decide",
         [
-          Alcotest.test_case "cached matches fresh" `Quick test_decide_cached_matches_fresh;
+          Alcotest.test_case "cached matches fresh" `Quick test_cached_decide_matches_fresh;
           Alcotest.test_case "recovers from corruption" `Quick
-            test_decide_cached_recovers_from_corruption;
+            test_cached_decide_recovers_from_corruption;
           Alcotest.test_case "bounded results cached" `Quick test_bounded_is_cached;
         ] );
       ( "runner",
@@ -747,6 +845,12 @@ let () =
           Alcotest.test_case "cold then warm" `Quick test_run_cold_then_warm;
           Alcotest.test_case "reports failures" `Quick test_run_reports_failures;
           Alcotest.test_case "interrupt drains cleanly" `Quick test_run_interrupted;
+          Alcotest.test_case "family error text" `Quick test_run_family_error_text;
+        ] );
+      ( "keys",
+        [
+          Alcotest.test_case "pinned across front ends" `Quick
+            test_keys_pinned_across_front_ends;
         ] );
       ( "differential",
         [ Alcotest.test_case "figure 1 through the cache" `Slow test_figure1_differential ] );

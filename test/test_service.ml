@@ -1128,6 +1128,39 @@ let test_access_log_schema () =
   Alcotest.(check bool) "admin verb logged" true
     (Json.member "verb" (find "health") = Some (Json.Str "health"))
 
+(* the family tier: a certified family entry answers a concrete instance
+   of any size, and the access log says so *)
+let test_family_tier () =
+  let dir = fresh_dir () in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let store = Store.open_ ~root:(Filename.concat dir "cache") () in
+  let log = Filename.concat dir "access.jsonl" in
+  let job graph = { quick_job with Batch.graph; max_configs = 200_000 } in
+  with_server
+    { Server.default_config with cache = Some store; workers = 1; access_log = Some log }
+    (fun sock _srv ->
+      let c = match Client.connect (Sproto.Unix_socket sock) with Ok c -> c | Error e -> Alcotest.fail e in
+      List.iter
+        (fun (id, graph, cached) ->
+          match rpc_exn c (decide_of ~id (job graph)) with
+          | { Sproto.status = Sproto.Verdict v; _ } ->
+            Alcotest.(check string) (id ^ " verdict") "accepts" v.verdict;
+            Alcotest.(check bool) (id ^ " cached") cached v.cached
+          | r -> Alcotest.failf "%s: unexpected status %s" id (Sproto.status_name r.Sproto.status))
+        [ ("fam", "star:ba*", false); ("inst", "star:baaaaaaaaaaa", true) ];
+      Client.close c);
+  let tier id =
+    List.find_map
+      (fun l ->
+        match Json.parse l with
+        | Ok d when Json.member "id" d = Some (Json.Str id) -> Json.member "tier" d
+        | _ -> None)
+      (read_lines log)
+  in
+  Alcotest.(check bool) "family computed (tier none)" true (tier "fam" = Some (Json.Str "none"));
+  Alcotest.(check bool) "instance answered by the family entry" true
+    (tier "inst" = Some (Json.Str "family"))
+
 let test_access_log_sampling_and_slow () =
   let dir = fresh_dir () in
   Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
@@ -1318,6 +1351,7 @@ let () =
           Alcotest.test_case "stats + health over /1 and /2" `Quick test_stats_health_roundtrip;
           Alcotest.test_case "health reports draining" `Quick test_health_draining;
           Alcotest.test_case "access log schema + tiers + trace" `Quick test_access_log_schema;
+          Alcotest.test_case "family tier in the access log" `Quick test_family_tier;
           Alcotest.test_case "access log sampling and slow filter" `Quick
             test_access_log_sampling_and_slow;
           Alcotest.test_case "prometheus exposition" `Quick test_prometheus_exposition;

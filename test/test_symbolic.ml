@@ -295,11 +295,7 @@ let test_family_parse () =
 
 (* A certified family verdict must agree with the explicit engine on every
    instance the explicit engine can still reach. *)
-let explicit_decide regime m g =
-  let space = Space.explore ~max_configs m g in
-  match regime with
-  | `Adversarial -> Decide.adversarial space
-  | `Pseudo_stochastic -> Decide.pseudo_stochastic space
+let explicit_decide regime m g = Decide.for_regime regime (Space.explore ~max_configs m g)
 
 let check_family proto fspec regime =
   let fam = or_fail (Family.parse fspec) in
@@ -323,17 +319,17 @@ let check_family proto fspec regime =
 
 let test_family_certified_star () =
   (* §6.1-adjacent: existence of an [a] on a star — certified cutoff *)
-  let fv = check_family "exists:a" "star:ba*" `Pseudo_stochastic in
+  let fv = check_family "exists:a" "star:ba*" Decide.Pseudo_stochastic in
   (match fv.Certify.certificate with
   | Certify.Cutoff k -> Alcotest.(check bool) "cutoff positive" true (k >= 2)
   | Certify.Window _ -> Alcotest.fail "expected a certified cutoff");
   Alcotest.(check string) "verdict" "accepts" (verdict_class fv.Certify.verdict);
   (* "a occurs and b does not": every star:ab* instance has b leaves *)
-  let fv = check_family "cutoff1:a" "star:ab*" `Adversarial in
+  let fv = check_family "cutoff1:a" "star:ab*" Decide.Adversarial in
   Alcotest.(check string) "rejects" "rejects" (verdict_class fv.Certify.verdict)
 
 let test_family_window_clique () =
-  let fv = check_family "exists:a" "clique:ab*" `Pseudo_stochastic in
+  let fv = check_family "exists:a" "clique:ab*" Decide.Pseudo_stochastic in
   (match fv.Certify.certificate with
   | Certify.Window _ -> ()
   | Certify.Cutoff _ -> Alcotest.fail "cliques cannot be certified");
@@ -343,18 +339,18 @@ let test_family_window_clique () =
    from_n, checked_to, certificate and total counted configurations. *)
 let pinned_families =
   [
-    ("threshold:a,2", "star:ba*", `Adversarial, "inconsistent", 3, 8, Certify.Window 6, 73392);
-    ("threshold:a,2", "star:ba*", `Pseudo_stochastic, "accepts", 3, 8, Certify.Window 6, 73392);
-    ("threshold:a,2", "clique:ab*", `Adversarial, "rejects", 3, 8, Certify.Window 6, 2604);
-    ("threshold:a,2", "clique:ab*", `Pseudo_stochastic, "rejects", 3, 8, Certify.Window 6, 2604);
-    ("exists:a", "star:ba*", `Adversarial, "accepts", 3, 18, Certify.Cutoff 17, 336);
-    ("exists:a", "star:ba*", `Pseudo_stochastic, "accepts", 3, 18, Certify.Cutoff 17, 336);
-    ("exists:a", "clique:ab*", `Adversarial, "accepts", 3, 8, Certify.Window 6, 66);
-    ("exists:a", "clique:ab*", `Pseudo_stochastic, "accepts", 3, 8, Certify.Window 6, 66);
-    ("cutoff1:a", "star:ba*", `Adversarial, "rejects", 3, 18, Certify.Cutoff 17, 336);
-    ("cutoff1:a", "star:ba*", `Pseudo_stochastic, "rejects", 3, 18, Certify.Cutoff 17, 336);
-    ("cutoff1:a", "clique:ab*", `Adversarial, "rejects", 3, 8, Certify.Window 6, 66);
-    ("cutoff1:a", "clique:ab*", `Pseudo_stochastic, "rejects", 3, 8, Certify.Window 6, 66);
+    ("threshold:a,2", "star:ba*", Decide.Adversarial, "inconsistent", 3, 8, Certify.Window 6, 73392);
+    ("threshold:a,2", "star:ba*", Decide.Pseudo_stochastic, "accepts", 3, 8, Certify.Window 6, 73392);
+    ("threshold:a,2", "clique:ab*", Decide.Adversarial, "rejects", 3, 8, Certify.Window 6, 2604);
+    ("threshold:a,2", "clique:ab*", Decide.Pseudo_stochastic, "rejects", 3, 8, Certify.Window 6, 2604);
+    ("exists:a", "star:ba*", Decide.Adversarial, "accepts", 3, 18, Certify.Cutoff 17, 336);
+    ("exists:a", "star:ba*", Decide.Pseudo_stochastic, "accepts", 3, 18, Certify.Cutoff 17, 336);
+    ("exists:a", "clique:ab*", Decide.Adversarial, "accepts", 3, 8, Certify.Window 6, 66);
+    ("exists:a", "clique:ab*", Decide.Pseudo_stochastic, "accepts", 3, 8, Certify.Window 6, 66);
+    ("cutoff1:a", "star:ba*", Decide.Adversarial, "rejects", 3, 18, Certify.Cutoff 17, 336);
+    ("cutoff1:a", "star:ba*", Decide.Pseudo_stochastic, "rejects", 3, 18, Certify.Cutoff 17, 336);
+    ("cutoff1:a", "clique:ab*", Decide.Adversarial, "rejects", 3, 8, Certify.Window 6, 66);
+    ("cutoff1:a", "clique:ab*", Decide.Pseudo_stochastic, "rejects", 3, 8, Certify.Window 6, 66);
   ]
 
 let test_family_pinned () =
@@ -365,7 +361,7 @@ let test_family_pinned () =
       let (Spec.Packed m) = or_fail (Spec.parse_protocol proto rep) in
       let ctx what =
         Printf.sprintf "%s on %s (%s): %s" proto fspec
-          (match regime with `Adversarial -> "f" | `Pseudo_stochastic -> "F")
+          (Spec.regime_name regime)
           what
       in
       match Certify.decide_family ~regime m fam with
