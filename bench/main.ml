@@ -1,6 +1,7 @@
 (* The experiment harness: regenerates every table/figure-level claim of the
-   paper (see DESIGN.md's experiment index E1-E8) and times the library's
-   core kernels with bechamel.
+   paper (see DESIGN.md's experiment index E1-E10) and the E15, E16 and E18
+   rows of BENCH_verify.json.  Every other performance figure comes from
+   perfbench/.
 
    Run with:  dune exec bench/main.exe            (full run)
               dune exec bench/main.exe -- quick   (skip the slowest series)
@@ -57,7 +58,7 @@ let () =
     (Filename.concat (Filename.get_temp_dir_name ()) "dda_bench_spill")
 
 (* ------------------------------------------------------------------ *)
-(* Peak-RSS measurement and fork-per-row isolation (E11 rows, E18)      *)
+(* Peak-RSS measurement and fork-per-row isolation (E18)               *)
 (* ------------------------------------------------------------------ *)
 
 (* VmHWM from /proc/self/status: the peak resident set of the whole
@@ -146,7 +147,7 @@ type spill_bench = {
   spb_n8 : (string * spill_row) option;
 }
 
-(* stashed for E11's BENCH_verify.json writer *)
+(* stashed for the BENCH_verify.json writer *)
 let spill_bench_result : spill_bench option ref = ref None
 
 (* Runs FIRST: each measurement forks, and a forked child's VmHWM baseline
@@ -621,22 +622,6 @@ let experiment_exact_adversarial () =
        [ [ "a"; "b"; "b" ]; [ "a"; "b"; "a" ]; [ "a"; "b"; "a"; "b" ]; [ "a"; "b"; "b"; "a"; "b" ] ]
        @ if quick then [] else [ [ "a"; "b"; "a"; "b"; "a" ] ])
 
-(* ------------------------------------------------------------------ *)
-(* E12: the verdict cache — cold vs warm Figure 1 regeneration            *)
-(* ------------------------------------------------------------------ *)
-
-type cache_bench = {
-  cb_cold : float;
-  cb_warm : float;
-  cb_cold_hits : int;
-  cb_cold_misses : int;
-  cb_warm_hits : int;
-  cb_warm_misses : int;
-}
-
-(* stashed for E11's BENCH_verify.json writer *)
-let cache_bench_result : cache_bench option ref = ref None
-
 let rec rm_rf path =
   if Sys.is_directory path then begin
     Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
@@ -644,268 +629,7 @@ let rec rm_rf path =
   end
   else Sys.remove path
 
-let experiment_cache () =
-  section "E12  verdict cache: cold vs warm Figure 1 (middle) regeneration";
-  let module Batch = Dda_batch.Batch in
-  let root =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "dda_bench_cache.%d" (Unix.getpid ()))
-  in
-  if Sys.file_exists root then rm_rf root;
-  let cache = Dda_batch.Store.open_ ~root () in
-  let max_nodes = if smoke then 3 else 4 in
-  (* the middle table is the exact-verification workload the cache covers;
-     the bounded table's headline cells are decided by scheduler
-     simulation, which is not a cacheable verdict *)
-  let tables () = Dda_core.Figure1.arbitrary_table ~cache ~max_nodes () in
-  let timed () =
-    Batch.reset_cache_stats ();
-    let t0 = mono () in
-    let r = tables () in
-    let dt = mono () -. t0 in
-    let hits, misses = Batch.cache_stats () in
-    (r, dt, hits, misses)
-  in
-  let cold_tables, cold, cold_hits, cold_misses = timed () in
-  let warm_tables, warm, warm_hits, warm_misses = timed () in
-  rm_rf root;
-  let agree = cold_tables = warm_tables in
-  let hit_rate = float_of_int warm_hits /. float_of_int (max 1 (warm_hits + warm_misses)) in
-  Format.printf "%-6s %10s %8s %8s@." "run" "seconds" "hits" "misses";
-  Format.printf "%-6s %9.3fs %8d %8d@." "cold" cold cold_hits cold_misses;
-  Format.printf "%-6s %9.3fs %8d %8d@." "warm" warm warm_hits warm_misses;
-  Format.printf "warm hit rate: %.1f%%   speedup: %.1fx   tables identical: %b@."
-    (100. *. hit_rate) (cold /. warm) agree;
-  cache_bench_result :=
-    Some
-      {
-        cb_cold = cold;
-        cb_warm = warm;
-        cb_cold_hits = cold_hits;
-        cb_cold_misses = cold_misses;
-        cb_warm_hits = warm_hits;
-        cb_warm_misses = warm_misses;
-      }
-
-(* ------------------------------------------------------------------ *)
-(* E13: the verification service — cold vs warm load over the socket     *)
-(* ------------------------------------------------------------------ *)
-
 module Sclient = Dda_service.Client
-
-type service_bench = {
-  sb_clients : int;
-  sb_per_client : int;
-  sb_cold : Sclient.summary;
-  sb_warm : Sclient.summary;  (* last warm rep — steady state *)
-  sb_warm_seconds : float list;  (* every warm rep's wall clock *)
-}
-
-(* stashed for E11's BENCH_verify.json writer *)
-let service_bench_result : service_bench option ref = ref None
-
-let experiment_service () =
-  section "E13  verification service: cold vs warm load over the wire";
-  let module Server = Dda_service.Server in
-  let module Sproto = Dda_service.Protocol in
-  let root =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "dda_bench_service.%d" (Unix.getpid ()))
-  in
-  if Sys.file_exists root then rm_rf root;
-  Unix.mkdir root 0o700;
-  let cache = Dda_batch.Store.open_ ~root:(Filename.concat root "cache") () in
-  let sock = Filename.concat root "dda.sock" in
-  let clients = if smoke then 4 else 8 in
-  let per_client = if smoke then 6 else if quick then 12 else 25 in
-  let job protocol graph =
-    {
-      Dda_batch.Batch.protocol;
-      graph;
-      regime = Dda_batch.Spec.Pseudo_stochastic;
-      max_configs = 200_000;
-    }
-  in
-  (* distinct cache keys, so the cold pass computes every job at least once *)
-  let mix =
-    [
-      job "exists:a" "cycle:abb";
-      job "exists:a" "cycle:aabb";
-      job "exists:a" "line:abab";
-      job "threshold:a,2" "cycle:aab";
-      job "threshold:a,2" "line:aabb";
-      job "exists:a" "cycle:abab";
-    ]
-  in
-  let cfg =
-    {
-      Server.default_config with
-      addresses = [ Sproto.Unix_socket sock ];
-      cache = Some cache;
-      workers = 2;
-      conn_limit = 8;
-    }
-  in
-  let srv =
-    match Server.start cfg with Ok s -> s | Error e -> failwith ("E13 server start: " ^ e)
-  in
-  let run label =
-    match
-      Sclient.load (Sproto.Unix_socket sock)
-        { Sclient.clients; per_client; mix; deadline_ms = None }
-    with
-    | Error e -> failwith (Printf.sprintf "E13 %s load: %s" label e)
-    | Ok s -> s
-  in
-  let cold = run "cold" in
-  let reps = if smoke then 2 else 3 in
-  let warms = List.init reps (fun _ -> run "warm") in
-  let warm = List.nth warms (reps - 1) in
-  Server.drain srv;
-  let st = Server.wait srv in
-  rm_rf root;
-  Format.printf "%d clients x %d requests over %d distinct jobs (unix socket)@." clients
-    per_client (List.length mix);
-  Format.printf "%-6s %9s %10s %8s %8s %9s %9s %9s@." "pass" "seconds" "rps" "ok" "cached"
-    "p50_ms" "p95_ms" "p99_ms";
-  let line name (s : Sclient.summary) =
-    Format.printf "%-6s %8.3fs %10.1f %8d %8d %9.3f %9.3f %9.3f@." name s.Sclient.seconds
-      s.Sclient.rps s.Sclient.ok s.Sclient.cached s.Sclient.p50_ms s.Sclient.p95_ms
-      s.Sclient.p99_ms
-  in
-  line "cold" cold;
-  line "warm" warm;
-  Format.printf
-    "warm hit rate: %.1f%%   warm/cold rps: %.1fx   server: %d accepted, %d served (%d hits, \
-     %d computed)@."
-    (100. *. Sclient.hit_rate warm)
-    (warm.Sclient.rps /. cold.Sclient.rps)
-    st.Server.accepted st.Server.served st.Server.hits st.Server.computed;
-  service_bench_result :=
-    Some
-      {
-        sb_clients = clients;
-        sb_per_client = per_client;
-        sb_cold = cold;
-        sb_warm = warm;
-        sb_warm_seconds = List.map (fun s -> s.Sclient.seconds) warms;
-      }
-
-(* ------------------------------------------------------------------ *)
-(* E14: service /2 — pipelined frames over the in-memory verdict tier    *)
-(* ------------------------------------------------------------------ *)
-
-type service_v2_bench = {
-  s2_clients : int;
-  s2_per_client : int;
-  s2_pipeline : int;
-  s2_cold : Sclient.summary;
-  s2_warm : Sclient.summary;  (* last warm rep — steady state *)
-  s2_warm_seconds : float list;  (* every warm rep's wall clock *)
-  s2_peak_rss_kb : int option;
-}
-
-(* stashed for E11's BENCH_verify.json writer *)
-let service_v2_bench_result : service_v2_bench option ref = ref None
-
-(* peak_rss_kb is hoisted above E18: here it reports the whole process
-   (server, workers and load generator run in-process) *)
-let experiment_service_v2 () =
-  section "E14  service /2: pipelined binary frames over the in-memory verdict tier";
-  let module Server = Dda_service.Server in
-  let module Sproto = Dda_service.Protocol in
-  let root =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "dda_bench_service2.%d" (Unix.getpid ()))
-  in
-  if Sys.file_exists root then rm_rf root;
-  Unix.mkdir root 0o700;
-  let cache = Dda_batch.Store.open_ ~root:(Filename.concat root "cache") ~memo:65536 () in
-  let sock = Filename.concat root "dda.sock" in
-  (* the E13 mix, so the warm figures compare like for like *)
-  let job protocol graph =
-    {
-      Dda_batch.Batch.protocol;
-      graph;
-      regime = Dda_batch.Spec.Pseudo_stochastic;
-      max_configs = 200_000;
-    }
-  in
-  let mix =
-    [
-      job "exists:a" "cycle:abb";
-      job "exists:a" "cycle:aabb";
-      job "exists:a" "line:abab";
-      job "threshold:a,2" "cycle:aab";
-      job "threshold:a,2" "line:aabb";
-      job "exists:a" "cycle:abab";
-    ]
-  in
-  let clients = if smoke then 2 else 4 in
-  let pipeline = if smoke then 4 else 16 in
-  let per_client = if smoke then 50 else if quick then 5_000 else 25_000 in
-  let cfg =
-    {
-      Server.default_config with
-      addresses = [ Sproto.Unix_socket sock ];
-      cache = Some cache;
-      workers = 2;
-      queue_capacity = 4096;
-      conn_limit = 2 * pipeline;
-    }
-  in
-  let srv =
-    match Server.start cfg with Ok s -> s | Error e -> failwith ("E14 server start: " ^ e)
-  in
-  let run label ~per_client ~pipeline =
-    match
-      Sclient.load ~version:2 ~pipeline (Sproto.Unix_socket sock)
-        { Sclient.clients; per_client; mix; deadline_ms = None }
-    with
-    | Error e -> failwith (Printf.sprintf "E14 %s load: %s" label e)
-    | Ok s -> s
-  in
-  (* cold: one-at-a-time over the mix, matching E13's cold shape *)
-  let cold = run "cold" ~per_client:(List.length mix * 2) ~pipeline:1 in
-  let reps = if smoke then 2 else 3 in
-  let warms = List.init reps (fun _ -> run "warm" ~per_client ~pipeline) in
-  let warm = List.nth warms (reps - 1) in
-  Server.drain srv;
-  let st = Server.wait srv in
-  let rss = peak_rss_kb () in
-  rm_rf root;
-  Format.printf
-    "%d clients x %d requests, pipeline %d, /2 frames, memo 65536 (unix socket)@." clients
-    per_client pipeline;
-  Format.printf "%-6s %9s %10s %8s %8s %9s %9s %9s@." "pass" "seconds" "rps" "ok" "cached"
-    "p50_ms" "p95_ms" "p99_ms";
-  let line name (s : Sclient.summary) =
-    Format.printf "%-6s %8.3fs %10.1f %8d %8d %9.3f %9.3f %9.3f@." name s.Sclient.seconds
-      s.Sclient.rps s.Sclient.ok s.Sclient.cached s.Sclient.p50_ms s.Sclient.p95_ms
-      s.Sclient.p99_ms
-  in
-  line "cold" cold;
-  line "warm" warm;
-  (match !service_bench_result with
-  | Some sb when sb.sb_warm.Sclient.rps > 0. ->
-    Format.printf "warm rps vs E13 (/1, unpipelined): %.1fx@."
-      (warm.Sclient.rps /. sb.sb_warm.Sclient.rps)
-  | _ -> ());
-  Format.printf "warm hit rate: %.1f%%   peak RSS: %s   server: %d served (%d hits)@."
-    (100. *. Sclient.hit_rate warm)
-    (match rss with Some kb -> Printf.sprintf "%d kB" kb | None -> "n/a")
-    st.Server.served st.Server.hits;
-  service_v2_bench_result :=
-    Some
-      {
-        s2_clients = clients;
-        s2_per_client = per_client;
-        s2_pipeline = pipeline;
-        s2_cold = cold;
-        s2_warm = warm;
-        s2_warm_seconds = List.map (fun s -> s.Sclient.seconds) warms;
-        s2_peak_rss_kb = rss;
-      }
 
 (* ------------------------------------------------------------------ *)
 (* E15: observability overhead — access log + stats scraping on vs off   *)
@@ -920,7 +644,7 @@ type obs_bench = {
   ob_gate_ok : bool;  (* delta <= 3% *)
 }
 
-(* stashed for E11's BENCH_verify.json writer *)
+(* stashed for the BENCH_verify.json writer *)
 let obs_bench_result : obs_bench option ref = ref None
 
 let experiment_observability () =
@@ -1086,7 +810,7 @@ type router_bench = {
   rb_ejections : int;
 }
 
-(* stashed for E11's BENCH_verify.json writer *)
+(* stashed for the BENCH_verify.json writer *)
 let router_bench_result : router_bench option ref = ref None
 
 let experiment_router () =
@@ -1181,8 +905,8 @@ let experiment_router () =
         backend_backlog = 65536;
       }
   in
-  (* the E13/E14 mix: six distinct specs spread over the ring, and the
-     warm figures compare like for like with the single-backend E14 row *)
+  (* the six-job mix of EXPERIMENTS.md's E13/E14 (perfbench's serve keys),
+     spread over the ring *)
   let job protocol graph =
     {
       Dda_batch.Batch.protocol;
@@ -1242,14 +966,6 @@ let experiment_router () =
     total
     (100. *. Sclient.hit_rate warm)
     rstats.Router.forwarded rstats.Router.retries rstats.Router.ejections;
-  (match !service_v2_bench_result with
-  | Some e14 when e14.s2_warm.Sclient.rps > 0. ->
-    Format.printf "aggregate warm rps vs single-backend E14: %.2fx%s@."
-      (warm.Sclient.rps /. e14.s2_warm.Sclient.rps)
-      (if Domain.recommended_domain_count () < 2 then
-         "  (single-core box: all tiers time-slice one CPU, so the hop is pure overhead)"
-       else "")
-  | _ -> ());
   router_bench_result :=
     Some
       {
@@ -1266,344 +982,48 @@ let experiment_router () =
         rb_ejections = rstats.Router.ejections;
       }
 
-(* ------------------------------------------------------------------ *)
-(* E17: the symbolic engine — one family verdict vs per-instance work     *)
-(* ------------------------------------------------------------------ *)
-
-type symbolic_bench = {
-  sy_family : string;
-  sy_protocol : string;
-  (* regime name, family verdict, wall-clock of every rep *)
-  sy_regimes : (string * Dda_symbolic.Certify.t * float list) list;
-  (* n, explicit configs, explicit seconds (explore + decide) *)
-  sy_explicit : (int * int * float) list;
-  sy_hit_n : int;  (* instance size answered from the family entry *)
-  sy_hit_seconds : float;
-}
-
-(* stashed for E11's BENCH_verify.json writer *)
-let symbolic_bench_result : symbolic_bench option ref = ref None
-
-let experiment_symbolic () =
-  section "E17  symbolic engine: one family verdict vs explicit per-instance decisions";
-  let module Batch = Dda_batch.Batch in
-  let module Certify = Dda_symbolic.Certify in
-  let module Family = Dda_symbolic.Family in
-  let m = Dda_protocols.Cutoff_one.exists_label ~alphabet:[ "a"; "b" ] "a" in
-  let fam_spec = "star:ba*" in
-  let fam = match Family.parse fam_spec with Ok f -> f | Error e -> failwith e in
-  let reps = if smoke then 1 else 3 in
-  let time f =
-    let t0 = mono () in
-    let r = f () in
-    (r, mono () -. t0)
-  in
-  (* the family verdict: every instance size at once, certified by the
-     Lemma 3.5 coverability cutoff *)
-  Format.printf "%-18s %-10s %7s %11s %7s %8s %9s@." "regime" "verdict" "from_n"
-    "checked_to" "cutoff" "configs" "seconds";
-  let fam_rows =
-    List.map
-      (fun (name, regime) ->
-        let runs =
-          List.init reps (fun _ ->
-              time (fun () ->
-                  match Certify.decide_family ~max_configs:400_000 ~regime m fam with
-                  | Ok fv -> fv
-                  | Error (`Too_large n) ->
-                    failwith (Printf.sprintf "E17 %s: bounded out at %d" name n)
-                  | Error (`Unsupported msg) -> failwith ("E17 " ^ name ^ ": " ^ msg)))
-        in
-        let fv = fst (List.hd runs) in
-        let times = List.map snd runs in
-        let median =
-          let s = List.sort compare times in
-          List.nth s (List.length s / 2)
-        in
-        Format.printf "%-18s %-10s %7d %11d %7s %8d %8.3fs@." name
-          (Format.asprintf "%a" Decide.pp_verdict fv.Certify.verdict)
-          fv.Certify.from_n fv.Certify.checked_to
-          (match fv.Certify.certificate with
-          | Certify.Cutoff k -> Printf.sprintf "K=%d" k
-          | Certify.Window w -> Printf.sprintf "w=%d" w)
-          fv.Certify.configs median;
-        (name, fv, times))
-      [ ("adversarial", Decide.Adversarial); ("pseudo_stochastic", Decide.Pseudo_stochastic) ]
-  in
-  (* the explicit engine's view of the same family: one instance at a time,
-     |Q|^n configurations each *)
-  let explicit_ns = if smoke then [ 6; 8 ] else if quick then [ 6; 10; 14 ] else [ 6; 12; 18 ] in
-  let explicit_rows =
-    List.map
-      (fun n ->
-        let g = Family.instance fam n in
-        let (configs, verdict), seconds =
-          time (fun () ->
-              let space = Space.explore ~max_configs:6_000_000 m g in
-              (space.Space.size, Decide.adversarial space))
-        in
-        Format.printf "explicit n=%-6d %-10s %36d %8.3fs@." n
-          (Format.asprintf "%a" Decide.pp_verdict verdict)
-          configs seconds;
-        (n, configs, seconds))
-      explicit_ns
-  in
-  (* one family entry in the store answers any larger instance as a cache
-     hit — the memo-tier path `dda verify` reports as `tier: family` *)
-  let root =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "dda_bench_symbolic.%d" (Unix.getpid ()))
-  in
-  if Sys.file_exists root then rm_rf root;
-  let cache = Dda_batch.Store.open_ ~root () in
-  (match Batch.decide_family ~cache ~count:false ~regime:Dda_batch.Spec.Adversarial
-           ~max_configs:400_000 m fam
-   with
-  | Ok _ -> ()
-  | Error e -> failwith ("E17 cache seed: " ^ e));
-  let machine_key = Dda_batch.Fingerprint.machine ~labels:(Family.alphabet fam) m in
-  let hit_n = 40 in
-  let hit, hit_seconds =
-    time (fun () ->
-        Batch.family_hit ~cache ~machine_key ~regime:Dda_batch.Spec.Adversarial
-          ~max_configs:400_000
-          (Family.instance_spec fam hit_n))
-  in
-  (match hit with
-  | Some (_, _) ->
-    Format.printf "family hit: n=%d answered from the family entry in %.6fs (tier: family)@."
-      hit_n hit_seconds
-  | None -> failwith "E17: family entry did not answer the concrete instance");
-  rm_rf root;
-  symbolic_bench_result :=
-    Some
-      {
-        sy_family = fam_spec;
-        sy_protocol = "exists:a";
-        sy_regimes = fam_rows;
-        sy_explicit = explicit_rows;
-        sy_hit_n = hit_n;
-        sy_hit_seconds = hit_seconds;
-      }
-
-(* ------------------------------------------------------------------ *)
-(* E11: the exploration engine vs the legacy explorer (BENCH_verify.json) *)
-(* ------------------------------------------------------------------ *)
-
-type bench_row = {
-  r_instance : string;
-  r_backend : string;
-  r_configs : int;
-  r_edges : int;
-  r_seconds : float;  (* median *)
-  r_times : float list;
-  r_speedup : float option;
-  r_verdict : string;
-  r_stats : Dda_verify.Engine.stats option;  (* None for the legacy backend *)
-  r_peak_rss_kb : int option;  (* the row's forked child's own VmHWM *)
-}
-
-let memo_hit_rate (s : Dda_verify.Engine.stats) =
-  if s.Dda_verify.Engine.delta_lookups = 0 then 0.
-  else
-    float_of_int (s.Dda_verify.Engine.delta_lookups - s.Dda_verify.Engine.delta_evals)
-    /. float_of_int s.Dda_verify.Engine.delta_lookups
-
-(* Work balance across the effective worker slots: items of the busiest
-   slot over a perfectly even split.  1.0 = balanced; 1/jobs = one slot did
-   everything (i.e. the parallel gate fell back to sequential). *)
-let domain_utilisation (s : Dda_verify.Engine.stats) =
-  let items = s.Dda_verify.Engine.domain_items in
-  let total = Array.fold_left ( + ) 0 items in
-  let busiest = Array.fold_left max 0 items in
-  if busiest = 0 then 1.
-  else float_of_int total /. (float_of_int busiest *. float_of_int (Array.length items))
-
-(* measured early (fork-per-row needs a domain-free process, see [in_fork]);
-   written to BENCH_verify.json by [write_bench_json] at the end of the run *)
-let verify_rows : bench_row list ref = ref []
-
-let experiment_verify_bench () =
-  section "E11  exploration engine: legacy vs packed vs packed+symmetry";
-  let module Sym = Dda_verify.Symmetry in
-  let hom = H.weak_majority ~degree_bound:2 in
-  let exists_m = Dda_protocols.Cutoff_one.exists_label ~alphabet:[ "a"; "b" ] "a" in
-  let line word = G.line (List.init (String.length word) (fun i -> String.make 1 word.[i])) in
-  let ring word = G.cycle (List.init (String.length word) (fun i -> String.make 1 word.[i])) in
-  (* one benchmark row: time the exploration (median of [reps]), then decide *)
-  let measure ~reps explore =
-    ignore (explore ()) (* warm-up *);
-    let times =
-      List.init reps (fun _ ->
-          let t0 = mono () in
-          ignore (explore ());
-          mono () -. t0)
-    in
-    let space = explore () in
-    let sorted = List.sort compare times in
-    (space, List.nth sorted (List.length sorted / 2), times)
-  in
-  let rows = verify_rows in
-  (* each row measures in a forked child so peak_rss_kb is per-row, not the
-     running maximum over every experiment so far (note the baseline caveat
-     on [in_fork]: the child inherits the parent's RSS at fork) *)
-  let row ~instance ~backend ~reps ~baseline explore =
-    let compute () =
-      let space, seconds, times = measure ~reps explore in
-      let verdict = Format.asprintf "%a" Decide.pp_verdict (Decide.adversarial space) in
-      let stats = Option.map (fun e -> e.Dda_verify.Engine.stats) (Space.engine space) in
-      (space.Space.size, space.Space.size * space.Space.node_count, seconds, times, verdict, stats)
-    in
-    let (configs, edges, seconds, times, verdict, stats), rss =
-      match in_fork compute with
-      | Some (v, rss) -> (v, rss)
-      | None -> (compute (), peak_rss_kb ())
-    in
-    let speedup = Option.map (fun base -> base /. seconds) baseline in
-    Format.printf "%-24s %-14s %10d %10d %9.3fs %-10s %-8s %-7s %-5s %s@." instance backend
-      configs edges seconds verdict
-      (match speedup with Some s -> Printf.sprintf "%.1fx" s | None -> "-")
-      (match stats with Some s -> Printf.sprintf "%.1f%%" (100. *. memo_hit_rate s) | None -> "-")
-      (match stats with
-      | Some s when Array.length s.Dda_verify.Engine.domain_items > 1 ->
-        Printf.sprintf "%.2f" (domain_utilisation s)
-      | _ -> "-")
-      (match rss with Some kb -> Printf.sprintf "%d" kb | None -> "-");
-    rows :=
-      {
-        r_instance = instance;
-        r_backend = backend;
-        r_configs = configs;
-        r_edges = edges;
-        r_seconds = seconds;
-        r_times = times;
-        r_speedup = speedup;
-        r_verdict = verdict;
-        r_stats = stats;
-        r_peak_rss_kb = rss;
-      }
-      :: !rows;
-    seconds
-  in
-  Format.printf "%-24s %-14s %10s %10s %10s %-10s %-8s %-7s %-5s %s@." "instance" "backend"
-    "configs" "edges" "seconds" "verdict" "speedup" "memo%" "util" "rss_kb";
-  let budget = 6_000_000 in
-  let bench_instance ~instance ~reps ?symmetry m g =
-    let legacy = row ~instance ~backend:"legacy" ~reps ~baseline:None (fun () ->
-        Space.explore_legacy ~max_configs:budget m g)
-    in
-    ignore
-      (row ~instance ~backend:"engine" ~reps ~baseline:(Some legacy) (fun () ->
-           Space.explore ~max_configs:budget m g));
-    ignore
-      (row ~instance ~backend:"engine-j2" ~reps ~baseline:(Some legacy) (fun () ->
-           Space.explore ~jobs:2 ~max_configs:budget m g));
-    match symmetry with
-    | None -> ()
-    | Some s ->
-      ignore
-        (row ~instance ~backend:"engine+sym" ~reps ~baseline:(Some legacy) (fun () ->
-             Space.explore ~symmetry:s ~max_configs:budget m g))
-  in
-  if smoke then
-    bench_instance ~instance:"s6.1 line n=4 abab" ~reps:1 ~symmetry:(Sym.line 4) hom (line "abab")
-  else begin
-    (* the E10 exploration bench of the acceptance criteria *)
-    bench_instance ~instance:"s6.1 line n=5 abbab" ~reps:3 hom (line "abbab");
-    (* palindromic word: the reflection quotient actually merges orbits *)
-    bench_instance ~instance:"s6.1 line n=5 ababa" ~reps:3 ~symmetry:(Sym.line 5) hom (line "ababa");
-    bench_instance ~instance:"exists-a ring n=9" ~reps:3 ~symmetry:(Sym.cycle 9) exists_m
-      (ring "abbabbabb");
-    if not quick then
-      (* engine-only frontier: legacy needs > 9 minutes here *)
-      ignore
-        (row ~instance:"s6.1 line n=7 abbabba" ~backend:"engine+sym" ~reps:1 ~baseline:None
-           (fun () -> Space.explore ~symmetry:(Sym.line 7) ~max_configs:budget hom (line "abbabba")))
-  end
-
-(* machine-readable perf trajectory; runs at the very end so the section
-   refs stashed by the other experiments are all populated *)
+(* machine-readable record of E15, E16 and E18; runs at the very end so the
+   section refs stashed by those experiments are all populated *)
 let write_bench_json () =
-  let rows = verify_rows in
-  let oc = open_out "BENCH_verify.json" in
-  let out = Format.formatter_of_out_channel oc in
   let json_escape s =
     String.concat "" (List.map (function '"' -> "\\\"" | '\\' -> "\\\\" | c -> String.make 1 c)
         (List.init (String.length s) (String.get s)))
   in
-  Format.fprintf out "{@.  \"bench\": \"verify\",@.  \"mode\": \"%s\",@.  \"rows\": [@."
-    (if smoke then "smoke" else if quick then "quick" else "full");
-  List.iteri
-    (fun i r ->
-      let module E = Dda_verify.Engine in
-      let metrics =
-        match r.r_stats with
-        | None -> ""
-        | Some s ->
-          Printf.sprintf
-            ", \"memo_hit_rate\": %.4f, \"peak_frontier\": %d, \"waves\": %d, \
-             \"domain_items\": [%s], \"domain_utilisation\": %.4f"
-            (memo_hit_rate s) s.E.peak_frontier s.E.waves
-            (String.concat ", " (List.map string_of_int (Array.to_list s.E.domain_items)))
-            (domain_utilisation s)
-      in
-      Format.fprintf out
-        "    {\"instance\": \"%s\", \"backend\": \"%s\", \"configs\": %d, \"edges\": %d, \
-         \"seconds\": %.4f, \"seconds_summary\": %s, \"speedup_vs_legacy\": %s, \
-         \"peak_rss_kb\": %s, \"verdict\": \"%s\"%s}%s@."
-        (json_escape r.r_instance) (json_escape r.r_backend) r.r_configs r.r_edges r.r_seconds
-        (Dda_analysis.Stats.summary_json (Dda_analysis.Stats.summarise r.r_times))
-        (match r.r_speedup with Some s -> Printf.sprintf "%.2f" s | None -> "null")
-        (match r.r_peak_rss_kb with Some kb -> string_of_int kb | None -> "null")
-        (json_escape r.r_verdict) metrics
-        (if i = List.length !rows - 1 then "" else ","))
-    (List.rev !rows);
-  let sections =
-    (match !spill_bench_result with
-    | None -> []
-    | Some sp ->
-      let spill_row r =
-        Printf.sprintf
-          "{\"backend\": \"%s\", \"mem_budget\": %s, \"configs\": %d, \"edges\": %d, \
-           \"seconds\": %.4f, \"peak_rss_kb\": %s, \"segments_out\": %d, \"bytes_out\": %d, \
-           \"resident_peak\": %d, \"verdict\": \"%s\"}"
-          r.sp_backend
-          (match r.sp_budget with Some b -> string_of_int b | None -> "null")
-          r.sp_configs r.sp_edges r.sp_seconds
-          (match r.sp_peak_rss_kb with Some kb -> string_of_int kb | None -> "null")
-          r.sp_segments_out r.sp_bytes_out r.sp_resident_peak (json_escape r.sp_verdict)
-      in
-      [
-        Printf.sprintf
-          "\"spill\": {\"instance\": \"%s\", \"resident\": %s, \"budgeted\": %s, \
-           \"rss_ratio\": %s, \"wall_ratio\": %.2f, \"identical\": %b, \
-           \"gate_rss_4x_ok\": %s, \"gate_wall_2x_ok\": %b%s}"
-          (json_escape sp.spb_instance) (spill_row sp.spb_resident) (spill_row sp.spb_budgeted)
-          (match sp.spb_rss_ratio with Some r -> Printf.sprintf "%.2f" r | None -> "null")
-          sp.spb_wall_ratio sp.spb_identical
-          (match sp.spb_rss_ratio with Some r -> string_of_bool (r >= 4.) | None -> "null")
-          (sp.spb_wall_ratio <= 2.)
-          (match sp.spb_n8 with
-          | None -> ""
-          | Some (w, r) ->
-            Printf.sprintf ", \"n8\": {\"word\": \"%s\", \"row\": %s}" (json_escape w)
-              (spill_row r));
-      ])
-    @ (match !cache_bench_result with
-    | None -> []
-    | Some cb ->
-      [
-        Printf.sprintf
-          "\"cache\": {\"cold_seconds\": %.4f, \"warm_seconds\": %.4f, \"speedup\": %.2f, \
-           \"cold_hits\": %d, \"cold_misses\": %d, \"warm_hits\": %d, \"warm_misses\": %d, \
-           \"warm_hit_rate\": %.4f}"
-          cb.cb_cold cb.cb_warm
-          (cb.cb_cold /. cb.cb_warm)
-          cb.cb_cold_hits cb.cb_cold_misses cb.cb_warm_hits cb.cb_warm_misses
-          (float_of_int cb.cb_warm_hits
-          /. float_of_int (max 1 (cb.cb_warm_hits + cb.cb_warm_misses)));
-      ])
-    @
+  let summary l = Dda_analysis.Stats.summary_json (Dda_analysis.Stats.summarise l) in
+  let spill (sp : spill_bench) =
+    let spill_row r =
+      Printf.sprintf
+        "{\"backend\": \"%s\", \"mem_budget\": %s, \"configs\": %d, \"edges\": %d, \
+         \"seconds\": %.4f, \"peak_rss_kb\": %s, \"segments_out\": %d, \"bytes_out\": %d, \
+         \"resident_peak\": %d, \"verdict\": \"%s\"}"
+        r.sp_backend
+        (match r.sp_budget with Some b -> string_of_int b | None -> "null")
+        r.sp_configs r.sp_edges r.sp_seconds
+        (match r.sp_peak_rss_kb with Some kb -> string_of_int kb | None -> "null")
+        r.sp_segments_out r.sp_bytes_out r.sp_resident_peak (json_escape r.sp_verdict)
+    in
+    Printf.sprintf
+      "\"spill\": {\"instance\": \"%s\", \"resident\": %s, \"budgeted\": %s, \
+       \"rss_ratio\": %s, \"wall_ratio\": %.2f, \"identical\": %b, \
+       \"gate_rss_4x_ok\": %s, \"gate_wall_2x_ok\": %b%s}"
+      (json_escape sp.spb_instance) (spill_row sp.spb_resident) (spill_row sp.spb_budgeted)
+      (match sp.spb_rss_ratio with Some r -> Printf.sprintf "%.2f" r | None -> "null")
+      sp.spb_wall_ratio sp.spb_identical
+      (match sp.spb_rss_ratio with Some r -> string_of_bool (r >= 4.) | None -> "null")
+      (sp.spb_wall_ratio <= 2.)
+      (match sp.spb_n8 with
+      | None -> ""
+      | Some (w, r) ->
+        Printf.sprintf ", \"n8\": {\"word\": \"%s\", \"row\": %s}" (json_escape w) (spill_row r))
+  in
+  let observability ob =
+    Printf.sprintf
+      "\"observability\": {\"windows\": %d, \"log_sample\": %d, \"rps_off\": %s, \
+       \"rps_on\": %s, \"delta_pct\": %.2f, \"gate_3pct_ok\": %b}"
+      ob.ob_reps ob.ob_log_sample (summary ob.ob_rps_off) (summary ob.ob_rps_on) ob.ob_delta_pct
+      ob.ob_gate_ok
+  in
+  let router rb =
     let pass (s : Sclient.summary) =
       Printf.sprintf
         "{\"seconds\": %.4f, \"rps\": %.1f, \"ok\": %d, \"cached\": %d, \"bounded\": %d, \
@@ -1613,207 +1033,38 @@ let write_bench_json () =
         s.Sclient.rejected s.Sclient.errors (Sclient.hit_rate s) s.Sclient.p50_ms
         s.Sclient.p95_ms s.Sclient.p99_ms
     in
-    (match !service_bench_result with
-    | None -> []
-    | Some sb ->
-      [
-        Printf.sprintf
-          "\"service\": {\"clients\": %d, \"per_client\": %d, \"warm_speedup\": %.2f, \
-           \"seconds_summary\": %s, \"cold\": %s, \"warm\": %s}"
-          sb.sb_clients sb.sb_per_client
-          (sb.sb_warm.Sclient.rps /. Float.max 1e-9 sb.sb_cold.Sclient.rps)
-          (Dda_analysis.Stats.summary_json (Dda_analysis.Stats.summarise sb.sb_warm_seconds))
-          (pass sb.sb_cold) (pass sb.sb_warm);
-      ])
-    @
-    (match !service_v2_bench_result with
-    | None -> []
-    | Some sb ->
-      [
-        Printf.sprintf
-          "\"service_v2\": {\"clients\": %d, \"per_client\": %d, \"pipeline\": %d, \
-           \"peak_rss_kb\": %s, \"warm_rps_vs_e13\": %s, \"seconds_summary\": %s, \
-           \"cold\": %s, \"warm\": %s}"
-          sb.s2_clients sb.s2_per_client sb.s2_pipeline
-          (match sb.s2_peak_rss_kb with Some kb -> string_of_int kb | None -> "null")
-          (match !service_bench_result with
-          | Some e13 when e13.sb_warm.Sclient.rps > 0. ->
-            Printf.sprintf "%.2f" (sb.s2_warm.Sclient.rps /. e13.sb_warm.Sclient.rps)
-          | _ -> "null")
-          (Dda_analysis.Stats.summary_json (Dda_analysis.Stats.summarise sb.s2_warm_seconds))
-          (pass sb.s2_cold) (pass sb.s2_warm);
-      ])
-    @ (match !obs_bench_result with
-      | None -> []
-      | Some ob ->
-        [
-          Printf.sprintf
-            "\"observability\": {\"windows\": %d, \"log_sample\": %d, \"rps_off\": %s, \
-             \"rps_on\": %s, \"delta_pct\": %.2f, \"gate_3pct_ok\": %b}"
-            ob.ob_reps ob.ob_log_sample
-            (Dda_analysis.Stats.summary_json (Dda_analysis.Stats.summarise ob.ob_rps_off))
-            (Dda_analysis.Stats.summary_json (Dda_analysis.Stats.summarise ob.ob_rps_on))
-            ob.ob_delta_pct ob.ob_gate_ok;
-        ])
-    @ (match !router_bench_result with
-      | None -> []
-      | Some rb ->
-        [
-          Printf.sprintf
-            "\"router\": {\"backends\": %d, \"clients\": %d, \"per_client\": %d, \
-             \"pipeline\": %d, \"total_requests\": %d, \"warm_hit_rate\": %.4f, \
-             \"warm_rps_vs_e14\": %s, \"forwarded\": %d, \"retries\": %d, \"ejections\": %d, \
-             \"cold\": %s, \"warm\": %s}"
-            rb.rb_backends rb.rb_clients rb.rb_per_client rb.rb_pipeline rb.rb_total_requests
-            (Sclient.hit_rate rb.rb_warm)
-            (match !service_v2_bench_result with
-            | Some e14 when e14.s2_warm.Sclient.rps > 0. ->
-              Printf.sprintf "%.2f" (rb.rb_warm.Sclient.rps /. e14.s2_warm.Sclient.rps)
-            | _ -> "null")
-            rb.rb_forwarded rb.rb_retries rb.rb_ejections (pass rb.rb_cold) (pass rb.rb_warm);
-        ])
-    @
-    match !symbolic_bench_result with
-    | None -> []
-    | Some sy ->
-      let module Certify = Dda_symbolic.Certify in
-      let regime (name, (fv : Certify.t), times) =
-        Printf.sprintf
-          "\"%s\": {\"verdict\": \"%s\", \"from_n\": %d, \"checked_to\": %d, \
-           \"cutoff\": %s, \"window\": %s, \"configs\": %d, \"seconds_summary\": %s}"
-          name
-          (json_escape (Format.asprintf "%a" Decide.pp_verdict fv.Certify.verdict))
-          fv.Certify.from_n fv.Certify.checked_to
-          (match fv.Certify.certificate with
-          | Certify.Cutoff k -> string_of_int k
-          | Certify.Window _ -> "null")
-          (match fv.Certify.certificate with
-          | Certify.Window w -> string_of_int w
-          | Certify.Cutoff _ -> "null")
-          fv.Certify.configs
-          (Dda_analysis.Stats.summary_json (Dda_analysis.Stats.summarise times))
-      in
-      let explicit (n, configs, seconds) =
-        Printf.sprintf "{\"n\": %d, \"configs\": %d, \"seconds\": %.4f}" n configs seconds
-      in
-      [
-        Printf.sprintf
-          "\"symbolic\": {\"family\": \"%s\", \"protocol\": \"%s\", %s, %s, \
-           \"explicit_instances\": [%s], \"family_hit_n\": %d, \"family_hit_seconds\": %.6f}"
-          (json_escape sy.sy_family) (json_escape sy.sy_protocol)
-          (regime (List.nth sy.sy_regimes 0))
-          (regime (List.nth sy.sy_regimes 1))
-          (String.concat ", " (List.map explicit sy.sy_explicit))
-          sy.sy_hit_n sy.sy_hit_seconds;
-      ]
+    Printf.sprintf
+      "\"router\": {\"backends\": %d, \"clients\": %d, \"per_client\": %d, \
+       \"pipeline\": %d, \"total_requests\": %d, \"warm_hit_rate\": %.4f, \
+       \"forwarded\": %d, \"retries\": %d, \"ejections\": %d, \"cold\": %s, \"warm\": %s}"
+      rb.rb_backends rb.rb_clients rb.rb_per_client rb.rb_pipeline rb.rb_total_requests
+      (Sclient.hit_rate rb.rb_warm) rb.rb_forwarded rb.rb_retries rb.rb_ejections
+      (pass rb.rb_cold) (pass rb.rb_warm)
   in
-  (match sections with
-  | [] -> Format.fprintf out "  ]@.}@."
-  | secs ->
-    Format.fprintf out "  ],@.";
-    List.iteri
-      (fun i s ->
-        Format.fprintf out "  %s%s@." s (if i = List.length secs - 1 then "" else ","))
-      secs;
-    Format.fprintf out "}@.");
-  close_out oc;
-  Format.printf "wrote BENCH_verify.json (%d rows)@." (List.length !rows)
-
-(* ------------------------------------------------------------------ *)
-(* Bechamel timing of the core kernels                                    *)
-(* ------------------------------------------------------------------ *)
-
-let bechamel_suite () =
-  section "Timings (bechamel, monotonic clock)";
-  let open Bechamel in
-  let open Toolkit in
-  let g21 = G.cycle (List.init 21 (fun i -> if i mod 3 = 0 then "a" else "b")) in
-  let hom = H.weak_majority ~degree_bound:2 in
-  let exists_m = Dda_protocols.Cutoff_one.exists_label ~alphabet:[ "a"; "b" ] "a" in
-  let g9 = G.cycle (List.init 9 (fun i -> if i mod 3 = 0 then "a" else "b")) in
-  let pop = Dda_protocols.Pop_examples.majority_4state in
-  let pop_g = G.cycle (List.init 15 (fun i -> if i mod 3 = 0 then 'a' else 'b')) in
-  let tests =
+  let fields =
     [
-      Test.make ~name:"s6.1 step, n=21 ring"
-        (Staged.stage (fun () ->
-             let c = Config.initial hom g21 in
-             ignore (Config.step hom g21 c [ 0; 5; 10 ])));
-      Test.make ~name:"explicit space exists-a, n=9 ring"
-        (Staged.stage (fun () -> ignore (Space.explore ~max_configs:100_000 exists_m g9)));
-      Test.make ~name:"counted clique space exists-a, n=40"
-        (Staged.stage (fun () ->
-             ignore
-               (Dda_symbolic.Counted.clique ~max_configs:100_000 exists_m
-                  (M.of_counts [ ("a", 10); ("b", 30) ]))));
-      Test.make ~name:"pre-star climber"
-        (Staged.stage (fun () ->
-             let states = [ 0; 1; 2 ] in
-             ignore (Cov.pre_star ~states climber (Cov.non_rejecting_targets ~states climber))));
-      Test.make ~name:"population majority run, n=15 ring"
-        (Staged.stage (fun () -> ignore (Pop.simulate_random ~seed:1 ~max_steps:50_000 pop pop_g)));
-      Test.make ~name:"s6.1 run 10k steps, n=21 ring"
-        (Staged.stage (fun () ->
-             ignore
-               (Run.simulate ~max_steps:10_000 hom g21 (Scheduler.random_exclusive ~n:21 ~seed:1))));
+      "\"bench\": \"verify\"";
+      Printf.sprintf "\"mode\": \"%s\"" (if smoke then "smoke" else if quick then "quick" else "full");
     ]
+    @ List.filter_map Fun.id
+        [
+          Option.map spill !spill_bench_result;
+          Option.map observability !obs_bench_result;
+          Option.map router !router_bench_result;
+        ]
   in
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second (if quick then 0.25 else 1.0)) () in
-  let raw = Benchmark.all cfg instances (Test.make_grouped ~name:"dda" ~fmt:"%s %s" tests) in
-  let ols = Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |] in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  let rows = Hashtbl.fold (fun name result acc -> (name, result) :: acc) results [] in
-  List.iter
-    (fun (name, result) ->
-      match Analyze.OLS.estimates result with
-      | Some [ est ] -> Format.printf "%-50s %12.0f ns/run@." name est
-      | _ -> Format.printf "%-50s %12s@." name "n/a")
-    (List.sort compare rows)
-
-(* ------------------------------------------------------------------ *)
-(* Telemetry overhead microbench                                          *)
-(* ------------------------------------------------------------------ *)
-
-(* A/B on the s6.1 explore instance: disabled (the state every other
-   experiment above ran in) vs enabled with trace+journal sinks.  Runs
-   last because Telemetry.enable is write-once per process. *)
-let telemetry_overhead_bench () =
-  section "Telemetry overhead (s6.1 explore, disabled vs trace+journal)";
-  let module T = Dda_telemetry.Telemetry in
-  let hom = H.weak_majority ~degree_bound:2 in
-  let word = if smoke then "abab" else "abbab" in
-  let g = G.line (List.init (String.length word) (fun i -> String.make 1 word.[i])) in
-  let reps = if smoke then 1 else 5 in
-  let time_explore () =
-    let t0 = mono () in
-    ignore (Space.explore ~max_configs:6_000_000 hom g);
-    mono () -. t0
-  in
-  let med l = List.nth (List.sort compare l) (List.length l / 2) in
-  ignore (time_explore ()) (* warm-up *);
-  let disabled = med (List.init reps (fun _ -> time_explore ())) in
-  let trace = Filename.temp_file "dda_bench_trace" ".json" in
-  let journal = Filename.temp_file "dda_bench_journal" ".jsonl" in
-  T.enable ~trace ~journal ();
-  ignore (time_explore ());
-  let enabled = med (List.init reps (fun _ -> time_explore ())) in
-  T.shutdown ();
-  Sys.remove trace;
-  Sys.remove journal;
-  Format.printf "instance: s6.1 line %s   reps: %d (median)@." word reps;
-  Format.printf "disabled: %.4fs   enabled(trace+journal): %.4fs   overhead: %+.1f%%@." disabled
-    enabled
-    (100. *. ((enabled -. disabled) /. disabled))
+  let oc = open_out "BENCH_verify.json" in
+  Printf.fprintf oc "{\n  %s\n}\n" (String.concat ",\n  " fields);
+  close_out oc;
+  Format.printf "@.wrote BENCH_verify.json@."
 
 let () =
   Format.printf "Decision Power of Weak Asynchronous Models — experiment harness%s@."
     (if quick then " (quick mode)" else "");
-  (* E18 and the forked E11 rows first: a forked child's RSS baseline is
-     the parent's footprint, and OCaml 5 cannot fork at all once the
-     domain-spawning experiments below have run *)
+  (* E18 first: a forked child's RSS baseline is the parent's footprint,
+     and OCaml 5 cannot fork at all once the domain-spawning experiments
+     below have run *)
   experiment_spill ();
-  experiment_verify_bench ();
   experiment_figure1 ();
   experiment_broadcast_overhead ();
   experiment_chain ();
@@ -1823,13 +1074,7 @@ let () =
   experiment_convergence ();
   experiment_primality ();
   experiment_exact_adversarial ();
-  experiment_cache ();
-  experiment_service ();
-  experiment_service_v2 ();
   experiment_observability ();
   experiment_router ();
-  experiment_symbolic ();
   write_bench_json ();
-  bechamel_suite ();
-  telemetry_overhead_bench ();
   Format.printf "@.done.@."

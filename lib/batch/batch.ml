@@ -355,8 +355,7 @@ let machine_fp memo ~protocol ~alphabet m =
 
 let resolve ?cache memo job =
   let ( let* ) = Result.bind in
-  let prefix what = Result.map_error (fun msg -> what ^ ": " ^ msg) in
-  let* gspec = prefix "graph" (Spec.parse_graph_spec job.graph) in
+  let* gspec = Result.map_error (fun msg -> "graph: " ^ msg) (Spec.parse_graph_spec job.graph) in
   (* families build their protocol over the smallest instance — every
      instance shares the family's alphabet *)
   let rep, alphabet =
@@ -364,7 +363,8 @@ let resolve ?cache memo job =
     | Spec.Concrete g -> (g, Spec.alphabet_of g)
     | Spec.Family fam -> (Spec.family_representative fam, Dda_symbolic.Family.alphabet fam)
   in
-  let* (Spec.Packed m) = prefix "protocol" (Spec.parse_protocol job.protocol rep) in
+  (* [Spec.parse_protocol]'s errors name the protocol spec themselves *)
+  let* (Spec.Packed m) = Spec.parse_protocol job.protocol rep in
   (* one machine fingerprint per (protocol, alphabet) pair, not per job *)
   let machine_key =
     Option.map (fun _ -> machine_fp memo ~protocol:job.protocol ~alphabet m) cache

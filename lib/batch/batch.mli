@@ -200,7 +200,8 @@ val resolve :
     {!plan} (explicit engine, with its spec as the family fallback), a
     family through the symbolic engine.  The table memoises machine fingerprints per
     (protocol, alphabet) across jobs.  [Error] names the spec that failed
-    to parse (["graph: ..."], ["protocol: ..."]). *)
+    to parse: ["graph: ..."], or {!Spec.parse_protocol}'s own text, the
+    one [dda decide] prints. *)
 
 type outcome =
   | Done of decision

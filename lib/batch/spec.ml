@@ -64,7 +64,7 @@ let parse_protocol_exn spec g =
       match int_of_string_opt k with
       | Some k when k >= 1 ->
         Ok (Packed (Dda_protocols.Cutoff_broadcast.threshold ~alphabet ~label:l ~k))
-      | _ -> Error "threshold:<label>,<k>= needs k >= 1")
+      | _ -> Error "threshold:<label>,<k> needs k >= 1")
     | _ -> Error "threshold spec: threshold:<label>,<k>")
   | [ "majority-bounded"; k ] -> (
     match int_of_string_opt k with

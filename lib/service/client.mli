@@ -12,7 +12,7 @@
     each closed-loop ([per_client] requests, up to [pipeline] of them in
     flight per connection), and merges the per-request latencies into a
     {!summary} with p50/p95/p99 — the measurement harness behind
-    [dda client --bench] and bench experiments E13/E14. *)
+    [dda client --bench] and bench experiments E15/E16. *)
 
 type t
 

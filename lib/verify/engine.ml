@@ -115,9 +115,10 @@ let getenv_pos name =
 
 (* Worker domains beyond the physical core count cannot help and the
    per-wave Domain.spawn/join plus minor-GC barriers actively hurt — on a
-   single-core host engine-j2 measured ~2.8x slower than sequential before
-   this gate existed (BENCH_verify.json, PR 1).  Overridable for tests and
-   experiments via DDA_PAR_CORES. *)
+   single-core host [jobs = 2] measured ~2.8x slower than sequential
+   before this gate existed (doc/INTERNALS.md, "Parallel
+   frontier expansion").  Overridable for tests and experiments via
+   DDA_PAR_CORES. *)
 let par_cores =
   lazy (Option.value (getenv_pos "DDA_PAR_CORES") ~default:(Domain.recommended_domain_count ()))
 
@@ -563,8 +564,8 @@ module Wave (S : STORE) = struct
     let jobs = max 1 (min (min jobs 64) (Lazy.force par_cores)) in
     (* worker slots, each created on first use — by its own domain — since
        a ctx owns a fresh memo table (~200 KB of arrays), which small
-       instances should never pay for (the residual "engine-j2" penalty on
-       tiny rings in BENCH_verify.json came from eager allocation) *)
+       instances should never pay for (eager allocation made [jobs = 2]
+       measurably slower than sequential on tiny rings) *)
     let slots = Array.init jobs (fun _ -> lazy (ctx_create m nbr interner)) in
     let ix = index_create () in
     let reduced = sym <> None in

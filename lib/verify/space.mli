@@ -94,7 +94,8 @@ val explore :
 val explore_legacy :
   max_configs:int -> ('l, 's) Dda_machine.Machine.t -> 'l Dda_graph.Graph.t -> t
 (** The pre-engine explorer (polymorphic hashing, worklist CSR), kept as the
-    differential-testing oracle and benchmark baseline.
+    oracle of the differential tests ([test_engine], [test_verify],
+    [test_spill]); no benchmark times it.
     @raise Too_large when more than [max_configs] configurations are found. *)
 
 val explore_liberal :

@@ -628,6 +628,22 @@ let test_run_family_error_text () =
   | Error msg -> Alcotest.(check string) "decide_family error text" expected msg
   | Ok _ -> Alcotest.fail "decide_family should fail"
 
+(* a protocol whose constructor refuses its arguments: [dda batch] and
+   [dda serve] (through [Batch.resolve]) report the text [dda decide]
+   prints (through [Spec.parse_protocol]), with the protocol named once *)
+let test_resolve_protocol_error_text () =
+  let job =
+    { Batch.protocol = "exists:z"; graph = "cycle:abb"; regime = Spec.Pseudo_stochastic;
+      max_configs = 1000 }
+  in
+  let expected = "protocol exists:z: Cutoff_one: label \"z\" outside the alphabet" in
+  (match Batch.resolve (Hashtbl.create 1) job with
+  | Error msg -> Alcotest.(check string) "resolve error text" expected msg
+  | Ok _ -> Alcotest.fail "exists:z on cycle:abb should not resolve");
+  match Spec.parse_protocol job.Batch.protocol (Result.get_ok (Spec.parse_graph job.Batch.graph)) with
+  | Error msg -> Alcotest.(check string) "parse_protocol error text" expected msg
+  | Ok _ -> Alcotest.fail "exists:z on cycle:abb should not parse"
+
 (* --- one tier chain: pinned keys, shared by every front end ----------------- *)
 
 (* Store file names written by [dda decide --cache --max-configs 200000]
@@ -846,6 +862,7 @@ let () =
           Alcotest.test_case "reports failures" `Quick test_run_reports_failures;
           Alcotest.test_case "interrupt drains cleanly" `Quick test_run_interrupted;
           Alcotest.test_case "family error text" `Quick test_run_family_error_text;
+          Alcotest.test_case "protocol error text" `Quick test_resolve_protocol_error_text;
         ] );
       ( "keys",
         [
