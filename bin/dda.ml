@@ -216,7 +216,7 @@ let cmd_decide_family ?cache proto_spec fam regime max_configs =
       Format.printf "tier: %s@." (if d.Batch.cached then "family" else "none")
     | Batch.Verdict v, None -> Format.printf "verdict: %s@." (verdict_name v))
 
-let cmd_decide proto_spec graph_spec fairness_str engine_str cache_dir max_configs witness jobs
+let cmd_decide proto_spec graph_spec fairness_str engine_str cache_dir max_configs witness
     reduce mem_budget trace metrics journal progress =
   telemetry_init trace metrics journal progress;
   set_mem_budget mem_budget;
@@ -230,14 +230,13 @@ let cmd_decide proto_spec graph_spec fairness_str engine_str cache_dir max_confi
   let (Spec.Packed m) = or_die (parse_protocol proto_spec g) in
   let symmetry = if reduce then symmetry_of_spec graph_spec (G.nodes g) else None in
   let plan =
-    or_die (Batch.plan ?cache ~graph_spec ~jobs ?symmetry ~engine ~regime ~max_configs m g)
+    or_die (Batch.plan ?cache ~graph_spec ?symmetry ~engine ~regime ~max_configs m g)
   in
   let symbolic = plan.Batch.engine = "symbolic" in
-  Format.printf "automaton: %s   graph: %s (n=%d)   fairness: %s%s%s%s@." m.Machine.name graph_spec
+  Format.printf "automaton: %s   graph: %s (n=%d)   fairness: %s%s%s@." m.Machine.name graph_spec
     (G.nodes g)
     (match regime with Spec.Adversarial -> "adversarial" | _ -> "pseudo-stochastic")
     (if symbolic then "   engine: symbolic" else "")
-    (if jobs > 1 then Printf.sprintf "   jobs: %d" jobs else "")
     (match symmetry with
     | Some s -> Printf.sprintf "   symmetry: order %d" (Dda_verify.Symmetry.order s)
     | None -> "");
@@ -273,7 +272,7 @@ let cmd_decide proto_spec graph_spec fairness_str engine_str cache_dir max_confi
         Format.printf "witness schedules need the explicit engine; re-run with --engine explicit@.")
   | None ->
   let t0 = Unix.gettimeofday () in
-  match Dda_verify.Space.explore ~jobs ?symmetry ~max_configs m g with
+  match Dda_verify.Space.explore ?symmetry ~max_configs m g with
   | exception Dda_verify.Space.Too_large n ->
     Format.printf "state space exceeds %d configurations; try `dda simulate` instead@." n;
     exit 1
@@ -803,11 +802,6 @@ let decide_cmd =
   let witness =
     Arg.(value & flag & info [ "witness" ] ~doc:"Print a schedule driving the verdict.")
   in
-  let jobs =
-    Arg.(
-      value & opt int 1
-      & info [ "j"; "jobs" ] ~docv:"N" ~doc:"Domains for parallel frontier expansion.")
-  in
   let reduce =
     Arg.(
       value & flag
@@ -829,7 +823,7 @@ let decide_cmd =
   let term =
     Term.(
       const cmd_decide $ proto_arg $ graph_arg $ fairness $ engine $ cache_arg $ max_configs
-      $ witness $ jobs $ reduce $ mem_budget_arg $ trace_arg $ metrics_arg $ journal_arg
+      $ witness $ reduce $ mem_budget_arg $ trace_arg $ metrics_arg $ journal_arg
       $ progress_arg)
   in
   ( Cmd.v (Cmd.info "decide" ~doc:"Decide acceptance exactly by state-space analysis") term,

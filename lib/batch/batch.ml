@@ -93,8 +93,8 @@ let computing thunk () =
   | result, configs -> Ok (timed t0 result configs, None)
   | exception Invalid_argument msg -> Error msg
 
-let explore_and_classify ?jobs ?symmetry ~regime ~max_configs m g () =
-  match Space.explore ?jobs ?symmetry ~max_configs m g with
+let explore_and_classify ?symmetry ~regime ~max_configs m g () =
+  match Space.explore ?symmetry ~max_configs m g with
   | exception Space.Too_large n -> (Bounded n, n)
   | exception Dda_wsts.Coverability.Too_large n -> (Bounded n, n)
   | space -> (Verdict (Decide.for_regime regime space), space.Space.size)
@@ -149,7 +149,7 @@ let machine_key_of cache machine_key labels m =
   | Some _, Some k -> k
   | Some _, None -> Fingerprint.machine ~labels:(labels ()) m
 
-let plan ?cache ?machine_key ?graph_spec ?jobs ?symmetry ?(engine = Spec.Explicit)
+let plan ?cache ?machine_key ?graph_spec ?symmetry ?(engine = Spec.Explicit)
     ~regime ~max_configs m g =
   (* the symbolic engine only has counted semantics for cliques and stars;
      Auto falls back to the explicit engine elsewhere *)
@@ -165,7 +165,7 @@ let plan ?cache ?machine_key ?graph_spec ?jobs ?symmetry ?(engine = Spec.Explici
       match shape with
       | Some shape ->
         ("symbolic", explore_and_classify_counted ~regime ~max_configs m shape)
-      | None -> ("explicit", explore_and_classify ?jobs ?symmetry ~regime ~max_configs m g)
+      | None -> ("explicit", explore_and_classify ?symmetry ~regime ~max_configs m g)
     in
     let machine_key = machine_key_of cache machine_key (fun () -> Spec.alphabet_of g) m in
     let fallback =
@@ -249,9 +249,9 @@ let cached ?cache ?(count = true) ?(engine = "explicit") ~machine_key ~graph_key
        (keyed cache (computing thunk) ~engine ~machine_key ~graph_key ~regime
           ~max_configs ~fallback:(lazy None)))
 
-let decide ?cache ?(count = true) ?machine_key ?jobs ?symmetry ?engine ~regime
+let decide ?cache ?(count = true) ?machine_key ?symmetry ?engine ~regime
     ~max_configs m g =
-  match plan ?cache ?machine_key ?jobs ?symmetry ?engine ~regime ~max_configs m g with
+  match plan ?cache ?machine_key ?symmetry ?engine ~regime ~max_configs m g with
   | Error msg -> invalid_arg msg
   | Ok p -> decision_exn (through ?cache ~count p)
 
@@ -355,7 +355,7 @@ let machine_fp memo ~protocol ~alphabet m =
 
 let resolve ?cache memo job =
   let ( let* ) = Result.bind in
-  let* gspec = Result.map_error (fun msg -> "graph: " ^ msg) (Spec.parse_graph_spec job.graph) in
+  let* gspec = Spec.parse_graph_spec job.graph in
   (* families build their protocol over the smallest instance — every
      instance shares the family's alphabet *)
   let rep, alphabet =

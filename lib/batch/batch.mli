@@ -73,7 +73,6 @@ val plan :
   ?cache:Store.t ->
   ?machine_key:string ->
   ?graph_spec:string ->
-  ?jobs:int ->
   ?symmetry:Dda_verify.Symmetry.t ->
   ?engine:Spec.engine ->
   regime:Spec.regime ->
@@ -117,7 +116,6 @@ val decide :
   ?cache:Store.t ->
   ?count:bool ->
   ?machine_key:string ->
-  ?jobs:int ->
   ?symmetry:Dda_verify.Symmetry.t ->
   ?engine:Spec.engine ->
   regime:Spec.regime ->
@@ -199,9 +197,10 @@ val resolve :
 (** The plan of a job given as spec strings: a concrete graph goes through
     {!plan} (explicit engine, with its spec as the family fallback), a
     family through the symbolic engine.  The table memoises machine fingerprints per
-    (protocol, alphabet) across jobs.  [Error] names the spec that failed
-    to parse: ["graph: ..."], or {!Spec.parse_protocol}'s own text, the
-    one [dda decide] prints. *)
+    (protocol, alphabet) across jobs.  [Error] is the failing parser's own
+    text — {!Spec.parse_graph_spec}'s ["graph: ..."] or
+    {!Spec.parse_protocol}'s ["protocol <spec>: ..."] — the one
+    [dda decide] prints. *)
 
 type outcome =
   | Done of decision

@@ -16,7 +16,10 @@ let parse_regime = function
 
 let split_on c s = String.split_on_char c s
 
-let parse_graph spec =
+(* Every graph error, concrete or family, carries the one [graph: ] prefix. *)
+let graph_error r = Result.map_error (fun msg -> "graph: " ^ msg) r
+
+let concrete_graph spec =
   match split_on ':' spec with
   | [ topo; labels ] when String.length labels > 0 ->
     let ls = List.init (String.length labels) (fun i -> String.make 1 labels.[i]) in
@@ -27,7 +30,7 @@ let parse_graph spec =
     | "star" -> (
       match ls with
       | centre :: (_ :: _ as leaves) -> Ok (G.star ~centre ~leaves)
-      | _ -> Error "star needs at least three labels")
+      | _ -> Error "star needs at least two labels")
     | _ -> Error (Printf.sprintf "unknown topology %S (cycle|line|clique|star)" topo))
   | [ "grid"; dims; labels ] -> (
     match split_on 'x' dims with
@@ -42,8 +45,10 @@ let parse_graph spec =
         else if h > max_int / w then Error (Printf.sprintf "grid %dx%d is too large" w h)
         else Error (Printf.sprintf "grid %dx%d needs exactly %d labels" w h (w * h))
       | _ -> Error "grid dimensions must be integers")
-    | _ -> Error "grid spec: grid:WxH:labels")
-  | _ -> Error "graph spec: (cycle|line|clique|star):<labels> or grid:WxH:<labels>"
+    | _ -> Error "expected grid:WxH:<labels>")
+  | _ -> Error "expected (cycle|line|clique|star):<labels> or grid:WxH:<labels>"
+
+let parse_graph spec = graph_error (concrete_graph spec)
 
 let alphabet_of g =
   Dda_util.Listx.dedup_sorted Stdlib.compare (Array.to_list (G.labels g))
@@ -134,9 +139,10 @@ type graph_spec =
 
 let parse_graph_spec spec =
   let n = String.length spec in
-  if n > 0 && spec.[n - 1] = '*' then
-    Result.map (fun f -> Family f) (Dda_symbolic.Family.parse spec)
-  else Result.map (fun g -> Concrete g) (parse_graph spec)
+  graph_error
+    (if n > 0 && spec.[n - 1] = '*' then
+       Result.map (fun f -> Family f) (Dda_symbolic.Family.parse spec)
+     else Result.map (fun g -> Concrete g) (concrete_graph spec))
 
 let family_of_instance spec = Dda_symbolic.Family.of_instance_spec spec
 

@@ -22,6 +22,8 @@ val parse_regime : string -> (regime, string) result
 (** Accepts ["f"], ["adversarial"], ["F"], ["pseudo-stochastic"]. *)
 
 val parse_graph : string -> (string Dda_graph.Graph.t, string) result
+(** [cycle|line|clique|star:<labels>] (one label per character) or
+    [grid:WxH:<labels>] (row-major).  Errors read ["graph: ..."]. *)
 
 val alphabet_of : string Dda_graph.Graph.t -> string list
 (** Sorted, deduplicated label alphabet of a graph — the canonical label
@@ -47,7 +49,8 @@ type graph_spec =
 val parse_graph_spec : string -> (graph_spec, string) result
 (** Like {!parse_graph}, but a spec whose label word ends in [*]
     ([clique:ab*], [star:ba*]) parses as a graph {e family} — the query
-    object of the symbolic engine's family verdicts. *)
+    object of the symbolic engine's family verdicts.  Errors of both kinds
+    carry the same single ["graph: "] prefix. *)
 
 val family_of_instance : string -> (Dda_symbolic.Family.t * int) option
 (** The family a concrete clique/star spec is an instance of (collapse the

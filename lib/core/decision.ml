@@ -10,10 +10,10 @@ let default_budget = { max_configs = 200_000; max_steps = 1_000_000 }
 
 type outcome = (Decide.verdict, [ `Too_large of int | `No_cycle ]) result
 
-let decide ?cache ?machine_key ?(budget = default_budget) ?jobs ?symmetry ?engine
+let decide ?cache ?machine_key ?(budget = default_budget) ?symmetry ?engine
     ~fairness m g =
   let d =
-    Dda_batch.Batch.decide ?cache ?machine_key ?jobs ?symmetry ?engine ~regime:fairness
+    Dda_batch.Batch.decide ?cache ?machine_key ?symmetry ?engine ~regime:fairness
       ~max_configs:budget.max_configs m g
   in
   match d.Dda_batch.Batch.result with

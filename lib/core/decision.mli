@@ -21,7 +21,6 @@ val decide :
   ?cache:Dda_batch.Store.t ->
   ?machine_key:string ->
   ?budget:budget ->
-  ?jobs:int ->
   ?symmetry:Dda_verify.Symmetry.t ->
   ?engine:Dda_batch.Spec.engine ->
   fairness:Classes.fairness ->
@@ -30,8 +29,7 @@ val decide :
   outcome
 (** Exact decision by state-space analysis: {!Dda_batch.Batch.decide} with
     the budget's configuration bound.  [`Too_large] reports an exceeded
-    configuration budget.  [jobs] parallelises exploration over OCaml 5
-    domains; [symmetry] quotients the space by a group of adjacency
+    configuration budget.  [symmetry] quotients the space by a group of adjacency
     automorphisms of [g] (verdicts are unchanged — see
     [Dda_verify.Engine]).
 

@@ -66,12 +66,12 @@ let counters : (string, counter) Hashtbl.t = Hashtbl.create 64
 let histograms : (string, histogram) Hashtbl.t = Hashtbl.create 16
 let span_aggs : (string, span_agg) Hashtbl.t = Hashtbl.create 16
 
-(* Find-or-create may be reached from worker domains (the engine's
-   per-domain counters, any instrumented code called by the batch runner's
-   shards), so the tables are guarded by the emit lock.  Counter bumps stay
-   unguarded single-word writes — the hot path must remain a load+branch —
-   and exact cross-domain accounting is the caller's job (the engine and the
-   batch driver aggregate per-worker tallies on the main domain). *)
+(* Find-or-create may be reached from worker domains (the batch runner's
+   per-shard counters, any instrumented code called by its shards or the
+   server's workers), so the tables are guarded by the emit lock.  Counter
+   bumps stay unguarded single-word writes — the hot path must remain a
+   load+branch — and exact cross-domain accounting is the caller's job (the
+   batch driver aggregates per-shard tallies on the main domain). *)
 let counter name =
   Mutex.lock st.emit_lock;
   let c =
@@ -638,8 +638,9 @@ module Registry = struct
 
   let windows = [ "service.window.latency_ms" ]
 
-  (* <pre><digits><post>, e.g. engine.domain.3.items *)
-  let numbered ~pre ~post name =
+  (* batch.shard.<k>.jobs *)
+  let shard_counter name =
+    let pre = "batch.shard." and post = ".jobs" in
     let lp = String.length pre and ls = String.length post and ln = String.length name in
     ln > lp + ls
     && String.sub name 0 lp = pre
@@ -649,18 +650,12 @@ module Registry = struct
          mid <> "" && String.for_all (fun ch -> ch >= '0' && ch <= '9') mid
        end
 
-  (* engine.domain.<k>.items *)
-  let domain_counter = numbered ~pre:"engine.domain." ~post:".items"
-
-  (* batch.shard.<k>.jobs *)
-  let shard_counter = numbered ~pre:"batch.shard." ~post:".jobs"
-
-  let valid_counter name = List.mem name counters || domain_counter name || shard_counter name
+  let valid_counter name = List.mem name counters || shard_counter name
   let valid_histogram name = List.mem name histograms
   let valid_span name = List.mem name spans
 
   (* service.verb.<v> — per-verb request counts; the verb set may grow with
-     the protocol, so validation is structural like the domain counters *)
+     the protocol, so validation is structural like the shard counters *)
   let verb_gauge name =
     let pre = "service.verb." in
     let lp = String.length pre and ln = String.length name in

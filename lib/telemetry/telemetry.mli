@@ -190,8 +190,8 @@ end
 
 module Registry : sig
   val counters : string list
-  (** All registered counter names.  Per-domain counters follow the
-      pattern [engine.domain.<k>.items], validated structurally. *)
+  (** All registered counter names.  Per-shard counters follow the
+      pattern [batch.shard.<k>.jobs], validated structurally. *)
 
   val histograms : string list
 

@@ -8,15 +8,15 @@
    engine's config and edge stores) share one {!budget}, so eviction is
    global across them.
 
-   Concurrency contract (matches the engine's phase structure):
-   - appends come from a single thread (the engine's sequential phase B);
-   - reads may come from many worker domains concurrently (phase A), but
-     only of records committed before the phase started.  The fast path
-     reads [seg.data] without the lock: segments never reallocate (fixed
-     capacity), sealed ones never mutate, and a worker that loses the race
-     with an eviction keeps the [Bytes] it already fetched alive through
-     the GC — eviction only drops the arena's own reference.  Fault-in and
-     eviction run under the budget lock.
+   Concurrency contract:
+   - appends come from a single thread (the engine's phase B);
+   - reads may come from several domains concurrently, but only of records
+     already committed.  The fast path reads [seg.data] without the lock:
+     segments never reallocate (fixed capacity), sealed ones never mutate,
+     and a reader that loses the race with an eviction keeps the [Bytes] it
+     already fetched alive through the GC — eviction only drops the
+     arena's own reference.  Fault-in and eviction run under the budget
+     lock.
 
    The backing store uses explicit [Unix] file I/O rather than [mmap]:
    mapped pages count toward the process RSS, which would defeat the whole

@@ -8,7 +8,7 @@
      and kept by one of two stores: the resident pack (1, 2 or 4 bytes per
      node, upgraded on the fly) or, under a memory budget, delta-encoded
      records in a spillable arena.  One BFS wave loop ({!Wave}) owns the
-     frontier, the worker slots, canonicalisation and edge writing for both;
+     frontier, canonicalisation and edge writing for both;
    - delta evaluation is memoised per (state id, capped neighbourhood
      profile), so the structured transition functions of compiled automata
      (Lemmas 4.7/4.9/4.10) are evaluated once per distinct observation; the
@@ -23,19 +23,16 @@
      reduced space stores one representative per orbit, and every edge
      records the group element used, so {!Decide} can run the exact lifted
      adversarial analysis;
-   - frontier expansion (the delta/memo part) can fan out over OCaml 5
-     domains; interning stays sequential, so verdicts are deterministic and
-     ids are reproducible for [jobs = 1].  Parallelism is gated on the
-     machine's core count and a measured per-wave work threshold (see
-     "Parallel gates" below), because spawning domains for small waves — or
-     on a single-core host — only adds overhead.
+   - exploration runs on one domain and owns its state interner and memo,
+     so configuration ids are deterministic.  Separate explorations may run
+     on separate domains (batch shards, server workers).
 
    The hot paths are written as [while] loops over mutable locals, never as
    local recursive closures: ocamlopt without flambda allocates such a
    closure on every call of the function that defines it.
 
    Telemetry: the hot loops accumulate plain mutable ints (probes, memo
-   hits, per-domain items) and flush them into [Dda_telemetry] counters at
+   hits) and flush them into [Dda_telemetry] counters at
    phase boundaries, so instrumentation costs nothing measurable whether or
    not telemetry is enabled; per-wave counter tracks, the progress line and
    the frontier histogram are emitted between waves. *)
@@ -57,7 +54,6 @@ type stats = {
   silent_edges : int;  (* edges written as self-loops without an intern *)
   waves : int;  (* frontier chunks processed *)
   peak_frontier : int;  (* max configurations discovered but not yet expanded *)
-  domain_items : int array;  (* configurations expanded per domain slot *)
 }
 
 (* Edge storage: fully resident implicit-CSR int arrays (the default), or —
@@ -103,40 +99,11 @@ let c_waves = T.counter "engine.waves"
 let c_peak = T.counter "engine.frontier.peak"
 let h_wave = T.histogram "engine.wave.size"
 
-(* ------------------------------------------------------------------ *)
-(* Parallel gates                                                       *)
-(* ------------------------------------------------------------------ *)
-
 (* A positive integer from the environment, if set and well-formed. *)
 let getenv_pos name =
   match Sys.getenv_opt name with
   | Some s -> (match int_of_string_opt (String.trim s) with Some v when v >= 1 -> Some v | _ -> None)
   | None -> None
-
-(* Worker domains beyond the physical core count cannot help and the
-   per-wave Domain.spawn/join plus minor-GC barriers actively hurt — on a
-   single-core host [jobs = 2] measured ~2.8x slower than sequential
-   before this gate existed (doc/INTERNALS.md, "Parallel
-   frontier expansion").  Overridable for tests and experiments via
-   DDA_PAR_CORES. *)
-let par_cores =
-  lazy (Option.value (getenv_pos "DDA_PAR_CORES") ~default:(Domain.recommended_domain_count ()))
-
-(* Waves below this many work items (frontier length x node count) run
-   sequentially.  A memoised work item costs ~0.1-0.6 us; a Domain.spawn/
-   join pair costs tens of microseconds on an idle multicore host (and
-   ~3.3 ms measured on the project's 1-core CI container, where the cores
-   cap above already forces sequential execution).  The default scales with
-   the packed cell width: one work item on a 4-byte-wide space decodes and
-   hashes 4x the bytes of a 1-byte-wide one, so the break-even point in
-   *items* drops accordingly — 16384 items at width 1 (ms-scale waves),
-   8192 at width 2, 4096 at width 4.  Tiny spaces therefore never pay the
-   domain fan-out at any width.  An explicit DDA_PAR_THRESHOLD wins over
-   the scaling; see doc/INTERNALS.md "Parallel frontier expansion". *)
-let par_threshold_env = lazy (getenv_pos "DDA_PAR_THRESHOLD")
-
-let par_threshold ~width =
-  match Lazy.force par_threshold_env with Some v -> v | None -> 16384 / max 1 width
 
 (* ------------------------------------------------------------------ *)
 (* Growable buffers                                                     *)
@@ -170,52 +137,39 @@ type 's interner = {
   mutable states : 's array;  (* entries < [n] are valid *)
   mutable flags : Bytes.t;  (* per state: bit 0 accepting, bit 1 rejecting *)
   mutable n : int;
-  lock : Mutex.t;
   s_acc : 's -> bool;
   s_rej : 's -> bool;
 }
 
 let interner_create ~acc ~rej first =
-  let it =
-    {
-      tbl = Hashtbl.create 256;
-      states = Array.make 64 first;
-      flags = Bytes.make 64 '\000';
-      n = 0;
-      lock = Mutex.create ();
-      s_acc = acc;
-      s_rej = rej;
-    }
-  in
-  it
+  {
+    tbl = Hashtbl.create 256;
+    states = Array.make 64 first;
+    flags = Bytes.make 64 '\000';
+    n = 0;
+    s_acc = acc;
+    s_rej = rej;
+  }
 
-(* Thread-safe: workers intern delta results concurrently (misses are rare).
-   Readers use snapshots of [states]/[n] taken between phases, so no reader
-   ever races a resize. *)
 let intern_state it s =
-  Mutex.lock it.lock;
-  let id =
-    match Hashtbl.find_opt it.tbl s with
-    | Some i -> i
-    | None ->
-      let i = it.n in
-      if i = Array.length it.states then begin
-        let d = Array.make (2 * i) s in
-        Array.blit it.states 0 d 0 i;
-        it.states <- d;
-        let f = Bytes.make (2 * i) '\000' in
-        Bytes.blit it.flags 0 f 0 i;
-        it.flags <- f
-      end;
-      it.states.(i) <- s;
-      let fl = (if it.s_acc s then 1 else 0) lor if it.s_rej s then 2 else 0 in
-      Bytes.set it.flags i (Char.chr fl);
-      it.n <- i + 1;
-      Hashtbl.add it.tbl s i;
-      i
-  in
-  Mutex.unlock it.lock;
-  id
+  match Hashtbl.find_opt it.tbl s with
+  | Some i -> i
+  | None ->
+    let i = it.n in
+    if i = Array.length it.states then begin
+      let d = Array.make (2 * i) s in
+      Array.blit it.states 0 d 0 i;
+      it.states <- d;
+      let f = Bytes.make (2 * i) '\000' in
+      Bytes.blit it.flags 0 f 0 i;
+      it.flags <- f
+    end;
+    it.states.(i) <- s;
+    let fl = (if it.s_acc s then 1 else 0) lor if it.s_rej s then 2 else 0 in
+    Bytes.set it.flags i (Char.chr fl);
+    it.n <- i + 1;
+    Hashtbl.add it.tbl s i;
+    i
 
 (* Acc/rej bits of the configuration [ids]: the AND of its states' bits. *)
 let config_flags it ids =
@@ -332,9 +286,9 @@ let get32 kb pos =
   lor (Char.code (Bytes.unsafe_get kb (pos + 2)) lsl 16)
   lor (Char.code (Bytes.unsafe_get kb (pos + 3)) lsl 24)
 
-(* A worker's local view: the machine, the graph structure, a snapshot of
-   the interner (only pre-chunk state ids ever need decoding), and a private
-   memo table keyed by (state id, capped profile) packed into a string. *)
+(* Delta evaluation's view: the machine, the graph structure, the interner
+   and the memo table keyed by (state id, capped profile) packed into a
+   string. *)
 type 's ctx = {
   beta : int;
   delta : 's -> 's Neighbourhood.t -> 's;
@@ -345,7 +299,6 @@ type 's ctx = {
   pid : int array;  (* scratch: sorted neighbour ids *)
   mutable evals : int;
   mutable lookups : int;
-  mutable items : int;  (* configurations expanded by this worker *)
 }
 
 let ctx_create m nbr interner =
@@ -360,11 +313,10 @@ let ctx_create m nbr interner =
     pid = Array.make max_deg 0;
     evals = 0;
     lookups = 0;
-    items = 0;
   }
 
 (* New state id of node [v] in the configuration [cur] (state ids per node). *)
-let delta_id ctx ~snapshot cur v =
+let delta_id ctx cur v =
   ctx.lookups <- ctx.lookups + 1;
   let ns = ctx.nbr.(v) in
   let deg = Array.length ns in
@@ -401,7 +353,7 @@ let delta_id ctx ~snapshot cur v =
   if cached >= 0 then cached
   else begin
     ctx.evals <- ctx.evals + 1;
-    let sarr, _sn = snapshot in
+    let sarr = ctx.interner.states in
     (* reconstruct the capped neighbour state list; [of_states] re-sorts and
        re-caps, so this is exactly the observation the legacy engine built *)
     let states = ref [] in
@@ -495,8 +447,6 @@ let index_resize ix =
 module type STORE = sig
   type t
 
-  (* Safe from several domains at once for configurations stored before
-     the current wave. *)
   val decode : t -> int -> int array -> unit
 
   (* [equal st i ids]: configuration [i] is [ids].  Phase B only. *)
@@ -512,9 +462,6 @@ module type STORE = sig
 
   (* [fit st n]: state ids below [n] become storable (between phases). *)
   val fit : t -> int -> unit
-
-  (* Cell width for the parallel gate ({!par_threshold}). *)
-  val gate_width : t -> int
 
   (* The edges, once exploration is over; [decode] keeps working. *)
   val finish : t -> edges
@@ -556,17 +503,9 @@ module Wave (S : STORE) = struct
       i
     end
 
-  let explore ~jobs ~sym ~perms ~nbr ~c0 ~interner ~max_configs m st =
+  let explore ~sym ~perms ~nbr ~c0 ~interner ~max_configs m st =
     let n = Array.length nbr in
-    (* never spawn more workers than cores: on an oversubscribed or
-       single-core host the spawn/join and GC barriers make jobs > cores a
-       strict loss (the gate of satellite measurement, doc/INTERNALS.md) *)
-    let jobs = max 1 (min (min jobs 64) (Lazy.force par_cores)) in
-    (* worker slots, each created on first use — by its own domain — since
-       a ctx owns a fresh memo table (~200 KB of arrays), which small
-       instances should never pay for (eager allocation made [jobs = 2]
-       measurably slower than sequential on tiny rings) *)
-    let slots = Array.init jobs (fun _ -> lazy (ctx_create m nbr interner)) in
+    let ctx = ctx_create m nbr interner in
     let ix = index_create () in
     let reduced = sym <> None in
     let best = Array.make n 0 and scratch = Array.make n 0 in
@@ -581,47 +520,28 @@ module Wave (S : STORE) = struct
     let wave = ref 0 in
     let peak_frontier = ref 0 in
     let silent = ref 0 in
-    let rows = Array.make (chunk_size * jobs * n) 0 in
-    let sids = Array.make (chunk_size * jobs * n) 0 in
+    let rows = Array.make (chunk_size * n) 0 in
+    let sids = Array.make (chunk_size * n) 0 in
     let cur = Array.make n 0 in
     let succ = Array.make n 0 in
     while !next < ix.count do
       let lo = !next in
-      let hi = min ix.count (lo + (chunk_size * jobs)) in
+      let hi = min ix.count (lo + chunk_size) in
       let len = hi - lo in
-      (* phase A: decode + delta evaluation (parallelisable; touches only
-         the state interner, under its lock, on memo misses) *)
-      let snapshot = (interner.states, interner.n) in
-      let run_slice ctx a b =
-        ctx.items <- ctx.items + (b - a);
-        let c = Array.make n 0 in
-        for i = a to b - 1 do
-          S.decode st (lo + i) c;
-          let base = i * n in
-          Array.blit c 0 rows base n;
-          for v = 0 to n - 1 do
-            sids.(base + v) <- delta_id ctx ~snapshot c v
-          done
+      (* phase A: decode + delta evaluation, before any successor of the
+         chunk is stored (new state ids only become storable at [S.fit]) *)
+      for i = 0 to len - 1 do
+        let base = i * n in
+        S.decode st (lo + i) cur;
+        Array.blit cur 0 rows base n;
+        for v = 0 to n - 1 do
+          sids.(base + v) <- delta_id ctx cur v
         done
-      in
-      let seq_threshold = par_threshold ~width:(S.gate_width st) in
-      if jobs = 1 || len * n < seq_threshold then run_slice (Lazy.force slots.(0)) 0 len
-      else begin
-        let per = (len + jobs - 1) / jobs in
-        let domains =
-          List.init (jobs - 1) (fun w ->
-              let a = (w + 1) * per in
-              let b = min len ((w + 2) * per) in
-              Domain.spawn (fun () -> if a < b then run_slice (Lazy.force slots.(w + 1)) a b))
-        in
-        run_slice (Lazy.force slots.(0)) 0 (min per len);
-        List.iter Domain.join domains
-      end;
-      (* phase B: canonicalise + intern successors, append edges (sequential,
-         so configuration ids are deterministic).  A move that keeps the
-         selected node's state is a self-loop with the identity: the stored
-         configuration is canonical, and any other move changes the state
-         multiset, so no other successor can equal it. *)
+      done;
+      (* phase B: canonicalise + intern successors, append edges.  A move
+         that keeps the selected node's state is a self-loop with the
+         identity: the stored configuration is canonical, and any other move
+         changes the state multiset, so no other successor can equal it. *)
       S.fit st interner.n;
       for i = 0 to len - 1 do
         let base = i * n in
@@ -670,10 +590,7 @@ module Wave (S : STORE) = struct
         (Dda_runtime.Config.pp m.Machine.pp_state)
         (Dda_runtime.Config.of_states (Array.map (fun id -> interner.states.(id)) ids))
     in
-    let created = List.filter_map (fun l -> if Lazy.is_val l then Some (Lazy.force l) else None) (Array.to_list slots) in
-    let evals = List.fold_left (fun a c -> a + c.evals) 0 created in
-    let lookups = List.fold_left (fun a c -> a + c.lookups) 0 created in
-    let domain_items = Array.of_list (List.map (fun c -> c.items) created) in
+    let evals = ctx.evals and lookups = ctx.lookups in
     if T.enabled () then begin
       T.add c_configs ix.count;
       T.add c_dedup ix.dedup_hits;
@@ -683,10 +600,7 @@ module Wave (S : STORE) = struct
       T.add c_memo_hits (lookups - evals);
       T.add c_probes ix.probes;
       T.add c_resizes ix.resizes;
-      T.max_gauge c_peak !peak_frontier;
-      Array.iteri
-        (fun w items -> T.add (T.counter (Printf.sprintf "engine.domain.%d.items" w)) items)
-        domain_items
+      T.max_gauge c_peak !peak_frontier
     end;
     {
       node_count = n;
@@ -708,13 +622,12 @@ module Wave (S : STORE) = struct
           silent_edges = !silent;
           waves = !wave;
           peak_frontier = !peak_frontier;
-          domain_items;
         };
       spill = S.spill st;
     }
 
-  let explore ~jobs ~sym ~perms ~nbr ~c0 ~interner ~max_configs m st =
-    try explore ~jobs ~sym ~perms ~nbr ~c0 ~interner ~max_configs m st
+  let explore ~sym ~perms ~nbr ~c0 ~interner ~max_configs m st =
+    try explore ~sym ~perms ~nbr ~c0 ~interner ~max_configs m st
     with e ->
       let bt = Printexc.get_raw_backtrace () in
       S.abort st;
@@ -739,7 +652,6 @@ module Packed = struct
     let sigmas = if reduced then Some (ibuf_create (cells * 1024)) else None in
     { cells; width = 1; bytes = Bytes.create (cells * 1024); stored = 0; targets = ibuf_create (cells * 1024); sigmas }
 
-  let gate_width st = st.width
   let spill _ = None
   let abort _ = ()
 
@@ -870,9 +782,6 @@ module Ext = struct
       u32 = Bytes.create 4;
     }
 
-  (* delta-chain decoding makes each item pricier than the packed store's,
-     so gate parallelism as if cells were full-width *)
-  let gate_width _ = 4
   let fit _ _ = ()
   let spill st = Some (Arena.budget_stats st.budget)
 
@@ -903,8 +812,7 @@ module Ext = struct
     v := !v lor (Char.code (Bytes.unsafe_get b (pos + !k)) lsl (7 * !k));
     (!v lsl 4) lor (!k + 1)
 
-  (* Thread-safe for concurrent readers: [out] is caller-owned scratch and
-     arena views pin their segment.  [seg] stays valid across the recursive
+  (* [out] is caller-owned scratch.  [seg] stays valid across the recursive
      call even if the arena evicts it meanwhile: we hold the Bytes. *)
   let rec decode st i out =
     let seg, off = Arena.view st.carena (off_get st i) in
@@ -1008,7 +916,7 @@ end
 module Packed_wave = Wave (Packed)
 module Ext_wave = Wave (Ext)
 
-let explore ?(jobs = 1) ?symmetry ?(states = []) ?mem_budget ~max_configs m g =
+let explore ?symmetry ?(states = []) ?mem_budget ~max_configs m g =
   let n = Graph.nodes g in
   if n < 1 then invalid_arg "Engine.explore: empty graph";
   let sym =
@@ -1032,9 +940,9 @@ let explore ?(jobs = 1) ?symmetry ?(states = []) ?mem_budget ~max_configs m g =
   in
   match budget with
   | None ->
-    Packed_wave.explore ~jobs ~sym ~perms ~nbr ~c0 ~interner ~max_configs m (Packed.create ~reduced n)
+    Packed_wave.explore ~sym ~perms ~nbr ~c0 ~interner ~max_configs m (Packed.create ~reduced n)
   | Some limit ->
-    Ext_wave.explore ~jobs ~sym ~perms ~nbr ~c0 ~interner ~max_configs m (Ext.create ~limit ~reduced n)
+    Ext_wave.explore ~sym ~perms ~nbr ~c0 ~interner ~max_configs m (Ext.create ~limit ~reduced n)
 
 (* ------------------------------------------------------------------ *)
 (* Accessors                                                            *)

@@ -18,10 +18,10 @@
       automorphisms, storing one representative per orbit; each edge records
       the group element applied, which lets {!Decide} run the exact lifted
       analysis for adversarial fairness;
-    - the delta/memo phase of each frontier chunk can run on several OCaml 5
-      domains ([jobs]); interning stays sequential, so the result is
-      deterministic and, with [jobs = 1] and no symmetry, configuration ids
-      coincide with the legacy explorer's BFS numbering.
+    - exploration is sequential (one domain, which owns the state interner
+      and the memo), so configuration ids are deterministic and, with no
+      symmetry, coincide with the legacy explorer's BFS numbering.  Separate
+      explorations may run on separate domains at once.
 
     This module is the substrate; callers normally go through
     {!Space.explore}, which wraps the result in the ordinary [Space.t]. *)
@@ -47,10 +47,6 @@ type stats = {
           [1 + size * node_count] (the initial intern plus one per edge). *)
   waves : int;  (** Frontier chunks processed. *)
   peak_frontier : int;  (** Max configurations discovered but not yet expanded. *)
-  domain_items : int array;
-      (** Configurations expanded per worker slot; length = effective [jobs]
-          (after the core-count cap), so [domain_items.(0)] alone means the
-          run was sequential. *)
 }
 
 type edges =
@@ -86,7 +82,6 @@ type t = {
 }
 
 val explore :
-  ?jobs:int ->
   ?symmetry:Symmetry.t ->
   ?states:'s list ->
   ?mem_budget:int ->
@@ -96,17 +91,8 @@ val explore :
   t
 (** [explore m g] builds the reachable configuration space.
 
-    [jobs] (default 1): domains used for the delta/memo phase.  The
-    effective value is capped at the machine's core count
-    ([Domain.recommended_domain_count], override with [DDA_PAR_CORES]),
-    and waves with fewer than a threshold of work items (frontier length x
-    node count) run sequentially.  The threshold defaults to
-    [16384 / width] where [width] is the current packed cell width in
-    bytes, so tiny spaces never pay domain fan-out; [DDA_PAR_THRESHOLD]
-    overrides it with a fixed value — see doc/INTERNALS.md "Parallel
-    frontier expansion".  Verdict-relevant output (sizes, edges up to
-    renumbering, analyses) does not depend on [jobs]; exact ids are
-    guaranteed stable only for [jobs = 1].
+    The exploration is a sequential BFS in waves of 4096 configurations;
+    the same inputs always give the same configuration ids and edges.
 
     [symmetry]: a permutation group whose elements must all be automorphisms
     of [g]'s adjacency (labels need not be preserved; soundness needs

@@ -102,13 +102,14 @@ let explore_legacy ~max_configs m g =
   let moves = List.map (fun v -> (v, [ v ])) (Listx.range (Graph.nodes g)) in
   { (explore_states ~max_configs m g moves) with kind = Explicit }
 
-let explore ?jobs ?symmetry ?states ?mem_budget ~max_configs m g =
+let explore ?(jobs = 1) ?symmetry ?states ?mem_budget ~max_configs m g =
+  if jobs <> 1 then invalid_arg "Space.explore: exploration is sequential (jobs must be 1)";
   let e =
     try
       T.with_span
         ~args:[ ("nodes", T.I (Graph.nodes g)); ("max_configs", T.I max_configs) ]
         "explore"
-        (fun () -> Engine.explore ?jobs ?symmetry ?states ?mem_budget ~max_configs m g)
+        (fun () -> Engine.explore ?symmetry ?states ?mem_budget ~max_configs m g)
     with Engine.Too_large n -> raise (Too_large n)
   in
   let n = e.Engine.node_count in

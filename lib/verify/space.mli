@@ -80,16 +80,18 @@ val explore :
   t
 (** Explicit exploration under exclusive selection, on the packed engine
     ({!Engine.explore} — interned states, memoised delta, implicit-CSR
-    edges).  With [jobs = 1] (the default) and no [symmetry] the space is
-    identical to {!explore_legacy}'s — same configuration numbering, same
-    edges.  [symmetry] quotients the space by a group of adjacency
-    automorphisms of [g]; [jobs > 1] parallelises delta evaluation over
-    OCaml 5 domains.  [states] pre-interns an enumeration (e.g. from
+    edges).  Exploration is sequential and deterministic: with no
+    [symmetry] the space is identical to {!explore_legacy}'s — same
+    configuration numbering, same edges.  [symmetry] quotients the space by
+    a group of adjacency automorphisms of [g].  [jobs] must be 1 (the
+    default): it remains only for perfbench's [~jobs:1] call and goes with
+    it.  [states] pre-interns an enumeration (e.g. from
     [Tabulate]).  [mem_budget] (bytes; default [DDA_MEM_BUDGET], else fully
     resident) switches to the external-memory engine: delta-encoded
     configurations and edges in spill-to-disk arenas, and streaming
     (edge-sweep) analyses in {!Decide} — verdicts and counts are unchanged.
-    @raise Too_large when more than [max_configs] configurations are found. *)
+    @raise Too_large when more than [max_configs] configurations are found.
+    @raise Invalid_argument if [jobs <> 1]. *)
 
 val explore_legacy :
   max_configs:int -> ('l, 's) Dda_machine.Machine.t -> 'l Dda_graph.Graph.t -> t

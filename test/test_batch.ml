@@ -644,6 +644,36 @@ let test_resolve_protocol_error_text () =
   | Error msg -> Alcotest.(check string) "parse_protocol error text" expected msg
   | Ok _ -> Alcotest.fail "exists:z on cycle:abb should not parse"
 
+(* An unparseable graph reads the same through [Batch.resolve] (dda batch,
+   dda serve) as through [Spec.parse_graph_spec] (dda decide), with one
+   [graph: ] prefix — for a concrete spec and for a family spec. *)
+let test_resolve_graph_error_text () =
+  List.iter
+    (fun graph ->
+      let job =
+        { Batch.protocol = "exists:a"; graph; regime = Spec.Pseudo_stochastic; max_configs = 1000 }
+      in
+      let expected =
+        match Spec.parse_graph_spec graph with
+        | Error msg -> msg
+        | Ok _ -> Alcotest.failf "%s should not parse" graph
+      in
+      (match Batch.resolve (Hashtbl.create 1) job with
+      | Error msg -> Alcotest.(check string) (graph ^ ": resolve error text") expected msg
+      | Ok _ -> Alcotest.failf "%s should not resolve" graph);
+      let prefix = "graph: " in
+      let pl = String.length prefix in
+      let occurrences =
+        List.length
+          (List.filter
+             (fun i -> String.sub expected i pl = prefix)
+             (List.init (max 0 (String.length expected - pl + 1)) Fun.id))
+      in
+      Alcotest.(check bool) (graph ^ ": starts with graph: ") true
+        (String.starts_with ~prefix expected);
+      Alcotest.(check int) (graph ^ ": graph: exactly once") 1 occurrences)
+    [ "foo"; "ab*" ]
+
 (* --- one tier chain: pinned keys, shared by every front end ----------------- *)
 
 (* Store file names written by [dda decide --cache --max-configs 200000]
@@ -863,6 +893,7 @@ let () =
           Alcotest.test_case "interrupt drains cleanly" `Quick test_run_interrupted;
           Alcotest.test_case "family error text" `Quick test_run_family_error_text;
           Alcotest.test_case "protocol error text" `Quick test_resolve_protocol_error_text;
+          Alcotest.test_case "graph error text" `Quick test_resolve_graph_error_text;
         ] );
       ( "keys",
         [

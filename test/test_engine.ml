@@ -4,15 +4,6 @@
    symmetry-group unit tests, the allocation-free Tarjan, and the
    [explore_liberal] / [to_dot] fixes. *)
 
-(* The engine caps jobs at the host's core count and falls back to
-   sequential expansion below a work-item threshold (both lazy env reads),
-   which would silently turn every parallel differential test into a
-   sequential one on the 1-core CI box.  Force the Domain.spawn path so
-   jobs > 1 keeps being exercised regardless of the host. *)
-let () =
-  Unix.putenv "DDA_PAR_CORES" "4";
-  Unix.putenv "DDA_PAR_THRESHOLD" "1"
-
 module G = Dda_graph.Graph
 module N = Dda_machine.Neighbourhood
 module Machine = Dda_machine.Machine
@@ -89,22 +80,6 @@ let prop_engine_matches_legacy =
            (Listx.range legacy.Space.size)
       && Decide.pseudo_stochastic legacy = Decide.pseudo_stochastic packed
       && Decide.adversarial legacy = Decide.adversarial packed)
-
-(* Parallel expansion is deterministic: with no symmetry the chunked
-   frontier gives the very same numbering for any job count. *)
-let prop_jobs_deterministic =
-  QCheck.Test.make ~name:"jobs=3 = jobs=1 (exact)" ~count:40
-    QCheck.(pair small_int (int_range 0 4))
-    (fun (seed, shape) ->
-      let m = random_machine seed in
-      let g = shape_graph shape in
-      let one = Space.explore ~max_configs:100_000 m g in
-      let three = Space.explore ~jobs:3 ~max_configs:100_000 m g in
-      one.Space.size = three.Space.size
-      && one.Space.initial = three.Space.initial
-      && List.for_all
-           (fun i -> edges_of one i = edges_of three i)
-           (Listx.range one.Space.size))
 
 (* ------------------------------------------------------------------ *)
 (* Symmetry reduction preserves verdicts under both fairness regimes.
@@ -380,13 +355,27 @@ let test_reduced_witness_refused () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "adversarial_witness must refuse reduced spaces"
 
+(* [Space.explore]'s [?jobs] survives only as [~jobs:1]: exploration is
+   sequential, and any other value is refused rather than ignored. *)
+let test_jobs_one_only () =
+  let m = random_machine 5 in
+  let g = shape_graph 2 in
+  let default = Space.explore ~max_configs:100_000 m g in
+  let one = Space.explore ~jobs:1 ~max_configs:100_000 m g in
+  Alcotest.(check int) "same size" default.Space.size one.Space.size;
+  Alcotest.(check int) "same initial" default.Space.initial one.Space.initial;
+  Alcotest.(check bool) "same edges" true
+    (List.for_all (fun i -> edges_of default i = edges_of one i) (Listx.range default.Space.size));
+  match Space.explore ~jobs:2 ~max_configs:100_000 m g with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "Space.explore ~jobs:2 must raise Invalid_argument"
+
 let () =
   Alcotest.run "engine"
     [
       ( "differential",
         [
           QCheck_alcotest.to_alcotest prop_engine_matches_legacy;
-          QCheck_alcotest.to_alcotest prop_jobs_deterministic;
           QCheck_alcotest.to_alcotest prop_symmetry_preserves_verdicts;
           QCheck_alcotest.to_alcotest prop_scc_iter_matches;
         ] );
@@ -408,5 +397,6 @@ let () =
           Alcotest.test_case "liberal bitmask labels" `Quick test_liberal_masks;
           Alcotest.test_case "dot escaping" `Quick test_dot_escaping;
           Alcotest.test_case "reduced witness refused" `Quick test_reduced_witness_refused;
+          Alcotest.test_case "jobs = 1 only" `Quick test_jobs_one_only;
         ] );
     ]

@@ -3,12 +3,9 @@
    all three fairness regimes (symmetry quotients included), and
    streaming-SCC-vs-Tarjan equivalence on resident spaces. *)
 
-(* Pin the parallel gates like test_engine, keep spill files out of the
-   build sandbox, and leave the streaming override off unless a test turns
-   it on. *)
+(* Keep spill files out of the build sandbox, and leave the streaming
+   override off unless a test turns it on. *)
 let () =
-  Unix.putenv "DDA_PAR_CORES" "4";
-  Unix.putenv "DDA_PAR_THRESHOLD" "1";
   Unix.putenv "DDA_STREAM_SCC" "0";
   Unix.putenv "DDA_SPILL_DIR"
     (Filename.concat (Filename.get_temp_dir_name ()) "dda_spill_test")

