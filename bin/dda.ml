@@ -255,29 +255,18 @@ let cmd_decide proto_spec graph_spec fairness_str engine_str cache_dir max_confi
         Format.printf "verdict: %s@." (verdict_name v);
         Format.printf "space: %d configurations in %.2fs@." d.Batch.configs d.Batch.seconds;
         Format.printf "tier: none@."))
-  | None when symbolic -> (
-    (* uncached symbolic path: one counted exploration, no witness support *)
-    let t0 = Unix.gettimeofday () in
-    match Option.get (Dda_symbolic.Counted.of_graph ~max_configs m g) with
-    | exception Dda_symbolic.Counted.Too_large n ->
-      Format.printf "counted space exceeds %d configurations; raise --max-configs@." n;
-      exit 1
-    | c ->
-      let v = Dda_symbolic.Analysis.for_regime regime c in
-      Format.printf "verdict: %a@." Decide.pp_verdict v;
-      Format.printf "counted space: %d configurations (%d states interned) in %.2fs@."
-        c.Dda_symbolic.Counted.size c.Dda_symbolic.Counted.state_count
-        (Unix.gettimeofday () -. t0);
-      if witness then
-        Format.printf "witness schedules need the explicit engine; re-run with --engine explicit@.")
   | None ->
   let t0 = Unix.gettimeofday () in
-  match Dda_verify.Space.explore ?symmetry ~max_configs m g with
+  let explore () =
+    if symbolic then Option.get (Dda_symbolic.Counted.of_graph ~max_configs m g)
+    else Dda_verify.Space.explore ?symmetry ~max_configs m g
+  in
+  match explore () with
   | exception Dda_verify.Space.Too_large n ->
     Format.printf "state space exceeds %d configurations; try `dda simulate` instead@." n;
     exit 1
   | space ->
-    let v = or_refuse (fun () -> Decide.for_regime regime space) in
+    let v = or_refuse (fun () -> Dda_symbolic.Analysis.for_regime regime space) in
     let dt = Unix.gettimeofday () -. t0 in
     Format.printf "verdict: %a@." Decide.pp_verdict v;
     (match Dda_verify.Space.engine space with
@@ -296,7 +285,9 @@ let cmd_decide proto_spec graph_spec fairness_str engine_str cache_dir max_confi
       | None -> ())
     | None -> Format.printf "space: %d configurations in %.2fs@." space.Dda_verify.Space.size dt);
     if witness then begin
-      if reduce then
+      if symbolic then
+        Format.printf "witness schedules need the explicit engine; re-run with --engine explicit@."
+      else if reduce then
         Format.printf "witness schedules need an unreduced space; re-run without --reduce@."
       else
         let target =

@@ -93,18 +93,13 @@ let computing thunk () =
   | result, configs -> Ok (timed t0 result configs, None)
   | exception Invalid_argument msg -> Error msg
 
-let explore_and_classify ?symmetry ~regime ~max_configs m g () =
-  match Space.explore ?symmetry ~max_configs m g with
+(* [explore] is [Space.explore] or, on cliques and stars under the symbolic
+   engine, [Counted.of_shape]: both raise [Space.Too_large] *)
+let explore_and_classify ~regime explore () =
+  match explore () with
   | exception Space.Too_large n -> (Bounded n, n)
   | exception Dda_wsts.Coverability.Too_large n -> (Bounded n, n)
-  | space -> (Verdict (Decide.for_regime regime space), space.Space.size)
-
-let explore_and_classify_counted ~regime ~max_configs m shape () =
-  match Dda_symbolic.Counted.of_shape ~max_configs m shape with
-  | exception Dda_symbolic.Counted.Too_large n -> (Bounded n, n)
-  | space ->
-    ( Verdict (Dda_symbolic.Analysis.for_regime regime space),
-      space.Dda_symbolic.Counted.size )
+  | space -> (Verdict (Dda_symbolic.Analysis.for_regime regime space), space.Space.size)
 
 let cert_of_family (fv : Dda_symbolic.Certify.t) =
   {
@@ -161,11 +156,10 @@ let plan ?cache ?machine_key ?graph_spec ?symmetry ?(engine = Spec.Explicit)
   match (engine, shape) with
   | Spec.Symbolic, None -> Error "the symbolic engine needs a clique or star graph"
   | _ ->
-    let engine, thunk =
+    let engine, explore =
       match shape with
-      | Some shape ->
-        ("symbolic", explore_and_classify_counted ~regime ~max_configs m shape)
-      | None -> ("explicit", explore_and_classify ?symmetry ~regime ~max_configs m g)
+      | Some shape -> ("symbolic", fun () -> Dda_symbolic.Counted.of_shape ~max_configs m shape)
+      | None -> ("explicit", fun () -> Space.explore ?symmetry ~max_configs m g)
     in
     let machine_key = machine_key_of cache machine_key (fun () -> Spec.alphabet_of g) m in
     let fallback =
@@ -174,7 +168,9 @@ let plan ?cache ?machine_key ?graph_spec ?symmetry ?(engine = Spec.Explicit)
       | _ -> lazy None
     in
     Ok
-      (keyed cache (computing thunk) ~engine ~machine_key
+      (keyed cache
+         (computing (explore_and_classify ~regime explore))
+         ~engine ~machine_key
          ~graph_key:(if cache = None then "" else Fingerprint.graph g)
          ~regime ~max_configs ~fallback)
 

@@ -21,6 +21,7 @@ let graph_error r = Result.map_error (fun msg -> "graph: " ^ msg) r
 
 let concrete_graph spec =
   match split_on ':' spec with
+  | [ "grid"; _ ] -> Error "expected grid:WxH:<labels>"
   | [ topo; labels ] when String.length labels > 0 ->
     let ls = List.init (String.length labels) (fun i -> String.make 1 labels.[i]) in
     (match topo with

@@ -28,7 +28,7 @@ let decide_synchronous ?(budget = default_budget) m g =
 let decide_clique ?(budget = default_budget) m label_count =
   match Dda_symbolic.Counted.clique ~max_configs:budget.max_configs m label_count with
   | exception Dda_symbolic.Counted.Too_large n -> Error (`Too_large n)
-  | c -> Ok (Dda_symbolic.Analysis.pseudo_stochastic c)
+  | c -> Ok (Decide.pseudo_stochastic c)
 
 let simulate_verdict ?(budget = default_budget) ?(seed = 1) ~fairness m g =
   let n = Graph.nodes g in

@@ -464,7 +464,6 @@ let health_of t =
   else "ok"
 
 let stats_doc t fronts =
-  let b = Buffer.create 2048 in
   let uptime = T.monotonic () -. t.t0_mono in
   Mutex.lock t.m;
   let decides = t.s_decides
@@ -477,14 +476,17 @@ let stats_doc t fronts =
     Array.fold_left (fun a bk -> a + Hashtbl.length bk.b_inflight) 0 t.backends
   in
   let queued = Array.fold_left (fun a bk -> a + FQ.length bk.b_queue) 0 t.backends in
-  Buffer.add_string b
-    (Printf.sprintf "{\"schema\":\"dda.stats/1\",\"health\":\"%s\",\"gauges\":{" (health_of t));
-  let first = ref true in
-  let g name v =
-    if not !first then Buffer.add_char b ',';
-    first := false;
-    Buffer.add_string b (Printf.sprintf "\"%s\":%s" name v)
+  let backend bk =
+    Printf.sprintf
+      "{\"addr\":\"%s\",\"state\":\"%s\",\"inflight\":%d,\"queued\":%d,\"forwarded\":%d,\"ejections\":%d}"
+      (Json.escape bk.b_name)
+      (match bk.b_state with Up -> "up" | Ejected -> "ejected")
+      (Hashtbl.length bk.b_inflight) (FQ.length bk.b_queue) bk.b_forwarded bk.b_ejections
   in
+  let backends = String.concat "," (Array.to_list (Array.map backend t.backends)) in
+  Stats_view.document ~health:(health_of t) ~window:t.window
+    ~members:[ ("backends", "[" ^ backends ^ "]") ]
+  @@ fun g ->
   let gi name v = g name (string_of_int v) in
   g "service.uptime_s" (Printf.sprintf "%.3f" uptime);
   gi "service.active_connections" (List.length live);
@@ -497,26 +499,7 @@ let stats_doc t fronts =
   gi "service.verb.decide" decides;
   gi "service.verb.ping" pings;
   gi "service.verb.stats" stats_rpc;
-  gi "service.verb.health" health_rpc;
-  Buffer.add_string b "},\"windows\":{\"service.window.latency_ms\":";
-  Buffer.add_string b (T.Window.snapshot_json t.window);
-  Buffer.add_string b "},\"backends\":[";
-  Array.iteri
-    (fun i bk ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b
-        (Printf.sprintf
-           "{\"addr\":\"%s\",\"state\":\"%s\",\"inflight\":%d,\"queued\":%d,\"forwarded\":%d,\"ejections\":%d}"
-           (Json.escape bk.b_name)
-           (match bk.b_state with Up -> "up" | Ejected -> "ejected")
-           (Hashtbl.length bk.b_inflight) (FQ.length bk.b_queue) bk.b_forwarded
-           bk.b_ejections))
-    t.backends;
-  Buffer.add_string b "],\"telemetry\":";
-  (* the /1 wire is line-oriented: the embedded document must be single-line *)
-  String.iter (fun c -> Buffer.add_char b (if c = '\n' then ' ' else c)) (T.metrics_json ());
-  Buffer.add_char b '}';
-  Buffer.contents b
+  gi "service.verb.health" health_rpc
 
 (* ------------------------------------------------------------------ *)
 (* Front request handling                                               *)

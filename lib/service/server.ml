@@ -571,7 +571,6 @@ let health_of t =
    round-trip.  Gauge names are registered in [Telemetry.Registry.gauges];
    [Telemetry.validate_stats] checks the whole document. *)
 let stats_doc t ls =
-  let b = Buffer.create 2048 in
   let uptime = T.monotonic () -. t.t0_mono in
   Mutex.lock t.m;
   let accepted = t.s_accepted
@@ -585,14 +584,7 @@ let stats_doc t ls =
   let live = List.filter (fun c -> not c.closed) ls.ls_conns in
   let active = List.length live in
   let backlog = List.fold_left (fun a c -> a + c.wbuf.len) 0 live in
-  Buffer.add_string b
-    (Printf.sprintf "{\"schema\":\"dda.stats/1\",\"health\":\"%s\",\"gauges\":{" (health_of t));
-  let first = ref true in
-  let g name v =
-    if not !first then Buffer.add_char b ',';
-    first := false;
-    Buffer.add_string b (Printf.sprintf "\"%s\":%s" name v)
-  in
+  Stats_view.document ~health:(health_of t) ~window:t.window @@ fun g ->
   let gi name v = g name (string_of_int v) in
   g "service.uptime_s" (Printf.sprintf "%.3f" uptime);
   gi "service.active_connections" active;
@@ -624,17 +616,7 @@ let stats_doc t ls =
       let looked = ms.Dda_batch.Lru.hits + ms.Dda_batch.Lru.misses in
       if looked > 0 then
         g "service.mem_cache.hit_rate"
-          (Printf.sprintf "%.6f" (float_of_int ms.Dda_batch.Lru.hits /. float_of_int looked))));
-  Buffer.add_string b "},\"windows\":{\"service.window.latency_ms\":";
-  Buffer.add_string b (T.Window.snapshot_json t.window);
-  Buffer.add_string b "},\"telemetry\":";
-  (* the /1 wire is line-oriented, so the embedded document must be
-     single-line; the snapshot's only raw newlines are its own
-     pretty-printing (string values arrive escaped), so mapping them to
-     spaces compacts it without a parse/re-serialise round trip *)
-  String.iter (fun c -> Buffer.add_char b (if c = '\n' then ' ' else c)) (T.metrics_json ());
-  Buffer.add_char b '}';
-  Buffer.contents b
+          (Printf.sprintf "%.6f" (float_of_int ms.Dda_batch.Lru.hits /. float_of_int looked))))
 
 let count_error t =
   Mutex.lock t.m;

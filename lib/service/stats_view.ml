@@ -3,6 +3,7 @@
    are unit-testable without a live server. *)
 
 module Json = Dda_telemetry.Json
+module T = Dda_telemetry.Telemetry
 
 let sanitize name =
   String.map
@@ -260,3 +261,27 @@ let render_top ?(spark = []) doc =
       Buffer.add_string b (Printf.sprintf "queue depth %s\n" (sparkline spark));
     Buffer.contents b
   end
+
+(* --- The document itself ------------------------------------------------- *)
+
+let document ~health ~window ?(members = []) gauges =
+  let b = Buffer.create 2048 in
+  Buffer.add_string b
+    (Printf.sprintf "{\"schema\":\"dda.stats/1\",\"health\":\"%s\",\"gauges\":{" health);
+  let first = ref true in
+  gauges (fun name v ->
+      if not !first then Buffer.add_char b ',';
+      first := false;
+      Buffer.add_string b (Printf.sprintf "\"%s\":%s" name v));
+  Buffer.add_string b "},\"windows\":{\"service.window.latency_ms\":";
+  Buffer.add_string b (T.Window.snapshot_json window);
+  Buffer.add_char b '}';
+  List.iter (fun (name, v) -> Buffer.add_string b (Printf.sprintf ",\"%s\":%s" name v)) members;
+  Buffer.add_string b ",\"telemetry\":";
+  (* the /1 wire is line-oriented, so the embedded document must be
+     single-line; the snapshot's only raw newlines are its own
+     pretty-printing (string values arrive escaped), so mapping them to
+     spaces compacts it without a parse/re-serialise round trip *)
+  String.iter (fun c -> Buffer.add_char b (if c = '\n' then ' ' else c)) (T.metrics_json ());
+  Buffer.add_char b '}';
+  Buffer.contents b

@@ -38,3 +38,17 @@ val render_top : ?spark:int list -> Json.t -> string
     most-recent-last queue-depth history) is non-empty — a Unicode
     sparkline.  [dda top] clears the screen and reprints this frame;
     with [--once] (or a non-TTY stdout) it prints exactly one frame. *)
+
+val document :
+  health:string ->
+  window:Dda_telemetry.Telemetry.Window.t ->
+  ?members:(string * string) list ->
+  ((string -> string -> unit) -> unit) ->
+  string
+(** [document ~health ~window gauges] is the single-line [dda.stats/1]
+    document of a server or router: schema, [health], the gauges that
+    [gauges] writes with the function it is given (name, JSON number;
+    names registered in [Telemetry.Registry.gauges]), the latency
+    [window], extra top-level [members] (name, JSON; the router's
+    [backends]) and the process's telemetry snapshot with its newlines
+    compacted to spaces. *)

@@ -1,16 +1,9 @@
 module Machine = Dda_machine.Machine
 module M = Dda_multiset.Multiset
 module Decide = Dda_verify.Decide
+module Space = Dda_verify.Space
 module Scc = Dda_verify.Scc
 module T = Dda_telemetry.Telemetry
-
-let degree (c : Counted.t) v = c.Counted.off.(v + 1) - c.Counted.off.(v)
-let succ (c : Counted.t) v k = c.Counted.dst.(c.Counted.off.(v) + k)
-
-let pseudo_stochastic (c : Counted.t) =
-  T.with_span ~args:[ ("analysis", T.S "pseudo-stochastic") ] "verdict" @@ fun () ->
-  Decide.bottom_scc_verdict ~vertices:c.Counted.size ~degree:(degree c) ~succ:(succ c)
-    ~acc:(Array.get c.Counted.acc) ~rej:(Array.get c.Counted.rej) ~describe:c.Counted.describe
 
 (* ------------------------------------------------------------------ *)
 (* Adversarial fairness on the counted quotient                        *)
@@ -27,22 +20,24 @@ let pseudo_stochastic (c : Counted.t) =
    subgraph survives every peel (its internal labels are a subset of each
    enclosing component's), and removing whole components leaves the other
    components intact, so the rounds stop once no component was split. *)
-let adversarial (c : Counted.t) =
+let adversarial (space : Space.t) =
   T.with_span "verdict" @@ fun () ->
-  let n = c.Counted.size and off = c.Counted.off in
-  let dst = c.Counted.dst and mover = c.Counted.mover in
+  let n = space.Space.size and degree = space.Space.degree in
+  let target = space.Space.target and label = space.Space.label in
   let live = Array.make n true in
   let non_acc = ref (-1) and non_rej = ref (-1) in
   (* move labels are >= -1: shift by one to index a bool array *)
-  let covered = Array.make (c.Counted.state_count + 1) false in
+  let top = ref 0 in
+  for v = 0 to n - 1 do
+    for e = 0 to degree v - 1 do top := max !top (label v e + 1) done
+  done;
+  let covered = Array.make (!top + 1) false in
   let order = Array.make n 0 in
   let split = ref true in
   while !split && (!non_acc < 0 || !non_rej < 0) do
     split := false;
     let scc =
-      Scc.compute_iter ~vertices:n
-        ~degree:(fun v -> if live.(v) then degree c v else 0)
-        ~succ:(succ c)
+      Scc.compute_iter ~vertices:n ~degree:(fun v -> if live.(v) then degree v else 0) ~succ:target
     in
     let comp = scc.Scc.comp and nc = scc.Scc.comp_count in
     (* live members grouped by component, ascending within each *)
@@ -66,18 +61,18 @@ let adversarial (c : Counted.t) =
         let internal = ref false in
         for x = lo to hi - 1 do
           let v = order.(x) in
-          for e = off.(v) to off.(v + 1) - 1 do
-            let w = dst.(e) in
+          for e = 0 to degree v - 1 do
+            let w = target v e in
             if live.(w) && comp.(w) = k then begin
               internal := true;
-              covered.(mover.(e) + 1) <- true
+              covered.(label v e + 1) <- true
             end
           done
         done;
         let uncovered v =
           let bad = ref false in
-          for e = off.(v) to off.(v + 1) - 1 do
-            if not covered.(mover.(e) + 1) then bad := true
+          for e = 0 to degree v - 1 do
+            if not covered.(label v e + 1) then bad := true
           done;
           !bad
         in
@@ -93,15 +88,15 @@ let adversarial (c : Counted.t) =
           (* fair-supporting: take the least witnesses, then retire it *)
           for x = lo to hi - 1 do
             let v = order.(x) in
-            if !non_acc < 0 && not c.Counted.acc.(v) then non_acc := v;
-            if !non_rej < 0 && not c.Counted.rej.(v) then non_rej := v;
+            if !non_acc < 0 && not (space.Space.accepting v) then non_acc := v;
+            if !non_rej < 0 && not (space.Space.rejecting v) then non_rej := v;
             live.(v) <- false
           done
         else if !dropped < hi - lo then split := true;
         for x = lo to hi - 1 do
           let v = order.(x) in
-          for e = off.(v) to off.(v + 1) - 1 do
-            covered.(mover.(e) + 1) <- false
+          for e = 0 to degree v - 1 do
+            covered.(label v e + 1) <- false
           done
         done
       end
@@ -115,15 +110,15 @@ let adversarial (c : Counted.t) =
         (Format.sprintf
            "fair runs can revisit the non-accepting configuration %s and the \
             non-rejecting configuration %s forever"
-           (c.Counted.describe !non_acc) (c.Counted.describe !non_rej))
+           (space.Space.describe !non_acc) (space.Space.describe !non_rej))
   | false, false ->
       Decide.Inconsistent
         "no fair cycle found (finite spaces always have one; this is a bug)"
 
-let for_regime regime c =
-  match regime with
-  | Decide.Adversarial -> adversarial c
-  | Decide.Pseudo_stochastic -> pseudo_stochastic c
+let for_regime regime space =
+  match (regime, space.Space.kind) with
+  | Decide.Adversarial, Space.Counted -> adversarial space
+  | _ -> Decide.for_regime regime space
 
 (* ------------------------------------------------------------------ *)
 (* Synchronous regime on multisets                                     *)

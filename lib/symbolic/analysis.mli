@@ -1,13 +1,12 @@
 (** Decision analyses lifted to counted configuration spaces.
 
     The three scheduler regimes of the paper, evaluated on the counted
-    quotient instead of the explicit space:
+    quotient ({!Counted}) instead of the explicit space:
 
-    - {!pseudo_stochastic}: bottom-SCC classification.  Counted and
-      explicit spaces have isomorphic SCC structure (the quotient map
-      preserves and reflects reachability), so the packed explicit
-      classifier {!Dda_verify.Decide.bottom_scc_verdict} runs unchanged on
-      the counted CSR.
+    - pseudo-stochastic: bottom-SCC classification.  Counted and explicit
+      spaces have isomorphic SCC structure (the quotient map preserves and
+      reflects reachability), so {!Dda_verify.Decide.pseudo_stochastic}
+      runs unchanged on the counted space's edge view.
     - {!adversarial}: exact fair-SCC analysis on the quotient.  Edge
       labels are moved {e states}, not nodes, so node-fairness must be
       re-characterised: a strongly connected subgraph [B] supports a
@@ -27,22 +26,21 @@
       permutation-equivariant, so it descends exactly to multisets;
       cycle detection is verbatim. *)
 
-val pseudo_stochastic : Counted.t -> Dda_verify.Decide.verdict
-val adversarial : Counted.t -> Dda_verify.Decide.verdict
-
-val synchronous_shape :
-  max_steps:int ->
-  ('l, 's) Dda_machine.Machine.t ->
-  'l Counted.shape ->
-  Dda_verify.Decide.verdict option
-(** [None] when no cycle is reached within [max_steps]. *)
+val adversarial : Dda_verify.Space.t -> Dda_verify.Decide.verdict
+(** The Streett peel over the space's edge view ([degree]/[target]/
+    [label]), reading each label as an obligation: the moved state on
+    counted spaces. *)
 
 val synchronous :
   max_steps:int ->
   ('l, 's) Dda_machine.Machine.t ->
   'l Dda_graph.Graph.t ->
   Dda_verify.Decide.verdict option
-(** @raise Invalid_argument when the graph is neither clique nor star. *)
+(** [None] when no cycle is reached within [max_steps].
+    @raise Invalid_argument when the graph is neither clique nor star. *)
 
 val for_regime :
-  Dda_verify.Decide.regime -> Counted.t -> Dda_verify.Decide.verdict
+  Dda_verify.Decide.regime -> Dda_verify.Space.t -> Dda_verify.Decide.verdict
+(** {!adversarial} on counted spaces under adversarial fairness;
+    {!Dda_verify.Decide.for_regime} otherwise (pseudo-stochastic, and every
+    explicit space). *)

@@ -72,8 +72,8 @@ let decide_family ?(max_configs = 200_000) ?(window = 6) ~regime m
             (String.make 1 fam.Family.word.[0], Family.leaf_multiset fam n)
     in
     let space = Counted.of_shape ~max_configs:!budget m shape in
-    budget := !budget - space.Counted.size;
-    total := !total + space.Counted.size;
+    budget := !budget - space.Dda_verify.Space.size;
+    total := !total + space.Dda_verify.Space.size;
     T.incr c_instances;
     Analysis.for_regime regime space
   in

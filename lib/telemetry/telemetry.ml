@@ -576,9 +576,6 @@ module Registry = struct
       "batch.jobs";
       "batch.bounded";
       "batch.errors";
-      "symbolic.configs";
-      "symbolic.edges";
-      "symbolic.deltas";
       "symbolic.instances";
       "wsts.pre.candidates";
       "wsts.basis.grown";

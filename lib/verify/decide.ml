@@ -39,12 +39,12 @@ let pp_verdict fmt = function
 (* depend on how the edges are stored.                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* Bottom-SCC classification over an indexed edge view ([succ v k] for
-   [k < degree v]): the one body behind resident spaces and counted
-   spaces.  The witness is the least non-accepting member of the first
-   mixed bottom component. *)
-let bottom_scc_verdict ~vertices ~degree ~succ ~acc ~rej ~describe =
-  let scc = timed_scc ~vertices ~degree ~succ in
+(* Bottom-SCC classification over a space's edge view: the one body behind
+   explicit and counted resident spaces.  The witness is the least
+   non-accepting member of the first mixed bottom component. *)
+let bottom_scc_verdict space =
+  let Space.{ size = vertices; degree; target = succ; accepting = acc; rejecting = rej; _ } = space in
+  let scc = scc_of space in
   let comp = scc.Scc.comp in
   let nc = scc.Scc.comp_count in
   let bottom = Array.make nc true in
@@ -74,7 +74,8 @@ let bottom_scc_verdict ~vertices ~degree ~succ ~acc ~rej ~describe =
   match !mixed with
   | Some w ->
     Inconsistent
-      (Printf.sprintf "bottom SCC neither all-accepting nor all-rejecting, e.g. %s" (describe w))
+      (Printf.sprintf "bottom SCC neither all-accepting nor all-rejecting, e.g. %s"
+         (space.Space.describe w))
   | None ->
     if !accs && !rejs then
       Inconsistent "some pseudo-stochastic fair runs accept while others reject"
@@ -172,7 +173,10 @@ let unconditional_verdict describe = function
 (* materialised to pick canonical members from.                          *)
 (* ------------------------------------------------------------------ *)
 
-let use_streaming e = Engine.spilled e || Sys.getenv_opt "DDA_STREAM_SCC" = Some "1"
+(* Counted rows vary in length, which the sweeps do not handle; counted
+   spaces are never spilled. *)
+let use_streaming e =
+  Engine.spilled e || (Sys.getenv_opt "DDA_STREAM_SCC" = Some "1" && not (Engine.counted e))
 
 let timed_streaming ~vertices f =
   T.with_span ~args:[ ("vertices", T.I vertices); ("mode", T.S "streaming") ] "scc" f
@@ -191,7 +195,7 @@ let streaming_pseudo_stochastic e describe =
   let sz = e.Engine.size in
   let targets = Engine.targets_reader e in
   let reach seed =
-    Scc.backward_reach ~vertices:sz ~degree:(Engine.out_degree e)
+    Scc.backward_reach ~vertices:sz ~degree:e.Engine.node_count
       ~row:(fun i dst _ -> targets i dst)
       ~seed
   in
@@ -229,7 +233,7 @@ let streaming_pseudo_stochastic e describe =
    from R's target and sigma rows, read once for the [ord] consecutive
    lifted vertices that share R. *)
 let streaming_adversarial e describe =
-  let n = Engine.out_degree e in
+  let n = e.Engine.node_count in
   let targets = Engine.targets_reader e in
   let ord, row =
     match e.Engine.symmetry with
@@ -276,7 +280,7 @@ let streaming_unconditional e describe =
   let sz = e.Engine.size in
   let targets = Engine.targets_reader e in
   let cycle target =
-    Scc.fair_cycle ~vertices:sz ~degree:(Engine.out_degree e)
+    Scc.fair_cycle ~vertices:sz ~degree:e.Engine.node_count
       ~row:(fun i dst _ -> targets i dst)
       ~labels:0 ~target
   in
@@ -289,10 +293,7 @@ let pseudo_stochastic space =
   T.with_span ~args:[ ("analysis", T.S "pseudo-stochastic") ] "verdict" (fun () ->
       match space.Space.engine with
       | Some e when use_streaming e -> streaming_pseudo_stochastic e space.Space.describe
-      | _ ->
-        bottom_scc_verdict ~vertices:space.Space.size ~degree:space.Space.degree
-          ~succ:space.Space.target ~acc:space.Space.accepting ~rej:space.Space.rejecting
-          ~describe:space.Space.describe)
+      | _ -> bottom_scc_verdict space)
 
 let pseudo_stochastic_certificate space =
   let n = space.Space.size in

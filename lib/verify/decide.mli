@@ -43,21 +43,9 @@ val for_regime : regime -> Space.t -> verdict
 
 val pseudo_stochastic : Space.t -> verdict
 (** Bottom-SCC classification over the space's edge view; works on explicit
-    and counted spaces. *)
-
-val bottom_scc_verdict :
-  vertices:int ->
-  degree:(int -> int) ->
-  succ:(int -> int -> int) ->
-  acc:(int -> bool) ->
-  rej:(int -> bool) ->
-  describe:(int -> string) ->
-  verdict
-(** The bottom-SCC classification of {!pseudo_stochastic} over an indexed
-    edge view: vertex [v] has successors [succ v 0 .. succ v (degree v - 1)],
-    [acc]/[rej] say whether all its agents accept/reject.  Runs the
-    allocation-free {!Scc.compute_iter}; shared by resident spaces and
-    counted spaces ([Dda_symbolic.Analysis]). *)
+    and counted spaces (the cliques and stars of [Dda_symbolic.Counted]).
+    Spilled explicit spaces, and resident ones when [DDA_STREAM_SCC=1], run
+    the streaming edge sweeps instead; counted spaces never do. *)
 
 val pseudo_stochastic_certificate : Space.t -> verdict
 (** The acceptance test of Proposition D.2, literally: the automaton accepts

@@ -4,21 +4,24 @@
    hot path:
 
    - machine states are interned to dense ids once; a configuration is an
-     array of state ids, deduplicated through an open-addressing FNV index
-     and kept by one of two stores: the resident pack (1, 2 or 4 bytes per
-     node, upgraded on the fly) or, under a memory budget, delta-encoded
-     records in a spillable arena.  One BFS wave loop ({!Wave}) owns the
-     frontier, canonicalisation and edge writing for both;
+     int vector, deduplicated through an open-addressing FNV index and kept
+     by one of three stores: the resident pack (1, 2 or 4 bytes per node),
+     delta-encoded records in a spillable arena under a memory budget, or
+     u16 (state id, count) records for counted cliques and stars.  One BFS
+     wave loop ({!Wave}) owns the frontier and edge writing for all three;
+     its expansion argument says what a move is: a node selection
+     ({!Nodes}) or an occupied state class ({!Classes});
    - delta evaluation is memoised per (state id, capped neighbourhood
      profile), so the structured transition functions of compiled automata
      (Lemmas 4.7/4.9/4.10) are evaluated once per distinct observation; the
      memo is itself a string-keyed open-addressing table probed directly
      against the scratch key buffer, so a hit allocates nothing;
-   - edges are stored in an implicit CSR: every configuration has exactly
-     [node_count] out-edges (edge [k] = select node [k]; silent moves are
-     self-loops), so [targets.(i * node_count + k)] is the whole edge
-     structure.  A silent move is recognised from the delta result alone
-     and written as a self-loop without touching the store;
+   - explicit edges are stored in an implicit CSR: every configuration has
+     exactly [node_count] out-edges (edge [k] = select node [k]; silent
+     moves are self-loops), so [targets.(i * node_count + k)] is the whole
+     edge structure (counted rows keep a real CSR).  A silent move is
+     recognised from the delta result alone and written as a self-loop
+     without touching the store;
    - configurations can be canonicalised under a {!Symmetry} group — the
      reduced space stores one representative per orbit, and every edge
      records the group element used, so {!Decide} can run the exact lifted
@@ -63,6 +66,7 @@ type stats = {
 type edges =
   | Flat_edges of { targets : int array; sigmas : int array (* [||] when unreduced *) }
   | Ext_edges of { targets : Arena.t; sigmas : Arena.t option; configs : Arena.t }
+  | Csr_edges of { off : int array; targets : int array; labels : int array }
 
 type t = {
   node_count : int;
@@ -171,14 +175,6 @@ let intern_state it s =
     Hashtbl.add it.tbl s i;
     i
 
-(* Acc/rej bits of the configuration [ids]: the AND of its states' bits. *)
-let config_flags it ids =
-  let fl = ref 3 in
-  for v = 0 to Array.length ids - 1 do
-    fl := !fl land Char.code (Bytes.unsafe_get it.flags ids.(v))
-  done;
-  !fl
-
 let fnv_prime = 0x100000001b3
 
 let hash_ids ids len =
@@ -196,7 +192,8 @@ let hash_ids ids len =
 (* String-keyed open-addressing memo probed directly against the scratch
    key buffer: a hit compares bytes in place and allocates nothing.  The
    key string is only materialised on a miss (when the expensive delta call
-   happens anyway).  "" marks a free slot — real keys are >= 4 bytes. *)
+   happens anyway).  Keys are u32 words, so they are hashed a word at a
+   time.  "" marks a free slot — real keys are >= 4 bytes. *)
 type memo = {
   mutable mkeys : string array;
   mutable mids : int array;
@@ -208,10 +205,27 @@ type memo = {
 let memo_create () =
   { mkeys = Array.make 8192 ""; mids = Array.make 8192 (-1); mhash = Array.make 8192 0; mmask = 8191; mn = 0 }
 
+(* Manual little-endian 32-bit writes/reads: guaranteed allocation-free
+   (no int32 boxing), which matters because the key is rebuilt on every
+   delta lookup. *)
+let put32 kb pos v =
+  Bytes.unsafe_set kb pos (Char.unsafe_chr (v land 0xFF));
+  Bytes.unsafe_set kb (pos + 1) (Char.unsafe_chr ((v lsr 8) land 0xFF));
+  Bytes.unsafe_set kb (pos + 2) (Char.unsafe_chr ((v lsr 16) land 0xFF));
+  Bytes.unsafe_set kb (pos + 3) (Char.unsafe_chr ((v lsr 24) land 0xFF))
+
+let get32 kb pos =
+  Char.code (Bytes.unsafe_get kb pos)
+  lor (Char.code (Bytes.unsafe_get kb (pos + 1)) lsl 8)
+  lor (Char.code (Bytes.unsafe_get kb (pos + 2)) lsl 16)
+  lor (Char.code (Bytes.unsafe_get kb (pos + 3)) lsl 24)
+
 let memo_hash kb len =
   let h = ref 0x14650FB0739D0383 in
-  for i = 0 to len - 1 do
-    h := (!h lxor Char.code (Bytes.unsafe_get kb i)) * fnv_prime
+  let i = ref 0 in
+  while !i < len do
+    h := (!h lxor get32 kb !i) * fnv_prime;
+    i := !i + 4
   done;
   !h land max_int
 
@@ -271,83 +285,43 @@ let memo_add m key h id =
   m.mn <- m.mn + 1;
   if 2 * m.mn > m.mmask then memo_resize m
 
-(* Manual little-endian 32-bit writes/reads: guaranteed allocation-free
-   (no int32 boxing), which matters because the key is rebuilt on every
-   delta lookup. *)
-let put32 kb pos v =
-  Bytes.unsafe_set kb pos (Char.unsafe_chr (v land 0xFF));
-  Bytes.unsafe_set kb (pos + 1) (Char.unsafe_chr ((v lsr 8) land 0xFF));
-  Bytes.unsafe_set kb (pos + 2) (Char.unsafe_chr ((v lsr 16) land 0xFF));
-  Bytes.unsafe_set kb (pos + 3) (Char.unsafe_chr ((v lsr 24) land 0xFF))
-
-let get32 kb pos =
-  Char.code (Bytes.unsafe_get kb pos)
-  lor (Char.code (Bytes.unsafe_get kb (pos + 1)) lsl 8)
-  lor (Char.code (Bytes.unsafe_get kb (pos + 2)) lsl 16)
-  lor (Char.code (Bytes.unsafe_get kb (pos + 3)) lsl 24)
-
-(* Delta evaluation's view: the machine, the graph structure, the interner
-   and the memo table keyed by (state id, capped profile) packed into a
-   string. *)
+(* Delta evaluation's view: the machine, the interner and the memo table.
+   An expansion writes a mover's key into [key_buf] — the mover's state id,
+   then one (id, capped count) run per observed state, ascending ids, all
+   u32 — and {!delta_key} resolves it; a miss is the one place delta is
+   called. *)
 type 's ctx = {
   beta : int;
   delta : 's -> 's Neighbourhood.t -> 's;
   interner : 's interner;
-  nbr : int array array;
   memo : memo;
-  key_buf : Bytes.t;  (* scratch: 4 + 8 * max_degree bytes *)
-  pid : int array;  (* scratch: sorted neighbour ids *)
+  key_buf : Bytes.t;  (* scratch: 4 + 8 * runs bytes *)
   mutable evals : int;
   mutable lookups : int;
 }
 
-let ctx_create m nbr interner =
-  let max_deg = Array.fold_left (fun a ns -> max a (Array.length ns)) 1 nbr in
+let ctx_create m interner ~runs =
   {
     beta = m.Machine.beta;
     delta = m.Machine.delta;
     interner;
-    nbr;
     memo = memo_create ();
-    key_buf = Bytes.create (4 + (8 * max_deg));
-    pid = Array.make max_deg 0;
+    key_buf = Bytes.create (4 + (8 * runs));
     evals = 0;
     lookups = 0;
   }
 
-(* New state id of node [v] in the configuration [cur] (state ids per node). *)
-let delta_id ctx cur v =
+(* Write the run (id, count capped at beta) at [pos]; the next position. *)
+let put_run ctx pos id c =
+  put32 ctx.key_buf pos id;
+  put32 ctx.key_buf (pos + 4) (min c ctx.beta);
+  pos + 8
+
+(* The new state id of the mover whose key fills the first [len] bytes of
+   [key_buf]. *)
+let delta_key ctx len =
   ctx.lookups <- ctx.lookups + 1;
-  let ns = ctx.nbr.(v) in
-  let deg = Array.length ns in
-  let pid = ctx.pid in
-  for k = 0 to deg - 1 do
-    (* insertion sort: degrees are tiny *)
-    let x = cur.(ns.(k)) in
-    let j = ref k in
-    while !j > 0 && pid.(!j - 1) > x do
-      pid.(!j) <- pid.(!j - 1);
-      decr j
-    done;
-    pid.(!j) <- x
-  done;
-  (* build the memo key: v's state id, then (id, capped count) runs *)
   let kb = ctx.key_buf in
-  put32 kb 0 cur.(v);
-  let pos = ref 4 in
-  let k = ref 0 in
-  while !k < deg do
-    let id = pid.(!k) in
-    let c = ref 0 in
-    while !k < deg && pid.(!k) = id do
-      incr c;
-      incr k
-    done;
-    put32 kb !pos id;
-    put32 kb (!pos + 4) (min !c ctx.beta);
-    pos := !pos + 8
-  done;
-  let len = !pos in
   let h = memo_hash kb len in
   let cached = memo_find ctx.memo kb len h in
   if cached >= 0 then cached
@@ -367,7 +341,7 @@ let delta_id ctx cur v =
       p := !p + 8
     done;
     let nb = Neighbourhood.of_states ~beta:ctx.beta !states in
-    let q' = ctx.delta sarr.(cur.(v)) nb in
+    let q' = ctx.delta sarr.(get32 kb 0) nb in
     let id = intern_state ctx.interner q' in
     memo_add ctx.memo (Bytes.sub_string kb 0 len) h id;
     id
@@ -407,7 +381,7 @@ let canonicalise perms ids best scratch =
 
 let chunk_size = 4096
 
-(* The dedup index of both stores: an open-addressing table of u32 slots
+(* The dedup index of every store: an open-addressing table of u32 slots
    (0 = empty, else config id + 1) over the low 32 bits of [hash_ids], the
    u32 hash of every configuration (for resizing) and its acc/rej flags.
    Only the flags outlive exploration. *)
@@ -442,23 +416,27 @@ let index_resize ix =
   ix.mask <- m
 
 (* What the wave loop needs of a configuration store: configurations are
-   arrays of [node_count] state ids, stored canonical, numbered in the
-   order the loop appends them. *)
+   int vectors (of [len] ints), stored canonical, numbered in the order the
+   loop appends them. *)
 module type STORE = sig
   type t
 
-  val decode : t -> int -> int array -> unit
+  (* [decode st i out] writes configuration [i] to [out]; its length. *)
+  val decode : t -> int -> int array -> int
 
-  (* [equal st i ids]: configuration [i] is [ids].  Phase B only. *)
-  val equal : t -> int -> int array -> bool
+  (* [equal st i ids len]: configuration [i] is [ids].  Phase B only. *)
+  val equal : t -> int -> int array -> int -> bool
 
-  (* [append st i ids ~parent ~parent_ids] stores [ids] as configuration
+  (* [append st i ids len ~parent ~parent_ids] stores [ids] as configuration
      [i]; expanding [parent] (-1 for the initial one), which holds
      [parent_ids], produced it. *)
-  val append : t -> int -> int array -> parent:int -> parent_ids:int array -> unit
+  val append : t -> int -> int array -> int -> parent:int -> parent_ids:int array -> unit
 
-  (* [add_edge st target sigma]: the next edge of the row being expanded. *)
+  (* [add_edge st target aux]: the next edge of the row being expanded
+     ([aux]: the group element, or the counted mover label); [end_row]
+     closes the row. *)
   val add_edge : t -> int -> int -> unit
+  val end_row : t -> unit
 
   (* [fit st n]: state ids below [n] become storable (between phases). *)
   val fit : t -> int -> unit
@@ -473,9 +451,31 @@ module type STORE = sig
   val abort : t -> unit
 end
 
-module Wave (S : STORE) = struct
-  let intern ix st interner ~max_configs ids ~parent ~parent_ids =
-    let h = hash_ids ids (Array.length ids) land 0xFFFFFFFF in
+(* What the wave loop needs of an expansion: a configuration's moves (at
+   most [width], as are a vector's ints and a key's runs) with their delta
+   results ([deltas], in edge order), the state each move changes
+   ([mover]: the move is silent iff its delta result equals it) and the
+   edge aux of a silent one, the canonical successor of the others written
+   to the loop's [succ] scratch (returning the edge aux), the initial
+   vector canonicalised the same way, acc/rej bits and text. *)
+type succ = { vec : int array; mutable len : int }
+
+module type EXPANSION = sig
+  type t
+
+  val width : t -> int
+  val deltas : t -> 's ctx -> int array -> int -> int array -> int -> int
+  val mover : t -> int array -> int -> int
+  val silent_aux : t -> int array -> int -> int
+  val successor : t -> int array -> int -> int -> int -> succ -> int
+  val initial : t -> int array -> int -> succ -> int
+  val flags : t -> Bytes.t -> int array -> int -> int
+  val describe : t -> (Format.formatter -> 's -> unit) -> 's array -> int array -> int -> string
+end
+
+module Wave (S : STORE) (X : EXPANSION) = struct
+  let intern ix st x (interner : _ interner) ~max_configs ids len ~parent ~parent_ids =
+    let h = hash_ids ids len land 0xFFFFFFFF in
     let m = ix.mask in
     let slot = ref (h land m) in
     let found = ref (-2) in
@@ -483,7 +483,7 @@ module Wave (S : STORE) = struct
       ix.probes <- ix.probes + 1;
       let e = get32 ix.table (!slot * 4) in
       if e = 0 then found := -1
-      else if get32 ix.hashes ((e - 1) * 4) = h && S.equal st (e - 1) ids then found := e - 1
+      else if get32 ix.hashes ((e - 1) * 4) = h && S.equal st (e - 1) ids len then found := e - 1
       else slot := (!slot + 1) land m
     done;
     if !found >= 0 then begin
@@ -493,88 +493,81 @@ module Wave (S : STORE) = struct
     else begin
       let i = ix.count in
       if i >= max_configs then raise (Too_large i);
-      S.append st i ids ~parent ~parent_ids;
+      S.append st i ids len ~parent ~parent_ids;
       if 4 * (i + 1) > Bytes.length ix.hashes then ix.hashes <- Bytes.extend ix.hashes 0 (4 * i);
       put32 ix.hashes (4 * i) h;
-      Buffer.add_char ix.flags (Char.chr (config_flags interner ids));
+      Buffer.add_char ix.flags (Char.chr (X.flags x interner.flags ids len));
       put32 ix.table (!slot * 4) (i + 1);
       ix.count <- i + 1;
       if 2 * ix.count > ix.mask then index_resize ix;
       i
     end
 
-  let explore ~sym ~perms ~nbr ~c0 ~interner ~max_configs m st =
-    let n = Array.length nbr in
-    let ctx = ctx_create m nbr interner in
+  let explore ~x ~ids0 ~interner ~max_configs ~sym ~node_count m st =
+    let w = X.width x in
+    let ctx = ctx_create m interner ~runs:w in
     let ix = index_create () in
-    let reduced = sym <> None in
-    let best = Array.make n 0 and scratch = Array.make n 0 in
     (* initial configuration *)
-    let ids0 = Array.map (intern_state interner) c0 in
     S.fit st interner.n;
-    let initial_sigma = if reduced then canonicalise perms ids0 best scratch else (Array.blit ids0 0 best 0 n; 0) in
-    let initial = intern ix st interner ~max_configs best ~parent:(-1) ~parent_ids:[||] in
+    let o = { vec = Array.make w 0; len = 0 } in
+    let initial_sigma = X.initial x ids0 (Array.length ids0) o in
+    let initial = intern ix st x interner ~max_configs o.vec o.len ~parent:(-1) ~parent_ids:[||] in
     (* chunked frontier expansion: phase A leaves each configuration's
-       decoded row in [rows] and its delta results in [sids] *)
+       decoded vector in [rows] and its delta results in [sids] *)
     let next = ref 0 in
     let wave = ref 0 in
     let peak_frontier = ref 0 in
     let silent = ref 0 in
-    let rows = Array.make (chunk_size * n) 0 in
-    let sids = Array.make (chunk_size * n) 0 in
-    let cur = Array.make n 0 in
-    let succ = Array.make n 0 in
+    let rows = ref [||] and lens = ref [||] and sids = ref [||] and nmoves = ref [||] in
+    let cur = Array.make w 0 in
     while !next < ix.count do
       let lo = !next in
       let hi = min ix.count (lo + chunk_size) in
-      let len = hi - lo in
+      let chunk = hi - lo in
+      (* the chunk buffers grow with the waves, so small spaces stay cheap *)
+      if chunk > Array.length !lens then begin
+        let c = min chunk_size (max chunk (2 * Array.length !lens)) in
+        rows := Array.make (c * w) 0;
+        lens := Array.make c 0;
+        sids := Array.make (c * w) 0;
+        nmoves := Array.make c 0
+      end;
+      let rows = !rows and lens = !lens and sids = !sids and nmoves = !nmoves in
       (* phase A: decode + delta evaluation, before any successor of the
          chunk is stored (new state ids only become storable at [S.fit]) *)
-      for i = 0 to len - 1 do
-        let base = i * n in
-        S.decode st (lo + i) cur;
-        Array.blit cur 0 rows base n;
-        for v = 0 to n - 1 do
-          sids.(base + v) <- delta_id ctx cur v
-        done
+      for i = 0 to chunk - 1 do
+        let len = S.decode st (lo + i) cur in
+        Array.blit cur 0 rows (i * w) len;
+        lens.(i) <- len;
+        nmoves.(i) <- X.deltas x ctx cur len sids (i * w)
       done;
-      (* phase B: canonicalise + intern successors, append edges.  A move
-         that keeps the selected node's state is a self-loop with the
-         identity: the stored configuration is canonical, and any other move
-         changes the state multiset, so no other successor can equal it. *)
+      (* phase B: canonicalise + intern successors, append edges.  A silent
+         move is a self-loop: the stored configuration is canonical, and
+         any other move changes the state multiset, so no other successor
+         can equal it. *)
       S.fit st interner.n;
-      for i = 0 to len - 1 do
-        let base = i * n in
-        Array.blit rows base cur 0 n;
-        for v = 0 to n - 1 do
-          let id = sids.(base + v) in
-          if id = cur.(v) then begin
+      for i = 0 to chunk - 1 do
+        let len = lens.(i) and base = i * w in
+        Array.blit rows (i * w) cur 0 len;
+        for j = 0 to nmoves.(i) - 1 do
+          let id = sids.(base + j) in
+          if id = X.mover x cur j then begin
             incr silent;
-            S.add_edge st (lo + i) 0
+            S.add_edge st (lo + i) (X.silent_aux x cur j)
           end
           else begin
-            let sigma =
-              if reduced then begin
-                Array.blit cur 0 succ 0 n;
-                succ.(v) <- id;
-                canonicalise perms succ best scratch
-              end
-              else begin
-                Array.blit cur 0 best 0 n;
-                best.(v) <- id;
-                0
-              end
-            in
-            S.add_edge st (intern ix st interner ~max_configs best ~parent:(lo + i) ~parent_ids:cur) sigma
+            let aux = X.successor x cur len j id o in
+            S.add_edge st (intern ix st x interner ~max_configs o.vec o.len ~parent:(lo + i) ~parent_ids:cur) aux
           end
-        done
+        done;
+        S.end_row st
       done;
       incr wave;
       let frontier = ix.count - hi in
       if frontier > !peak_frontier then peak_frontier := frontier;
       if T.enabled () then begin
         T.incr c_waves;
-        T.observe h_wave len;
+        T.observe h_wave chunk;
         T.emit_value "engine.frontier" frontier;
         if Option.is_some (S.spill st) then T.emit_value "engine.resident_bytes" (Arena.resident_bytes ());
         T.progress_tick ~label:"explore" ~expanded:hi ~discovered:ix.count ~budget:max_configs
@@ -584,11 +577,9 @@ module Wave (S : STORE) = struct
     done;
     (* [describe] keeps [st] alive, never the index *)
     let describe i =
-      let ids = Array.make n 0 in
-      S.decode st i ids;
-      Format.asprintf "%a"
-        (Dda_runtime.Config.pp m.Machine.pp_state)
-        (Dda_runtime.Config.of_states (Array.map (fun id -> interner.states.(id)) ids))
+      let ids = Array.make w 0 in
+      let len = S.decode st i ids in
+      X.describe x m.Machine.pp_state interner.states ids len
     in
     let evals = ctx.evals and lookups = ctx.lookups in
     if T.enabled () then begin
@@ -603,7 +594,7 @@ module Wave (S : STORE) = struct
       T.max_gauge c_peak !peak_frontier
     end;
     {
-      node_count = n;
+      node_count;
       size = ix.count;
       initial;
       initial_sigma;
@@ -626,8 +617,8 @@ module Wave (S : STORE) = struct
       spill = S.spill st;
     }
 
-  let explore ~sym ~perms ~nbr ~c0 ~interner ~max_configs m st =
-    try explore ~sym ~perms ~nbr ~c0 ~interner ~max_configs m st
+  let explore ~x ~ids0 ~interner ~max_configs ~sym ~node_count m st =
+    try explore ~x ~ids0 ~interner ~max_configs ~sym ~node_count m st
     with e ->
       let bt = Printexc.get_raw_backtrace () in
       S.abort st;
@@ -673,9 +664,10 @@ module Packed = struct
     for v = 0 to st.cells - 1 do
       out.(v) <- unpack_cell st !off;
       off := !off + w
-    done
+    done;
+    st.cells
 
-  let equal st i ids =
+  let equal st i ids _ =
     let w = st.width in
     let off = ref (i * st.cells * w) in
     let v = ref 0 in
@@ -685,7 +677,7 @@ module Packed = struct
     done;
     !v = st.cells
 
-  let append st i ids ~parent:_ ~parent_ids:_ =
+  let append st i ids _ ~parent:_ ~parent_ids:_ =
     let nbytes = st.cells * st.width in
     if (i + 1) * nbytes > Bytes.length st.bytes then begin
       let fresh = Bytes.create (2 * Bytes.length st.bytes) in
@@ -705,14 +697,16 @@ module Packed = struct
       st.width <- 2 * st.width;
       st.bytes <- Bytes.create (max (2 * old.stored) 1 * st.cells * st.width);
       for i = 0 to old.stored - 1 do
-        decode old i tmp;
-        append st i tmp ~parent:(-1) ~parent_ids:tmp
+        ignore (decode old i tmp);
+        append st i tmp st.cells ~parent:(-1) ~parent_ids:tmp
       done
     done
 
   let add_edge st j sigma =
     ibuf_push st.targets j;
     match st.sigmas with Some b -> ibuf_push b sigma | None -> ()
+
+  let end_row _ = ()
 
   (* [describe] keeps the store, so the edge buffers are emptied *)
   let finish st =
@@ -817,7 +811,7 @@ module Ext = struct
   let rec decode st i out =
     let seg, off = Arena.view st.carena (off_get st i) in
     let p = ref (off + 1) in
-    if Bytes.unsafe_get seg off = '\000' then
+    (if Bytes.unsafe_get seg off = '\000' then
       for v = 0 to st.cells - 1 do
         let x = varint_at seg !p in
         p := !p + (x land 15);
@@ -825,7 +819,7 @@ module Ext = struct
       done
     else begin
       let parent = varint_at seg !p in
-      decode st (parent lsr 4) out;
+      ignore (decode st (parent lsr 4) out);
       let nd = varint_at seg (!p + (parent land 15)) in
       p := !p + (parent land 15) + (nd land 15);
       for _ = 1 to nd lsr 4 do
@@ -834,10 +828,11 @@ module Ext = struct
         out.(v lsr 4) <- id lsr 4;
         p := !p + (v land 15) + (id land 15)
       done
-    end
+    end);
+    st.cells
 
-  let equal st i ids =
-    decode st i st.dec_buf;
+  let equal st i ids _ =
+    ignore (decode st i st.dec_buf);
     let v = ref 0 in
     while !v < st.cells && st.dec_buf.(!v) = ids.(!v) do
       incr v
@@ -888,7 +883,7 @@ module Ext = struct
       else keyframe st ids
     end
 
-  let append st i ids ~parent ~parent_ids =
+  let append st i ids _ ~parent ~parent_ids =
     let len = encode st ids ~parent ~parent_ids in
     let pos = Arena.append st.carena st.rec_buf 0 len in
     if i >= Bytes.length st.depths then begin
@@ -908,13 +903,239 @@ module Ext = struct
       ignore (Arena.append a st.u32 0 4)
     | None -> ()
 
+  let end_row _ = ()
+
   let finish st =
     st.depths <- Bytes.empty;
     Ext_edges { targets = st.earena; sigmas = st.sarena; configs = st.carena }
 end
 
-module Packed_wave = Wave (Packed)
-module Ext_wave = Wave (Ext)
+(* ------------------------------------------------------------------ *)
+(* Counted store: u16 count records and a CSR                           *)
+(* ------------------------------------------------------------------ *)
+
+(* A counted configuration is the vector [centre id (stars only); id, count;
+   id, count; ...] over its occupied states, ascending ids, kept as u16
+   records back to back.  Rows vary in length, so the edges are a CSR: row
+   offsets, targets and mover labels. *)
+module Counts = struct
+  type t = {
+    mutable bytes : Bytes.t;
+    starts : ibuf;  (* record [i] is bytes [starts.(i) .. starts.(i + 1) - 1] *)
+    rows : ibuf;
+    targets : ibuf;
+    labels : ibuf;
+  }
+
+  let create () =
+    let starts = ibuf_create 64 and rows = ibuf_create 64 in
+    ibuf_push starts 0;
+    ibuf_push rows 0;
+    { bytes = Bytes.create 256; starts; rows; targets = ibuf_create 256; labels = ibuf_create 256 }
+
+  let spill _ = None
+  let abort _ = ()
+  let fit _ n = if n > 0x10000 then invalid_arg "Counted: more than 65536 machine states"
+
+  let decode st i out =
+    let o = st.starts.idata.(i) in
+    let len = (st.starts.idata.(i + 1) - o) / 2 in
+    for k = 0 to len - 1 do
+      out.(k) <- Bytes.get_uint16_le st.bytes (o + (2 * k))
+    done;
+    len
+
+  let equal st i ids len =
+    let o = st.starts.idata.(i) and k = ref 0 in
+    if st.starts.idata.(i + 1) - o = 2 * len then
+      while !k < len && Bytes.get_uint16_le st.bytes (o + (2 * !k)) = ids.(!k) do incr k done;
+    !k = len
+
+  let append st _ ids len ~parent:_ ~parent_ids:_ =
+    let o = st.starts.idata.(st.starts.ilen - 1) in
+    if o + (2 * len) > Bytes.length st.bytes then st.bytes <- Bytes.extend st.bytes 0 (Bytes.length st.bytes);
+    for k = 0 to len - 1 do
+      if ids.(k) > 0xffff then invalid_arg "Counted: count exceeds 65535";
+      Bytes.set_uint16_le st.bytes (o + (2 * k)) ids.(k)
+    done;
+    ibuf_push st.starts (o + (2 * len))
+
+  let add_edge st j label =
+    ibuf_push st.targets j;
+    ibuf_push st.labels label
+
+  let end_row st = ibuf_push st.rows st.targets.ilen
+
+  let finish st =
+    Csr_edges { off = ibuf_contents st.rows; targets = ibuf_contents st.targets; labels = ibuf_contents st.labels }
+end
+
+(* The explicit expansion: the vector is the node states, one move per
+   node. *)
+module Nodes = struct
+  type t = {
+    nbr : int array array;
+    pid : int array;  (* scratch: sorted neighbour ids *)
+    perms : int array array;
+    reduced : bool;
+    succ : int array;  (* scratch: successor before canonicalisation *)
+    scratch : int array;
+  }
+
+  let create ~nbr ~perms ~reduced =
+    let n = Array.length nbr in
+    let max_deg = Array.fold_left (fun a ns -> max a (Array.length ns)) 1 nbr in
+    { nbr; pid = Array.make max_deg 0; perms; reduced; succ = Array.make n 0; scratch = Array.make n 0 }
+
+  let width x = Array.length x.nbr
+
+  (* New state id of node [v] in the configuration [cur]. *)
+  let delta_id x ctx cur v =
+    let ns = x.nbr.(v) in
+    let deg = Array.length ns in
+    let pid = x.pid in
+    for k = 0 to deg - 1 do
+      (* insertion sort: degrees are tiny *)
+      let y = cur.(ns.(k)) in
+      let j = ref k in
+      while !j > 0 && pid.(!j - 1) > y do
+        pid.(!j) <- pid.(!j - 1);
+        decr j
+      done;
+      pid.(!j) <- y
+    done;
+    put32 ctx.key_buf 0 cur.(v);
+    let pos = ref 4 in
+    let k = ref 0 in
+    while !k < deg do
+      let id = pid.(!k) in
+      let c = ref 0 in
+      while !k < deg && pid.(!k) = id do
+        incr c;
+        incr k
+      done;
+      pos := put_run ctx !pos id !c
+    done;
+    delta_key ctx !pos
+
+  let deltas x ctx cur n out base =
+    for v = 0 to n - 1 do
+      out.(base + v) <- delta_id x ctx cur v
+    done;
+    n
+
+  let mover _ cur v = cur.(v)
+  let silent_aux _ _ _ = 0
+
+  let initial x ids n o =
+    o.len <- n;
+    if x.reduced then canonicalise x.perms ids o.vec x.scratch else (Array.blit ids 0 o.vec 0 n; 0)
+
+  let successor x cur n v id o =
+    if x.reduced then begin
+      Array.blit cur 0 x.succ 0 n;
+      x.succ.(v) <- id;
+      canonicalise x.perms x.succ o.vec x.scratch
+    end
+    else (Array.blit cur 0 o.vec 0 n; o.vec.(v) <- id; 0)
+
+  let flags _ sflags ids n =
+    let fl = ref 3 in
+    for v = 0 to n - 1 do
+      fl := !fl land Char.code (Bytes.unsafe_get sflags ids.(v))
+    done;
+    !fl
+
+  let describe _ pp states ids _ =
+    Format.asprintf "%a" (Dda_runtime.Config.pp pp)
+      (Dda_runtime.Config.of_states (Array.map (fun id -> states.(id)) ids))
+end
+
+(* The counted expansion (cliques and stars): the vector is [Counts]'
+   layout; one move per occupied state, labelled by its id, after the
+   centre's move (label -1) on stars. *)
+module Classes = struct
+  type t = { nodes : int; p : int (* 1 on stars: the centre id leads the vector *) }
+
+  let width x = 2 * x.nodes
+  let mover x cur j = if j < x.p then cur.(0) else cur.((2 * j) - x.p)
+  let silent_aux x cur j = if j < x.p then -1 else mover x cur j
+
+  (* The runs of [cur] from [a] on as key runs, the run at [short] one copy
+     shorter; the key length. *)
+  let key_runs ctx cur a len short =
+    let pos = ref 4 and a = ref a in
+    while !a < len do
+      let c = if !a = short then cur.(!a + 1) - 1 else cur.(!a + 1) in
+      if c > 0 then pos := put_run ctx !pos cur.(!a) c;
+      a := !a + 2
+    done;
+    !pos
+
+  (* The centre observes every leaf run, a leaf only the centre, a clique
+     member every run with its own one copy shorter. *)
+  let deltas x ctx cur len out base =
+    let p = x.p in
+    let moves = p + ((len - p) / 2) in
+    for j = 0 to moves - 1 do
+      put32 ctx.key_buf 0 (mover x cur j);
+      let klen =
+        if j < p then key_runs ctx cur p len (-1)
+        else if p = 1 then put_run ctx 4 cur.(0) 1
+        else key_runs ctx cur 0 len (2 * j)
+      in
+      out.(base + j) <- delta_key ctx klen
+    done;
+    moves
+
+  let initial _ ids len o =
+    Array.blit ids 0 o.vec 0 len;
+    o.len <- len;
+    0
+
+  let push v pos s c = if c = 0 then pos else (v.(pos) <- s; v.(pos + 1) <- c; pos + 2)
+
+  (* The mover's run loses a copy and the run of [q'] gains one, in order. *)
+  let successor x cur len j q' o =
+    if j < x.p then begin
+      ignore (initial x cur len o);
+      o.vec.(0) <- q';
+      -1
+    end
+    else begin
+      let m = (2 * j) - x.p in
+      o.vec.(0) <- cur.(0);
+      let pos = ref x.p and a = ref x.p and pending = ref true in
+      while !a < len do
+        let s = cur.(!a) and c = if !a = m then cur.(!a + 1) - 1 else cur.(!a + 1) in
+        if !pending && q' < s then (pos := push o.vec !pos q' 1; pending := false);
+        if !pending && q' = s then (pos := push o.vec !pos s (c + 1); pending := false)
+        else pos := push o.vec !pos s c;
+        a := !a + 2
+      done;
+      if !pending then pos := push o.vec !pos q' 1;
+      o.len <- !pos;
+      cur.(m)
+    end
+
+  (* the AND over the centre and the run ids *)
+  let flags x sflags ids len =
+    let fl = ref 3 in
+    for a = 0 to len - 1 do
+      if a < x.p || (a - x.p) land 1 = 0 then fl := !fl land Char.code (Bytes.unsafe_get sflags ids.(a))
+    done;
+    !fl
+
+  let describe x pp states ids len =
+    let name id = Format.asprintf "%a" pp states.(id) in
+    let run a = Printf.sprintf "%s:%d" (name ids.(x.p + (2 * a))) ids.(x.p + (2 * a) + 1) in
+    (if x.p = 1 then "centre=" ^ name ids.(0) ^ " leaves=" else "")
+    ^ "{" ^ String.concat ", " (List.init ((len - x.p) / 2) run) ^ "}"
+end
+
+module Packed_wave = Wave (Packed) (Nodes)
+module Ext_wave = Wave (Ext) (Nodes)
+module Counted_wave = Wave (Counts) (Classes)
 
 let explore ?symmetry ?(states = []) ?mem_budget ~max_configs m g =
   let n = Graph.nodes g in
@@ -929,9 +1150,11 @@ let explore ?symmetry ?(states = []) ?mem_budget ~max_configs m g =
   let reduced = sym <> None in
   let perms = match sym with Some s -> Symmetry.perms s | None -> [| Array.init n (fun v -> v) |] in
   let nbr = Array.init n (fun v -> Array.of_list (Graph.neighbours g v)) in
+  let x = Nodes.create ~nbr ~perms ~reduced in
   let c0 = Array.init n (fun v -> m.Machine.init (Graph.label g v)) in
   let interner = interner_create ~acc:m.Machine.accepting ~rej:m.Machine.rejecting c0.(0) in
   List.iter (fun s -> ignore (intern_state interner s)) states;
+  let ids0 = Array.map (intern_state interner) c0 in
   let budget =
     match mem_budget with
     | Some b when b > 0 -> Some b
@@ -940,20 +1163,37 @@ let explore ?symmetry ?(states = []) ?mem_budget ~max_configs m g =
   in
   match budget with
   | None ->
-    Packed_wave.explore ~sym ~perms ~nbr ~c0 ~interner ~max_configs m (Packed.create ~reduced n)
+    Packed_wave.explore ~x ~ids0 ~interner ~max_configs ~sym ~node_count:n m (Packed.create ~reduced n)
   | Some limit ->
-    Ext_wave.explore ~sym ~perms ~nbr ~c0 ~interner ~max_configs m (Ext.create ~limit ~reduced n)
+    Ext_wave.explore ~x ~ids0 ~interner ~max_configs ~sym ~node_count:n m
+      (Ext.create ~limit ~reduced n)
+
+let explore_counted ?centre ~leaves ~max_configs m =
+  let module M = Dda_multiset.Multiset in
+  let p = Option.fold ~none:0 ~some:(fun _ -> 1) centre in
+  let n = M.size leaves + p in
+  if n < 1 then invalid_arg "Engine.explore_counted: empty graph";
+  let init l = m.Machine.init l in
+  let first = match centre with Some c -> init c | None -> init (List.hd (M.support leaves)) in
+  let interner = interner_create ~acc:m.Machine.accepting ~rej:m.Machine.rejecting first in
+  (* the centre's state is interned first, then the leaves' in label order *)
+  let intern l = intern_state interner (init l) in
+  let prefix = Option.to_list (Option.map intern centre) in
+  let runs = List.concat_map (fun (id, c) -> [ id; c ]) (M.to_counts (M.map intern leaves)) in
+  Counted_wave.explore ~x:{ Classes.nodes = n; p } ~ids0:(Array.of_list (prefix @ runs)) ~interner
+    ~max_configs ~sym:None ~node_count:n m (Counts.create ())
 
 (* ------------------------------------------------------------------ *)
 (* Accessors                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let out_degree e = e.node_count
+let counted e = match e.edges with Csr_edges _ -> true | Flat_edges _ | Ext_edges _ -> false
 
 let target e i k =
   match e.edges with
   | Flat_edges { targets; _ } -> targets.((i * e.node_count) + k)
   | Ext_edges { targets; _ } -> Arena.read_u32 targets (((i * e.node_count) + k) * 4)
+  | Csr_edges { off; targets; _ } -> targets.(off.(i) + k)
 
 let edge_sigma e i k =
   match e.edges with
@@ -962,6 +1202,7 @@ let edge_sigma e i k =
     match sigmas with
     | None -> 0
     | Some a -> Arena.read_u32 a (((i * e.node_count) + k) * 4))
+  | Csr_edges _ -> 0
 
 (* Row readers: each holds its own arena cursor, so a sweep over ascending
    or descending ids re-enters [Arena.view] only at segment crossings. *)
@@ -976,18 +1217,19 @@ let targets_reader e =
   match e.edges with
   | Flat_edges { targets; _ } -> array_rows n targets
   | Ext_edges { targets; _ } -> arena_rows n targets
+  | Csr_edges _ -> invalid_arg "Engine.targets_reader: counted rows vary in length"
 
 let sigmas_reader e =
   let n = e.node_count in
   match e.edges with
-  | Flat_edges { sigmas = [||]; _ } | Ext_edges { sigmas = None; _ } ->
+  | Flat_edges { sigmas = [||]; _ } | Ext_edges { sigmas = None; _ } | Csr_edges _ ->
     fun _ dst -> Array.fill dst 0 n 0
   | Flat_edges { sigmas; _ } -> array_rows n sigmas
   | Ext_edges { sigmas = Some a; _ } -> arena_rows n a
 
 let release e =
   match e.edges with
-  | Flat_edges _ -> ()
+  | Flat_edges _ | Csr_edges _ -> ()
   | Ext_edges { targets; sigmas; configs } ->
     Arena.release configs;
     Arena.release targets;

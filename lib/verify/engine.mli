@@ -2,7 +2,9 @@
 
     Explores the configuration space of a machine on a graph under exclusive
     selection — the same transition system as {!Space.explore} — but with the
-    explicit-state engineering needed to reach millions of configurations:
+    explicit-state engineering needed to reach millions of configurations.
+    The same loop explores the counted quotients of cliques and stars
+    ({!explore_counted}), whose configurations are state counts:
 
     - machine states are interned to dense ids once, so configurations are
       fixed-width byte strings deduplicated by an open-addressing FNV table
@@ -10,10 +12,11 @@
     - delta evaluation is memoised per (state id, capped neighbourhood
       profile) — exact because {!Dda_machine.Neighbourhood.of_states} already
       canonicalises observations to sorted, capped count lists;
-    - the edge relation is an implicit-CSR int array: every configuration
-      has exactly [node_count] out-edges, edge [k] meaning "select node [k]"
-      (silent moves are self-loops), so edge [k] of configuration [i] lives
-      at index [i * node_count + k];
+    - the explicit edge relation is an implicit-CSR int array: every
+      configuration has exactly [node_count] out-edges, edge [k] meaning
+      "select node [k]" (silent moves are self-loops), so edge [k] of
+      configuration [i] lives at index [i * node_count + k].  Counted
+      spaces keep a CSR whose edges are labelled by the moved state;
     - configurations may be canonicalised under a {!Symmetry} group of graph
       automorphisms, storing one representative per orbit; each edge records
       the group element applied, which lets {!Decide} run the exact lifted
@@ -32,7 +35,7 @@ exception Too_large of int
 type stats = {
   state_count : int;  (** Distinct machine states interned. *)
   delta_evals : int;  (** Real delta calls (memo misses). *)
-  delta_lookups : int;  (** Total delta requests ([size * node_count]). *)
+  delta_lookups : int;  (** Total delta requests: one per edge. *)
   table_probes : int;
       (** Config-table slot inspections (probe-sequence cost), over the
           initial intern and every non-silent successor intern. *)
@@ -43,8 +46,8 @@ type stats = {
   silent_edges : int;
       (** Edges whose selected node keeps its state: written as a
           self-loop with group element 0, without canonicalising or
-          interning.  [size + dedup_hits + silent_edges] is
-          [1 + size * node_count] (the initial intern plus one per edge). *)
+          interning.  [size + dedup_hits + silent_edges] is one more
+          than the edge count (the initial intern plus one per edge). *)
   waves : int;  (** Frontier chunks processed. *)
   peak_frontier : int;  (** Max configurations discovered but not yet expanded. *)
 }
@@ -62,6 +65,9 @@ type edges =
           (explored under a memory budget), in segments that hold whole
           rows of [node_count] records.  [configs] holds the
           delta-encoded configuration records that [describe] reads. *)
+  | Csr_edges of { off : int array; targets : int array; labels : int array }
+      (** Counted spaces: the edges of [i] are [off.(i) .. off.(i+1) - 1],
+          labelled by the moved state id ([-1] for a star's centre). *)
 
 type t = {
   node_count : int;
@@ -114,6 +120,24 @@ val explore :
     @raise Invalid_argument if [symmetry]'s degree differs from the graph
     size. *)
 
+val explore_counted :
+  ?centre:'l ->
+  leaves:'l Dda_multiset.Multiset.t ->
+  max_configs:int ->
+  ('l, 's) Dda_machine.Machine.t ->
+  t
+(** The counted space (Prop. D.2) of the clique with label count [leaves]
+    or, given [centre], of that star: a configuration is the count of each
+    occupied state (and the centre's state), kept as u16 records, with one
+    edge per occupied state labelled by its id, after the centre's move
+    (label [-1]) on stars.  Always resident ([DDA_MEM_BUDGET] does not
+    apply).
+    @raise Too_large when more than [max_configs] configurations are found.
+    @raise Invalid_argument beyond 65536 states or a count of 65535. *)
+
+val counted : t -> bool
+(** Explored by {!explore_counted}. *)
+
 val reduced : t -> bool
 (** The space is a proper quotient (a non-trivial group was applied). *)
 
@@ -132,12 +156,9 @@ val release : t -> unit
     remove their spill files.  No-op on resident spaces; the space must not
     be used afterwards.  An exploration that raises releases its own. *)
 
-val out_degree : t -> int
-(** = [node_count]: every configuration has one edge per node. *)
-
 val target : t -> int -> int -> int
-(** [target e i k] is the successor of configuration [i] when node [k] is
-    selected (the representative of its orbit if reduced). *)
+(** [target e i k]: where edge [k] of configuration [i] goes (on explicit
+    spaces, node [k] selected; the orbit representative if reduced). *)
 
 val edge_sigma : t -> int -> int -> int
 (** The group element index recorded on edge [k] of [i]; [0] when
@@ -150,30 +171,9 @@ val targets_reader : t -> int -> int array -> unit
     spilled ones decode the row from the segment held by the reader's own
     {!Arena.cursor} (edge segments are sized to whole rows, so a row never
     straddles two).  Make one reader per sequential caller and per domain:
-    each may keep one segment in core beyond the memory budget. *)
+    each may keep one segment in core beyond the memory budget.
+    @raise Invalid_argument on a counted space. *)
 
 val sigmas_reader : t -> int -> int array -> unit
 (** Same as {!targets_reader} for the per-edge group elements
     ([dst.(k) = edge_sigma e i k]; all zero when unreduced). *)
-
-(** {2 Delta memo}
-
-    The string-keyed open-addressing table behind the engine's delta
-    memoisation, shared with the counted engine ([Dda_symbolic.Counted]).
-    Keys are non-empty byte strings built in a scratch buffer; a lookup
-    hashes and compares the scratch bytes in place and allocates nothing. *)
-
-type memo
-
-val memo_create : unit -> memo
-
-val memo_hash : Bytes.t -> int -> int
-(** FNV-1a over the first [len] bytes, as a non-negative int. *)
-
-val memo_find : memo -> Bytes.t -> int -> int -> int
-(** [memo_find m kb len h] is the id stored under the first [len] bytes of
-    [kb] (whose {!memo_hash} is [h]), or [-1]. *)
-
-val memo_add : memo -> string -> int -> int -> unit
-(** [memo_add m key h id] stores [id] under [key] (absent, non-empty, with
-    hash [h]). *)

@@ -25,6 +25,10 @@ exception Too_large of int
 let engine space = space.engine
 let is_reduced space = match space.engine with Some e -> Engine.reduced e | None -> false
 
+(* The edge view of a CSR: the edges of [i] are [off.(i) .. off.(i + 1) - 1]. *)
+let csr off dst lbl =
+  ((fun i -> off.(i + 1) - off.(i)), (fun i k -> dst.(off.(i) + k)), fun i k -> lbl.(off.(i) + k))
+
 (* Worklist exploration over an abstract configuration type ['c]: [expand c]
    lists (label, successor) pairs.  Configurations are numbered in BFS
    order, so the [i]-th one popped is configuration [i] and its edges are
@@ -67,15 +71,15 @@ let explore_custom ~max_configs ~node_count ~initial ~expand ~accepting ~rejecti
     offs := !ne :: !offs
   done;
   let configs = Array.of_list (List.rev !configs) in
-  let off = Array.of_list (List.rev !offs) and dst = !dst and lbl = !lbl in
+  let degree, target, label = csr (Array.of_list (List.rev !offs)) !dst !lbl in
   {
     kind = Counted;
     node_count;
     size = Array.length configs;
     initial = i0;
-    degree = (fun i -> off.(i + 1) - off.(i));
-    target = (fun i k -> dst.(off.(i) + k));
-    label = (fun i k -> lbl.(off.(i) + k));
+    degree;
+    target;
+    label;
     accepting = (fun i -> accepting configs.(i));
     rejecting = (fun i -> rejecting configs.(i));
     describe = (fun i -> describe configs.(i));
@@ -102,6 +106,20 @@ let explore_legacy ~max_configs m g =
   let moves = List.map (fun v -> (v, [ v ])) (Listx.range (Graph.nodes g)) in
   { (explore_states ~max_configs m g moves) with kind = Explicit }
 
+let of_engine e =
+  let n = e.Engine.node_count in
+  let kind, degree, target, label =
+    match e.Engine.edges with
+    | Engine.Csr_edges { off; targets; labels } ->
+      let degree, target, label = csr off targets labels in
+      (Counted, degree, target, label)
+    | Engine.Flat_edges _ | Engine.Ext_edges _ ->
+      (Explicit, (fun _ -> n), (fun i k -> Engine.target e i k), fun _ k -> k)
+  in
+  let accepting i = Engine.acc e i and rejecting i = Engine.rej e i in
+  let size = e.Engine.size and initial = e.Engine.initial and describe = e.Engine.describe in
+  { kind; node_count = n; size; initial; degree; target; label; accepting; rejecting; describe; engine = Some e }
+
 let explore ?(jobs = 1) ?symmetry ?states ?mem_budget ~max_configs m g =
   if jobs <> 1 then invalid_arg "Space.explore: exploration is sequential (jobs must be 1)";
   let e =
@@ -112,20 +130,7 @@ let explore ?(jobs = 1) ?symmetry ?states ?mem_budget ~max_configs m g =
         (fun () -> Engine.explore ?symmetry ?states ?mem_budget ~max_configs m g)
     with Engine.Too_large n -> raise (Too_large n)
   in
-  let n = e.Engine.node_count in
-  {
-    kind = Explicit;
-    node_count = n;
-    size = e.Engine.size;
-    initial = e.Engine.initial;
-    degree = (fun _ -> n);
-    target = (fun i k -> Engine.target e i k);
-    label = (fun _ k -> k);
-    accepting = (fun i -> Engine.acc e i);
-    rejecting = (fun i -> Engine.rej e i);
-    describe = e.Engine.describe;
-    engine = Some e;
-  }
+  of_engine e
 
 let explore_liberal ~max_configs m g =
   let n = Graph.nodes g in

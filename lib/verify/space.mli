@@ -9,12 +9,13 @@
     - {!explore}: explicit configurations [C : V -> Q] under exclusive
       selection, on the packed engine; the view reads the engine's edge
       arrays.  Size is up to [|Q|^n].
+    - {!of_engine} on {!Engine.explore_counted}: counted clique and star
+      quotients (the objects of Lemma 5.1 and the Lemma 3.5 cutoff
+      argument), built by [Dda_symbolic.Counted] on the same engine; the
+      view reads its CSR and the edge labels are moved states.
     - {!explore_legacy}, {!explore_liberal} and {!explore_custom}: a
       polymorphic worklist that records its edges as a CSR (offset, target
-      and label arrays) in BFS order; the view reads those arrays.
-
-    Counted clique and star quotients (the objects of Lemma 5.1 and the
-    Lemma 3.5 cutoff argument) live in [Dda_symbolic.Counted]. *)
+      and label arrays) in BFS order; the view reads those arrays. *)
 
 type kind =
   | Explicit
@@ -50,6 +51,9 @@ val is_reduced : t -> bool
 (** The space is a symmetry quotient: configuration indices denote orbit
     representatives.  Analyses that replay node selections literally
     ({!Decide.adversarial_witness}) refuse reduced spaces. *)
+
+val of_engine : Engine.t -> t
+(** The view of an engine's space: [Explicit] unless it is counted. *)
 
 val explore_custom :
   max_configs:int ->

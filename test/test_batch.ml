@@ -672,7 +672,11 @@ let test_resolve_graph_error_text () =
       Alcotest.(check bool) (graph ^ ": starts with graph: ") true
         (String.starts_with ~prefix expected);
       Alcotest.(check int) (graph ^ ": graph: exactly once") 1 occurrences)
-    [ "foo"; "ab*" ]
+    [ "foo"; "ab*"; "grid:2x2" ];
+  (* a grid without its label field is a grid error, not an unknown topology *)
+  Alcotest.(check (result reject string))
+    "grid:2x2 names the grid form" (Error "graph: expected grid:WxH:<labels>")
+    (Result.map (fun _ -> ()) (Spec.parse_graph_spec "grid:2x2"))
 
 (* --- one tier chain: pinned keys, shared by every front end ----------------- *)
 

@@ -202,7 +202,7 @@ let same_space a b =
 let same_sigmas a b =
   match (Space.engine a, Space.engine b) with
   | Some ea, Some eb ->
-    let n = Engine.out_degree ea in
+    let n = ea.Engine.node_count in
     let ok = ref (ea.Engine.initial_sigma = eb.Engine.initial_sigma) in
     for i = 0 to ea.Engine.size - 1 do
       for k = 0 to n - 1 do
@@ -309,7 +309,7 @@ let test_engine_rows_width3 () =
   let arena =
     match es.Engine.edges with
     | Engine.Ext_edges { targets; _ } -> targets
-    | Engine.Flat_edges _ -> Alcotest.fail "not spilled"
+    | Engine.Flat_edges _ | Engine.Csr_edges _ -> Alcotest.fail "not spilled"
   in
   let rows = Engine.targets_reader es and resident_rows = Engine.targets_reader er in
   let dst = Array.make 3 0 and want = Array.make 3 0 in
@@ -436,7 +436,7 @@ let prop_silent_edges =
         (fun (symmetry, expected) ->
           let space = Space.explore ?symmetry ?mem_budget ~max_configs:100_000 m g in
           let e = Option.get (Space.engine space) in
-          let s = e.Engine.stats and n = Engine.out_degree e in
+          let s = e.Engine.stats and n = e.Engine.node_count in
           let loops = ref 0 in
           for i = 0 to e.Engine.size - 1 do
             for k = 0 to n - 1 do

@@ -7,6 +7,7 @@
 module M = Dda_multiset.Multiset
 module Machine = Dda_machine.Machine
 module Space = Dda_verify.Space
+module Engine = Dda_verify.Engine
 module Decide = Dda_verify.Decide
 module Spec = Dda_batch.Spec
 module Store = Dda_batch.Store
@@ -185,21 +186,19 @@ end
 
 (* The packed space must equal the oracle's edge for edge: ids, the
    (mover, target) order of every configuration's edges, acc and rej. *)
-let check_oracle ctx m g (c : Counted.t) =
+let check_oracle ctx m g (c : Space.t) =
   let o = Oracle.explore m (Option.get (Counted.shape_of_graph g)) in
-  Alcotest.(check int) (ctx "size") (Array.length o.Oracle.succs) c.Counted.size;
-  Alcotest.(check int) (ctx "initial") 0 c.Counted.initial;
-  Alcotest.(check int) (ctx "states") o.Oracle.state_count c.Counted.state_count;
+  Alcotest.(check int) (ctx "size") (Array.length o.Oracle.succs) c.Space.size;
+  Alcotest.(check int) (ctx "initial") 0 c.Space.initial;
+  Alcotest.(check int) (ctx "states") o.Oracle.state_count
+    (Option.get c.Space.engine).Engine.stats.Engine.state_count;
   Alcotest.(check int) (ctx "edges")
     (Array.fold_left (fun n es -> n + List.length es) 0 o.Oracle.succs)
-    c.Counted.edge_count;
+    (List.fold_left (fun n i -> n + c.Space.degree i) 0 (List.init c.Space.size Fun.id));
   Array.iteri
     (fun i es ->
-      let off = c.Counted.off.(i) in
-      let csr =
-        List.init (c.Counted.off.(i + 1) - off) (fun k -> (c.Counted.mover.(off + k), c.Counted.dst.(off + k)))
-      in
-      if csr <> es || c.Counted.acc.(i) <> o.Oracle.acc.(i) || c.Counted.rej.(i) <> o.Oracle.rej.(i) then
+      let csr = List.init (c.Space.degree i) (fun k -> (c.Space.label i k, c.Space.target i k)) in
+      if csr <> es || c.Space.accepting i <> o.Oracle.acc.(i) || c.Space.rejecting i <> o.Oracle.rej.(i) then
         Alcotest.fail (ctx (Printf.sprintf "configuration %d differs from the oracle" i)))
     o.Oracle.succs
 
@@ -229,7 +228,7 @@ let check_instance proto gspec =
     Alcotest.(check string)
       (ctx "pseudo-stochastic")
       (verdict_class (Decide.pseudo_stochastic explicit))
-      (verdict_class (Analysis.pseudo_stochastic counted)));
+      (verdict_class (Decide.pseudo_stochastic counted)));
   (* synchronous *)
   let cls = function None -> "no-cycle" | Some v -> verdict_class v in
   Alcotest.(check string)
@@ -249,29 +248,53 @@ let test_differential_corpus () =
    by vertex 1's silent move).  Vertex 3 is a fair non-rejecting sink. *)
 let test_peel_rounds () =
   let edges = [| [ (0, 1); (1, 2) ]; [ (0, 0); (1, 1) ]; [ (0, 0); (2, 3) ]; [ (2, 3) ] |] in
-  let off = Array.make 5 0 in
-  Array.iteri (fun i es -> off.(i + 1) <- off.(i) + List.length es) edges;
-  let flat = List.concat (Array.to_list edges) in
   let c =
     {
-      Counted.topology = Counted.Clique;
+      Space.kind = Space.Counted;
       node_count = 2;
       size = 4;
-      edge_count = List.length flat;
       initial = 0;
-      state_count = 3;
-      off;
-      dst = Array.of_list (List.map snd flat);
-      mover = Array.of_list (List.map fst flat);
-      acc = [| false; true; true; true |];
-      rej = [| true; true; true; false |];
+      degree = (fun i -> List.length edges.(i));
+      target = (fun i k -> snd (List.nth edges.(i) k));
+      label = (fun i k -> fst (List.nth edges.(i) k));
+      accepting = Array.get [| false; true; true; true |];
+      rejecting = Array.get [| true; true; true; false |];
       describe = string_of_int;
+      engine = None;
     }
   in
   match Analysis.adversarial c with
   | Decide.Inconsistent w ->
       Alcotest.(check string) "witnesses" "fair runs can revisit the non-accepting configuration 0 and the non-rejecting configuration 3 forever" w
   | v -> Alcotest.failf "expected inconsistent, got %s" (verdict_class v)
+
+(* Counted spaces never take the knob-selected routes: [DDA_MEM_BUDGET]
+   (the spilled store) and [DDA_STREAM_SCC] (the streaming sweeps) both
+   assume [node_count] edges per row.  With both set, sizes and verdicts
+   must equal the unset run's. *)
+let test_counted_ignores_knobs () =
+  let run () =
+    List.concat_map
+      (fun gspec ->
+        let g = or_fail (Spec.parse_graph gspec) in
+        let (Spec.Packed m) = or_fail (Spec.parse_protocol "threshold:a,2" g) in
+        List.map
+          (fun regime ->
+            let space = Option.get (Counted.of_graph ~max_configs m g) in
+            (gspec, space.Space.size, verdict_class (Analysis.for_regime regime space)))
+          [ Decide.Adversarial; Decide.Pseudo_stochastic ])
+      [ "clique:aabb"; "star:baab"; "star:abbb" ]
+  in
+  let unset = run () in
+  let knobs = [ ("DDA_MEM_BUDGET", "1"); ("DDA_STREAM_SCC", "1") ] in
+  let saved = List.map (fun (k, _) -> (k, Option.value (Sys.getenv_opt k) ~default:"")) knobs in
+  List.iter (fun (k, v) -> Unix.putenv k v) knobs;
+  let set = Fun.protect ~finally:(fun () -> List.iter (fun (k, v) -> Unix.putenv k v) saved) run in
+  List.iter2
+    (fun (g, n, v) (_, n', v') ->
+      Alcotest.(check int) (g ^ " size") n n';
+      Alcotest.(check string) (g ^ " verdict") v v')
+    unset set
 
 (* --- family specs ------------------------------------------------------- *)
 
@@ -467,7 +490,11 @@ let () =
     [
       ( "differential",
         [ Alcotest.test_case "corpus n<=6, all regimes" `Slow test_differential_corpus ] );
-      ( "analysis", [ Alcotest.test_case "adversarial peel rounds" `Quick test_peel_rounds ] );
+      ( "analysis",
+        [
+          Alcotest.test_case "adversarial peel rounds" `Quick test_peel_rounds;
+          Alcotest.test_case "knobs leave counted spaces alone" `Quick test_counted_ignores_knobs;
+        ] );
       ( "family",
         [
           Alcotest.test_case "parse/canonical" `Quick test_family_parse;

@@ -350,6 +350,9 @@ let test_validators_reject_garbage () =
     (T.validate_metrics (one_counter per_domain) <> []);
   Alcotest.(check (list string)) "batch.shard.0.jobs accepted" []
     (T.validate_metrics (one_counter "batch.shard.0.jobs"));
+  (* counted explorations report through the engine.* counters *)
+  Alcotest.(check bool) "symbolic.configs rejected" true
+    (T.validate_metrics (one_counter "symbolic.configs") <> []);
   let bad_trace = ok {|{"traceEvents": [{"name": "explore", "ph": "X"}]}|} in
   Alcotest.(check bool) "X event without ts/dur rejected" true (T.validate_trace bad_trace <> []);
   let bad_trace2 = ok {|{"traceEvents": [{"name": "nope", "ph": "X", "ts": 0, "dur": 1, "pid": 0, "tid": 0}]}|} in

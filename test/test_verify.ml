@@ -99,7 +99,7 @@ let test_counted_clique_space () =
   let lc = M.of_counts [ ('a', 1); ('b', 4) ] in
   let space = Counted.clique ~max_configs:1000 exists_a lc in
   (* counted configs: (Yes^k No^(5-k)) for k = 1..5 *)
-  Alcotest.(check int) "five counted configs" 5 space.Counted.size;
+  Alcotest.(check int) "five counted configs" 5 space.Space.size;
   (* a clique needs two nodes: there is nothing to decide on fewer *)
   List.iter
     (fun lc ->
@@ -112,7 +112,7 @@ let test_counted_star_space () =
   let space =
     Counted.star ~max_configs:1000 exists_a ~centre:'b' ~leaves:(M.of_counts [ ('a', 2); ('b', 2) ])
   in
-  Alcotest.(check bool) "non-trivial" true (space.Counted.size >= 3)
+  Alcotest.(check bool) "non-trivial" true (space.Space.size >= 3)
 
 (* --- Decisions ------------------------------------------------------------ *)
 
@@ -171,7 +171,7 @@ let test_counted_matches_explicit_on_cliques () =
       let counted = Counted.clique ~max_configs:200000 exists_a (M.of_list labels) in
       Alcotest.check verdict "same verdict"
         (Decide.pseudo_stochastic explicit)
-        (Analysis.pseudo_stochastic counted))
+        (Decide.pseudo_stochastic counted))
     [ [ 'a'; 'b'; 'b' ]; [ 'b'; 'b'; 'b' ]; [ 'a'; 'a'; 'b'; 'b' ]; [ 'b'; 'c'; 'b'; 'c' ] ]
 
 let test_clique_two_a_on_cliques () =
@@ -292,7 +292,7 @@ let test_counted_star_matches_explicit () =
       let counted = Counted.star ~max_configs:300000 exists_a ~centre ~leaves:(M.of_list leaves) in
       Alcotest.check verdict "star quotient"
         (Decide.pseudo_stochastic explicit)
-        (Analysis.pseudo_stochastic counted))
+        (Decide.pseudo_stochastic counted))
     [ ('b', [ 'a'; 'b'; 'b' ]); ('a', [ 'b'; 'b' ]); ('b', [ 'b'; 'b'; 'b'; 'b' ]); ('c', [ 'a'; 'a' ]) ]
 
 let test_liberal_selection_irrelevance () =
