@@ -245,7 +245,7 @@ let cmd_decide proto_spec graph_spec fairness_str engine_str cache_dir max_confi
     match Batch.lookup store plan with
     | Some (e, tier) -> print_entry e ~tier:(Batch.tier_name tier)
     | None -> (
-      let ((d, _) as c) = or_die (plan.Batch.compute ()) in
+      let ((d, _) as c) = or_die (Batch.compute plan) in
       Batch.record store plan c;
       match d.Batch.result with
       | Batch.Bounded n ->

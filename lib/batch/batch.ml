@@ -72,7 +72,7 @@ type tier = Mem | Disk | Family
 let tier_name = function Mem -> "mem" | Disk -> "disk" | Family -> "family"
 
 type plan = {
-  compute : unit -> (computed, string) result;
+  solve : Spec.regime list -> (computed, string) result list;
   key : string;
   machine_key : string;
   graph_key : string;
@@ -82,24 +82,48 @@ type plan = {
   fallback : (string * int) option Lazy.t;
 }
 
-let timed t0 result configs =
-  { result; cached = false; configs; seconds = Unix.gettimeofday () -. t0 }
+let compute p = List.hd (p.solve [ p.regime ])
 
-(* an analysis that refuses its input (adversarial fairness beyond 62
-   nodes) is an error value, like a family that does not stabilise *)
-let computing thunk () =
-  let t0 = Unix.gettimeofday () in
-  match thunk () with
-  | result, configs -> Ok (timed t0 result configs, None)
-  | exception Invalid_argument msg -> Error msg
+(* A group's results from each member's part — its result, configurations
+   and family record, or its refusal, with its own analysis seconds.  The
+   rest of the wall time since [t0] is the shared exploration, split
+   equally, so the members' seconds sum to the group's wall time. *)
+let decisions ~t0 parts =
+  let wall = Unix.gettimeofday () -. t0 in
+  let own = List.fold_left (fun acc (_, s) -> acc +. s) 0. parts in
+  let shared = (wall -. own) /. float_of_int (List.length parts) in
+  List.map
+    (fun (part, s) ->
+      Result.map
+        (fun (result, configs, family) ->
+          ({ result; cached = false; configs; seconds = s +. shared }, family))
+        part)
+    parts
 
 (* [explore] is [Space.explore] or, on cliques and stars under the symbolic
-   engine, [Counted.of_shape]: both raise [Space.Too_large] *)
-let explore_and_classify ~regime explore () =
-  match explore () with
-  | exception Space.Too_large n -> (Bounded n, n)
-  | exception Dda_wsts.Coverability.Too_large n -> (Bounded n, n)
-  | space -> (Verdict (Dda_symbolic.Analysis.for_regime regime space), space.Space.size)
+   engine, [Counted.of_shape]: both raise [Space.Too_large].  The space is
+   explored once and classified under each regime; an analysis that
+   refuses its input (adversarial fairness beyond 62 nodes) is an error for
+   its own regime only *)
+let solve_space explore regimes =
+  let t0 = Unix.gettimeofday () in
+  let every part = List.map (fun _ -> (part, 0.)) regimes in
+  decisions ~t0
+    (match explore () with
+    | exception (Space.Too_large n | Dda_wsts.Coverability.Too_large n) ->
+      every (Ok (Bounded n, n, None))
+    | exception Invalid_argument msg -> every (Error msg)
+    | space ->
+      List.map
+        (fun regime ->
+          let t1 = Unix.gettimeofday () in
+          let part =
+            match Dda_symbolic.Analysis.for_regime regime space with
+            | v -> Ok (Verdict v, space.Space.size, None)
+            | exception Invalid_argument msg -> Error msg
+          in
+          (part, Unix.gettimeofday () -. t1))
+        regimes)
 
 let cert_of_family (fv : Dda_symbolic.Certify.t) =
   {
@@ -127,7 +151,7 @@ let find_family store (key, n) =
   | Some ({ Store.family = Some fc; _ } as e) when n >= fc.Store.from_n -> Some e
   | Some _ | None -> None
 
-let keyed cache compute ~engine ~machine_key ~graph_key ~regime ~max_configs
+let keyed cache solve ~engine ~machine_key ~graph_key ~regime ~max_configs
     ~fallback =
   let key =
     match cache with
@@ -136,7 +160,7 @@ let keyed cache compute ~engine ~machine_key ~graph_key ~regime ~max_configs
       Fingerprint.key ~engine ~machine:machine_key ~graph:graph_key
         ~regime:(Spec.regime_name regime) ~max_configs ()
   in
-  { compute; key; machine_key; graph_key; engine; regime; max_configs; fallback }
+  { solve; key; machine_key; graph_key; engine; regime; max_configs; fallback }
 
 let machine_key_of cache machine_key labels m =
   match (cache, machine_key) with
@@ -168,27 +192,33 @@ let plan ?cache ?machine_key ?graph_spec ?symmetry ?(engine = Spec.Explicit)
       | _ -> lazy None
     in
     Ok
-      (keyed cache
-         (computing (explore_and_classify ~regime explore))
-         ~engine ~machine_key
+      (keyed cache (solve_space explore) ~engine ~machine_key
          ~graph_key:(if cache = None then "" else Fingerprint.graph g)
          ~regime ~max_configs ~fallback)
 
 let plan_family ?cache ?machine_key ~regime ~max_configs m fam =
-  let compute () =
+  let solve regimes =
     let t0 = Unix.gettimeofday () in
-    match Dda_symbolic.Certify.decide_family ~max_configs ~regime m fam with
-    | Ok fv ->
-      Ok
-        ( timed t0 (Verdict fv.Dda_symbolic.Certify.verdict) fv.Dda_symbolic.Certify.configs,
-          Some (cert_of_family fv) )
-    | Error (`Too_large n) -> Ok (timed t0 (Bounded n) n, None)
-    | Error (`Unsupported msg) -> Error msg
+    decisions ~t0
+      (List.map
+         (fun (r, s) ->
+           let part =
+             match r with
+             | Ok fv ->
+               Ok
+                 ( Verdict fv.Dda_symbolic.Certify.verdict,
+                   fv.Dda_symbolic.Certify.configs,
+                   Some (cert_of_family fv) )
+             | Error (`Too_large n) -> Ok (Bounded n, n, None)
+             | Error (`Unsupported msg) -> Error msg
+           in
+           (part, s))
+         (Dda_symbolic.Certify.decide_family ~max_configs ~regimes m fam))
   in
   let machine_key =
     machine_key_of cache machine_key (fun () -> Dda_symbolic.Family.alphabet fam) m
   in
-  keyed cache compute ~engine:"symbolic" ~machine_key
+  keyed cache solve ~engine:"symbolic" ~machine_key
     ~graph_key:(if cache = None then "" else Fingerprint.family fam)
     ~regime ~max_configs ~fallback:(lazy None)
 
@@ -220,7 +250,7 @@ let record store p ((d, family) : computed) =
 (* lookup, else compute and record — with the batch layer's counters *)
 let through ?cache ~count p =
   match cache with
-  | None -> p.compute ()
+  | None -> compute p
   | Some store -> (
     match lookup store p with
     | Some (e, _) ->
@@ -228,7 +258,7 @@ let through ?cache ~count p =
       Ok (of_entry e, e.Store.family)
     | None ->
       note_miss count;
-      let c = p.compute () in
+      let c = compute p in
       Result.iter
         (fun c ->
           record store p c;
@@ -240,10 +270,20 @@ let decision_exn = function Ok (d, _) -> d | Error msg -> invalid_arg msg
 
 let cached ?cache ?(count = true) ?(engine = "explicit") ~machine_key ~graph_key
     ~regime ~max_configs thunk =
+  (* the thunk decides [regime] only: nothing groups these plans *)
+  let solve _ =
+    let t0 = Unix.gettimeofday () in
+    let part =
+      match thunk () with
+      | result, configs -> Ok (result, configs, None)
+      | exception Invalid_argument msg -> Error msg
+    in
+    decisions ~t0 [ (part, 0.) ]
+  in
   decision_exn
     (through ?cache ~count
-       (keyed cache (computing thunk) ~engine ~machine_key ~graph_key ~regime
-          ~max_configs ~fallback:(lazy None)))
+       (keyed cache solve ~engine ~machine_key ~graph_key ~regime ~max_configs
+          ~fallback:(lazy None)))
 
 let decide ?cache ?(count = true) ?machine_key ?symmetry ?engine ~regime
     ~max_configs m g =
@@ -371,26 +411,33 @@ let resolve ?cache memo job =
     plan ?cache ?machine_key ~graph_spec:job.graph ~regime ~max_configs m g
   | Spec.Family fam -> Ok (plan_family ?cache ?machine_key ~regime ~max_configs m fam)
 
-(* Execute a shard's share of the cache misses.  Runs on a worker domain:
-   no cache access, no telemetry counters — only the spans inside the
+(* Execute a shard's share of the cache misses: groups of plans that
+   differ in regime only, each explored once.  Runs on a worker domain: no
+   cache access, no telemetry counters — only the spans inside the
    exploration engine, which are domain-safe. *)
-let exec_shard ?time_budget ~interrupted items =
+let exec_shard ?time_budget ~interrupted groups =
   let t0 = Unix.gettimeofday () in
-  List.map
-    (fun (idx, p) ->
+  List.concat_map
+    (fun members ->
       let over_budget =
         match time_budget with
         | Some b -> Unix.gettimeofday () -. t0 > b
         | None -> false
       in
-      if interrupted () then (idx, `Interrupted)
-      else if over_budget then (idx, `Skipped)
+      let every outcome = List.map (fun (idx, _) -> (idx, outcome)) members in
+      if interrupted () then every `Interrupted
+      else if over_budget then every `Skipped
       else
-        match p.compute () with
-        | Ok c -> (idx, `Computed (p, c))
-        | Error msg -> (idx, `Failed msg)
-        | exception e -> (idx, `Failed (Printexc.to_string e)))
-    items
+        let solve = (snd (List.hd members)).solve in
+        match solve (List.map (fun (_, (p : plan)) -> p.regime) members) with
+        | results ->
+          List.map2
+            (fun (idx, p) -> function
+              | Ok c -> (idx, `Computed (p, c))
+              | Error msg -> (idx, `Failed msg))
+            members results
+        | exception e -> every (`Failed (Printexc.to_string e)))
+    groups
 
 let run ?cache ?(shards = 1) ?time_budget ?(interrupted = fun () -> false) jobs =
   let shards = max 1 shards in
@@ -399,8 +446,10 @@ let run ?cache ?(shards = 1) ?time_budget ?(interrupted = fun () -> false) jobs 
   let n = List.length jobs in
   let outcomes = Array.make n Skipped in
   let shard_of = Array.make n (-1) in
-  (* resolve and answer hits on the main domain; collect the misses *)
-  let misses = ref [] in
+  (* resolve and answer hits on the main domain; group the misses by their
+     job text without the regime: the members of a group share one
+     exploration *)
+  let groups = Hashtbl.create 16 and order = ref [] in
   List.iteri
     (fun idx job ->
       match resolve ?cache memo job with
@@ -410,23 +459,30 @@ let run ?cache ?(shards = 1) ?time_budget ?(interrupted = fun () -> false) jobs 
         | Some (e, _) ->
           note_hit true;
           outcomes.(idx) <- Done (of_entry e)
-        | None ->
+        | None -> (
           if cache <> None then note_miss true;
-          misses := (idx, p) :: !misses))
+          let k = (job.protocol, job.graph, job.max_configs) in
+          match Hashtbl.find_opt groups k with
+          | Some members -> Hashtbl.replace groups k ((idx, p) :: members)
+          | None ->
+            Hashtbl.add groups k [ (idx, p) ];
+            order := k :: !order)))
     jobs;
-  let misses = List.rev !misses in
-  (* round-robin static partition across the shards *)
+  let groups = List.rev_map (fun k -> List.rev (Hashtbl.find groups k)) !order in
+  (* round-robin static partition of the groups across the shards *)
   let buckets = Array.make shards [] in
-  List.iteri (fun pos (idx, r) -> buckets.(pos mod shards) <- (idx, r) :: buckets.(pos mod shards)) misses;
+  List.iteri (fun pos g -> buckets.(pos mod shards) <- g :: buckets.(pos mod shards)) groups;
   let buckets = Array.map List.rev buckets in
-  Array.iteri (fun k items -> List.iter (fun (idx, _) -> shard_of.(idx) <- k) items) buckets;
+  Array.iteri
+    (fun k groups -> List.iter (List.iter (fun (idx, _) -> shard_of.(idx) <- k)) groups)
+    buckets;
   let results =
     T.with_span "batch" (fun () ->
         if shards = 1 then [| exec_shard ?time_budget ~interrupted buckets.(0) |]
         else
           Array.map Domain.join
             (Array.map
-               (fun items -> Domain.spawn (fun () -> exec_shard ?time_budget ~interrupted items))
+               (fun groups -> Domain.spawn (fun () -> exec_shard ?time_budget ~interrupted groups))
                buckets))
   in
   (* fold the worker results back in and persist fresh verdicts (main domain
@@ -459,7 +515,7 @@ let run ?cache ?(shards = 1) ?time_budget ?(interrupted = fun () -> false) jobs 
       (fun k items ->
         if items <> [] then
           T.add (T.counter (Printf.sprintf "batch.shard.%d.jobs" k)) (List.length items))
-      buckets
+      results
   end;
   let hits, misses_n =
     Array.fold_left

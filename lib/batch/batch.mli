@@ -2,8 +2,9 @@
 
     The runner takes a manifest of jobs — protocol × graph × fairness
     regime, each with a configuration budget — resolves every job to a
-    {!plan}, answers hits from the {!Store}, shards the misses
-    round-robin across worker domains, and persists fresh verdicts.  Cache
+    {!plan}, answers hits from the {!Store}, groups the misses that differ
+    in regime only, shards the groups round-robin across worker domains,
+    and persists fresh verdicts.  Cache
     lookups and writes happen only on the main domain; workers just
     explore, so the store never sees concurrent writers from one process.
 
@@ -21,7 +22,11 @@ type decision = {
   result : result_;
   cached : bool;  (** answered from the store *)
   configs : int;  (** configurations explored (original run, if cached) *)
-  seconds : float;  (** wall-clock of the original computation *)
+  seconds : float;
+      (** Wall-clock of the original computation.  A job computed in a group
+          (see {!run}) gets its own analysis time plus an equal share of
+          the group's one exploration, so a group's seconds sum to its wall
+          time. *)
 }
 
 val cache_stats : unit -> int * int
@@ -54,10 +59,13 @@ val tier_name : tier -> string
 (** ["mem"], ["disk"], ["family"] — the access log's and the CLI's names. *)
 
 type plan = {
-  compute : unit -> (computed, string) result;
-      (** The exploration, timed; a resource bound is an [Ok] [Bounded]
-          result, a refused input or an unstabilised family an [Error].
-          Pure: safe to run on any domain. *)
+  solve : Spec.regime list -> (computed, string) result list;
+      (** Explore the plan's (protocol, graph, budget) once and classify it
+          under each regime given, in order, timed as in
+          [decision.seconds].  A resource bound is an [Ok] [Bounded]
+          result for every regime, a refused input or an unstabilised
+          family an [Error].  Pure: safe to run on any domain.  The plans
+          of {!cached} answer their own [regime] only. *)
   key : string;  (** the exact cache key; [""] for a plan built without a cache *)
   machine_key : string;
   graph_key : string;  (** {!Fingerprint.graph} or {!Fingerprint.family} *)
@@ -88,6 +96,9 @@ val plan :
     (clique/star graphs only — [Error] otherwise) and [Auto] uses the
     counted engine when the graph is a clique or star, the explicit engine
     otherwise.  Symbolic verdicts live under engine-salted keys. *)
+
+val compute : plan -> (computed, string) result
+(** [solve [regime]]: the plan's own job, alone. *)
 
 val lookup : Store.t -> plan -> (Store.entry * tier) option
 
@@ -226,10 +237,17 @@ val run :
   ?interrupted:(unit -> bool) ->
   job list ->
   report
-(** Execute a manifest.  [shards] (default 1) is the number of worker
-    domains for cache misses; [time_budget] bounds each shard's wall-clock
-    — jobs not started when it expires are [Skipped].  [interrupted]
-    (default [fun () -> false]) is polled between jobs on every shard; once
+(** Execute a manifest.  Hits are answered first; the misses are then
+    grouped by their job text without the regime — (protocol, graph,
+    max_configs) — and each group is explored once and classified under
+    every member's regime ({!plan}'s [solve]).  Each member is still looked
+    up and recorded under its own key, with the verdict, witness text and
+    [configs] it gets when run alone.  A group is one work item.
+    [shards] (default 1) is the number of worker domains for cache misses,
+    which take the groups round-robin, so a group is never split;
+    [time_budget] bounds each shard's wall-clock — groups not started when
+    it expires are [Skipped].  [interrupted]
+    (default [fun () -> false]) is polled between groups on every shard; once
     it returns [true], jobs not yet started drain as [Interrupted] and the
     runner returns normally with the verdicts completed so far — the CLI
     wires SIGINT/SIGTERM to this and still flushes the report.  Telemetry:

@@ -87,26 +87,28 @@ let tabulate ~labels ~states m =
 let reachable_states ?(max_states = 12) ~labels m =
   let seen = Hashtbl.create 16 in
   let order = ref [] in
+  let exception Bail in
   (* discovery order is deterministic: label order first, then profile
      enumeration order per pass — that determinism is what makes the
-     enumeration usable as a canonical state order for fingerprints *)
+     enumeration usable as a canonical state order for fingerprints.
+     States are only ever added, so the search bails as soon as it has
+     found more than [max_states] *)
   let add s =
     if not (Hashtbl.mem seen s) then begin
       Hashtbl.add seen s ();
-      order := s :: !order
+      order := s :: !order;
+      if Hashtbl.length seen > max_states then raise Bail
     end
   in
-  List.iter (fun l -> add (m.Machine.init l)) labels;
   let beta = m.Machine.beta in
   let entry_cap = 500_000 in
-  let exception Bail in
   try
+    List.iter (fun l -> add (m.Machine.init l)) labels;
     let changed = ref true in
     while !changed do
       changed := false;
       let states = List.rev !order in
       let k = List.length states in
-      if k > max_states then raise Bail;
       (* check the table size BEFORE enumerating the pass, so an infeasible
          machine bails cheaply instead of after millions of delta calls *)
       let entries =
@@ -126,8 +128,7 @@ let reachable_states ?(max_states = 12) ~labels m =
         profiles;
       if Hashtbl.length seen > before then changed := true
     done;
-    let states = List.rev !order in
-    if List.length states > max_states then None else Some states
+    Some (List.rev !order)
   with Bail -> None
 
 let canonical_dump ~label_key t =

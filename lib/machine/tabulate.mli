@@ -42,7 +42,8 @@ val reachable_states :
     canonical state order for {!tabulate} and hence for content
     fingerprints.  Returns [None] when more than [max_states] (default 12)
     states are found or a closure pass would exceed the internal table
-    budget; the size check happens before each pass, so infeasible machines
+    budget.  The search stops at the first state beyond [max_states], and
+    the table size is checked before each pass, so infeasible machines
     bail cheaply. *)
 
 val canonical_dump : label_key:('l -> string) -> ('l, 's) t -> string

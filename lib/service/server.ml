@@ -377,7 +377,7 @@ let worker_loop t () =
       let r =
         if expired w.wk_pending (Unix.gettimeofday ()) then W_deadline
         else
-          match w.wk_plan.Batch.compute () with
+          match Batch.compute w.wk_plan with
           | Ok c -> W_decision c
           | Error msg -> W_error msg
           | exception e -> W_error (Printexc.to_string e)

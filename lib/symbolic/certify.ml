@@ -54,7 +54,20 @@ let cutoff_horizon m (fam : Family.t) =
         | k -> Some (k, String.length fam.Family.word - 1 + k)
         | exception Invalid_argument _ -> None)
 
-let decide_family ?(max_configs = 200_000) ?(window = 6) ~regime m
+type error = [ `Too_large of int | `Unsupported of string ]
+
+(* One regime's search: the verdicts it has read so far (newest first),
+   the instance at which it next looks at them, and its result once it has
+   one. *)
+type search = {
+  regime : Decide.regime;
+  mutable seen : (int * Decide.verdict) list;
+  mutable target : int;
+  mutable outcome : (t, error) result option;
+  mutable analysis_s : float;
+}
+
+let decide_family ?(max_configs = 200_000) ?(window = 6) ~regimes m
     (fam : Family.t) =
   T.with_span
     ~args:[ ("family", T.S (Family.to_string fam)) ]
@@ -63,7 +76,7 @@ let decide_family ?(max_configs = 200_000) ?(window = 6) ~regime m
   let n0 = Family.min_nodes fam in
   let budget = ref max_configs in
   let total = ref 0 in
-  let verdict_at n =
+  let explore n =
     let shape =
       match fam.Family.topology with
       | Family.Clique -> Counted.S_clique (Family.leaf_multiset fam n)
@@ -75,17 +88,7 @@ let decide_family ?(max_configs = 200_000) ?(window = 6) ~regime m
     budget := !budget - space.Dda_verify.Space.size;
     total := !total + space.Dda_verify.Space.size;
     T.incr c_instances;
-    Analysis.for_regime regime space
-  in
-  let explore_range lo hi acc =
-    let rec go n acc =
-      if n > hi then Ok (List.rev acc)
-      else
-        match verdict_at n with
-        | v -> go (n + 1) ((n, v) :: acc)
-        | exception Counted.Too_large c -> Error (`Too_large (!total + c))
-    in
-    go lo acc
+    space
   in
   (* smallest k such that the verdict is constant on [k .. horizon] *)
   let stable_from instances =
@@ -96,53 +99,68 @@ let decide_family ?(max_configs = 200_000) ?(window = 6) ~regime m
     in
     match instances with [] -> n0 | (n, _) :: _ -> go n instances
   in
-  match cutoff_horizon m fam with
-  | Some (k, horizon) -> (
-      let horizon = max horizon n0 in
-      match explore_range n0 horizon [] with
-      | Error _ as e -> e
-      | Ok instances ->
-          let verdict = snd (List.nth instances (List.length instances - 1)) in
-          Ok
-            {
-              verdict;
-              from_n = stable_from instances;
-              checked_to = horizon;
-              certificate = Cutoff k;
-              configs = !total;
-              instances;
-            })
-  | None ->
-      (* no certificate: look for [window] consecutive agreeing verdicts,
-         extending the horizon a bounded number of times *)
-      let window = max window 2 in
-      let max_horizon = n0 + (4 * window) - 1 in
-      let rec search lo acc =
-        let hi = min (lo + window - 1) max_horizon in
-        match explore_range lo hi acc with
-        | Error _ as e -> e
-        | Ok instances ->
-            let from_n = stable_from instances in
-            let checked_to = fst (List.nth instances (List.length instances - 1)) in
-            if checked_to - from_n + 1 >= window then
-              let verdict =
-                snd (List.nth instances (List.length instances - 1))
-              in
-              Ok
-                {
-                  verdict;
-                  from_n;
-                  checked_to;
-                  certificate = Window window;
-                  configs = !total;
-                  instances;
-                }
-            else if hi >= max_horizon then
-              Error
-                (`Unsupported
-                  (Printf.sprintf
-                     "no stabilisation: verdicts of %s still changing at n = %d"
-                     (Family.to_string fam) checked_to))
-            else search (hi + 1) (List.rev instances)
-      in
-      search n0 []
+  (* the result of a search that has read every instance up to its target;
+     [!total] then sums exactly those instances *)
+  let result s certificate =
+    let instances = List.rev s.seen in
+    {
+      verdict = snd (List.hd s.seen);
+      from_n = stable_from instances;
+      checked_to = s.target;
+      certificate;
+      configs = !total;
+      instances;
+    }
+  in
+  (* [first] is every search's first target; [conclude] is called when a
+     search reaches its target, and either settles it or moves the target *)
+  let first, conclude =
+    match cutoff_horizon m fam with
+    | Some (k, horizon) ->
+        (max horizon n0, fun s -> s.outcome <- Some (Ok (result s (Cutoff k))))
+    | None ->
+        (* no certificate: look for [window] consecutive agreeing verdicts,
+           extending the horizon a bounded number of times *)
+        let window = max window 2 in
+        let max_horizon = n0 + (4 * window) - 1 in
+        ( min (n0 + window - 1) max_horizon,
+          fun s ->
+            let r = result s (Window window) in
+            if r.checked_to - r.from_n + 1 >= window then s.outcome <- Some (Ok r)
+            else if s.target >= max_horizon then
+              s.outcome <-
+                Some
+                  (Error
+                     (`Unsupported
+                       (Printf.sprintf
+                          "no stabilisation: verdicts of %s still changing at n = %d"
+                          (Family.to_string fam) r.checked_to)))
+            else s.target <- min (s.target + window) max_horizon )
+  in
+  let searches =
+    List.map
+      (fun regime -> { regime; seen = []; target = first; outcome = None; analysis_s = 0. })
+      regimes
+  in
+  (* every search reads a contiguous range from [n0], so instance [n] is
+     explored once, with the same remaining budget for every search that
+     still needs it, and dropped once they have all read it *)
+  let classify n space s =
+    let t0 = Unix.gettimeofday () in
+    let v = Analysis.for_regime s.regime space in
+    s.analysis_s <- s.analysis_s +. (Unix.gettimeofday () -. t0);
+    s.seen <- (n, v) :: s.seen;
+    if n = s.target then conclude s
+  in
+  let rec go n =
+    match List.filter (fun s -> Option.is_none s.outcome) searches with
+    | [] -> ()
+    | live ->
+        (match explore n with
+        | space -> List.iter (classify n space) live
+        | exception Counted.Too_large c ->
+            List.iter (fun s -> s.outcome <- Some (Error (`Too_large (!total + c)))) live);
+        go (n + 1)
+  in
+  go n0;
+  List.map (fun s -> (Option.get s.outcome, s.analysis_s)) searches

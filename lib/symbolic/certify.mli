@@ -34,16 +34,29 @@ type t = {
 
 val pp : Format.formatter -> t -> unit
 
+type error = [ `Too_large of int | `Unsupported of string ]
+
 val decide_family :
   ?max_configs:int ->
   ?window:int ->
-  regime:Dda_verify.Decide.regime ->
+  regimes:Dda_verify.Decide.regime list ->
   (string, 's) Dda_machine.Machine.t ->
   Family.t ->
-  (t, [ `Too_large of int | `Unsupported of string ]) result
-(** [max_configs] (default 200_000) bounds the {e total} number of counted
+  ((t, error) result * float) list
+(** One result per regime of [regimes] (non-empty), in order, each with
+    the seconds its regime's analyses took; the rest of the call's wall
+    time is exploration, shared by every regime.
+
+    The cutoff horizon is computed once, and each instance is explored
+    once and classified under every regime still searching, then dropped.
+    Each regime reads its own verdict sequence and stops where it would
+    stop alone, so each result is the one [~regimes:[r]] gives.
+
+    [max_configs] (default 200_000) bounds the {e total} number of counted
     configurations across all explored instances, mirroring the budget
-    semantics of a single explicit decision.  [window] (default 6) is the
+    semantics of a single explicit decision.  Every regime explores a
+    contiguous range from the smallest instance, so the budget left at an
+    instance is the same for all of them.  [window] (default 6) is the
     stabilisation window for uncertified families.  [`Unsupported] is
     returned when no stabilisation window can be found within the
     exploration horizon — never for certified star families, whose horizon

@@ -778,6 +778,98 @@ let test_run_interrupted () =
       Alcotest.(check bool) "report still parses" true
         (Result.is_ok (Dda_telemetry.Json.parse json)))
 
+(* --- regime pairs ------------------------------------------------------------- *)
+
+(* The f and F jobs of one (protocol, graph, budget) differ in regime only:
+   the runner explores their configuration space once and classifies it
+   under both regimes, and each job still gets what it gets alone. *)
+let pair_job ?(max_configs = 200_000) protocol graph regime =
+  { Batch.protocol; graph; regime; max_configs }
+
+let regime_pairs =
+  List.concat_map
+    (fun (protocol, graph) ->
+      List.map (pair_job protocol graph) [ Spec.Adversarial; Spec.Pseudo_stochastic ])
+    [ ("threshold:a,2", "star:ba*"); ("exists:a", "line:abab") ]
+  @ [ pair_job "exists:a" "cycle:abb" Spec.Pseudo_stochastic ]
+
+let decided what = function
+  | Batch.Done d -> d
+  | Batch.Failed msg -> Alcotest.failf "%s failed: %s" what msg
+  | Batch.Skipped | Batch.Interrupted -> Alcotest.failf "%s did not run" what
+
+(* a job's outcome and store entry: verdict and witness text, configs and
+   family certificate, under the job's own key *)
+let stored store job outcome =
+  let what = job.Batch.protocol ^ " " ^ job.Batch.graph ^ " " ^ Spec.regime_name job.Batch.regime in
+  let d = decided what outcome in
+  let key =
+    match Batch.resolve ~cache:store (Hashtbl.create 1) job with
+    | Ok p -> p.Batch.key
+    | Error e -> Alcotest.failf "%s: %s" what e
+  in
+  match Store.find store key with
+  | Some e -> (what, d.Batch.result, d.Batch.configs, (e.Store.verdict, e.Store.configs, e.Store.family))
+  | None -> Alcotest.failf "%s: no entry under its key" what
+
+let alone jobs =
+  List.map
+    (fun job ->
+      with_store (fun store ->
+          match (Batch.run ~cache:store [ job ]).Batch.jobs with
+          | [ (_, o, _) ] -> stored store job o
+          | _ -> Alcotest.fail "one job, one outcome"))
+    jobs
+
+let check_as_alone expected store (report : Batch.report) =
+  List.iter2
+    (fun (what, result, configs, entry) (job, o, _) ->
+      let what', result', configs', entry' = stored store job o in
+      Alcotest.(check string) "same job" what what';
+      check_result (what ^ ": verdict and witness") result result';
+      Alcotest.(check int) (what ^ ": configs") configs configs';
+      Alcotest.(check bool) (what ^ ": store entry") true (entry = entry'))
+    expected report.Batch.jobs
+
+let instances = Dda_telemetry.Telemetry.counter "symbolic.instances"
+
+let test_regime_pairs_share_exploration () =
+  let module T = Dda_telemetry.Telemetry in
+  if not (T.enabled ()) then T.enable ();
+  let expected = alone regime_pairs in
+  with_store (fun store ->
+      let before = T.value instances in
+      let report = Batch.run ~cache:store regime_pairs in
+      (* star:ba* is decided on n = 3..8 once, not once per regime *)
+      Alcotest.(check int) "family instances explored" 6 (T.value instances - before);
+      check_as_alone expected store report);
+  with_store (fun store ->
+      let report = Batch.run ~cache:store ~shards:2 regime_pairs in
+      check_as_alone expected store report;
+      let shard i = match List.nth report.Batch.jobs i with _, _, k -> k in
+      Alcotest.(check int) "the family pair on one shard" (shard 0) (shard 1);
+      Alcotest.(check int) "the line pair on one shard" (shard 2) (shard 3));
+  (* over budget, both members of a pair are bounded out where each is
+     alone *)
+  let tiny =
+    List.map
+      (fun (max_configs, protocol, graph, regime) -> pair_job ~max_configs protocol graph regime)
+      [
+        (1_000, "threshold:a,2", "star:ba*", Spec.Adversarial);
+        (1_000, "threshold:a,2", "star:ba*", Spec.Pseudo_stochastic);
+        (5, "exists:a", "line:abab", Spec.Adversarial);
+        (5, "exists:a", "line:abab", Spec.Pseudo_stochastic);
+      ]
+  in
+  let expected = alone tiny in
+  List.iter
+    (fun (what, result, _, _) ->
+      match result with
+      | Batch.Bounded _ -> ()
+      | Batch.Verdict _ -> Alcotest.failf "%s should be bounded out" what)
+    expected;
+  with_store (fun store -> check_as_alone expected store (Batch.run ~cache:store tiny))
+
 (* --- advisory locking -------------------------------------------------------- *)
 
 let test_store_lock () =
@@ -906,4 +998,10 @@ let () =
         ] );
       ( "differential",
         [ Alcotest.test_case "figure 1 through the cache" `Slow test_figure1_differential ] );
+      (* last: it switches telemetry on for the rest of the process *)
+      ( "regime pairs",
+        [
+          Alcotest.test_case "regime pairs share one exploration" `Quick
+            test_regime_pairs_share_exploration;
+        ] );
     ]

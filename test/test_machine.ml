@@ -176,6 +176,26 @@ let test_minimise_compiled_threshold () =
     Alcotest.(check bool) "quotient still accepts 2 x's" true
       (Dda_verify.Decide.pseudo_stochastic space = Dda_verify.Decide.Accepts)
 
+(* The closure stops at the first state beyond [max_states]: a machine with
+   more reachable states than that gives [None] without finishing the pass
+   that found them (239,688 delta calls at 14 states when the bound was
+   checked only between passes). *)
+let test_reachable_states_bails_early () =
+  let m = Dda_protocols.Cutoff_broadcast.threshold ~alphabet:[ "a"; "b" ] ~label:"a" ~k:2 in
+  let calls = ref 0 in
+  let counting =
+    Machine.create ~name:m.Machine.name ~beta:m.Machine.beta ~init:m.Machine.init
+      ~delta:(fun q n ->
+        incr calls;
+        m.Machine.delta q n)
+      ~accepting:m.Machine.accepting ~rejecting:m.Machine.rejecting ()
+  in
+  let r = Tabulate.reachable_states ~max_states:14 ~labels:[ "a"; "b" ] counting in
+  Alcotest.(check bool) "more than 14 states" true (r = None);
+  Alcotest.(check bool)
+    (Printf.sprintf "stopped early (%d delta calls)" !calls)
+    true (!calls < 20_000)
+
 let () =
   Alcotest.run "machine"
     [
@@ -201,5 +221,6 @@ let () =
           Alcotest.test_case "minimise merges" `Quick test_minimise_merges;
           Alcotest.test_case "minimise identity" `Quick test_minimise_identity;
           Alcotest.test_case "compiled threshold" `Quick test_minimise_compiled_threshold;
+          Alcotest.test_case "reachable states bail early" `Quick test_reachable_states_bails_early;
         ] );
     ]

@@ -320,11 +320,17 @@ let test_family_parse () =
    instance the explicit engine can still reach. *)
 let explicit_decide regime m g = Decide.for_regime regime (Space.explore ~max_configs m g)
 
+(* a family decided under one regime alone *)
+let decide_family ?max_configs regime m fam =
+  match Certify.decide_family ?max_configs ~regimes:[ regime ] m fam with
+  | [ (r, _) ] -> r
+  | _ -> Alcotest.fail "one result per regime"
+
 let check_family proto fspec regime =
   let fam = or_fail (Family.parse fspec) in
   let rep = Family.instance fam (Family.min_nodes fam) in
   let (Spec.Packed m) = or_fail (Spec.parse_protocol proto rep) in
-  match Certify.decide_family ~max_configs ~regime m fam with
+  match decide_family ~max_configs regime m fam with
   | Error _ -> Alcotest.fail (Printf.sprintf "%s on %s: no family verdict" proto fspec)
   | Ok fv ->
       for n = Family.min_nodes fam to 7 do
@@ -387,7 +393,7 @@ let test_family_pinned () =
           (Spec.regime_name regime)
           what
       in
-      match Certify.decide_family ~regime m fam with
+      match decide_family regime m fam with
       | Error _ -> Alcotest.fail (ctx "no family verdict")
       | Ok fv ->
           Alcotest.(check string) (ctx "verdict") verdict (verdict_class fv.Certify.verdict);
@@ -395,6 +401,37 @@ let test_family_pinned () =
           Alcotest.(check int) (ctx "checked_to") checked_to fv.Certify.checked_to;
           Alcotest.(check bool) (ctx "certificate") true (fv.Certify.certificate = certificate);
           Alcotest.(check int) (ctx "configs") configs fv.Certify.configs)
+    pinned_families
+
+(* One call over both regimes explores each instance once and gives, field
+   for field, what two single-regime calls give. *)
+let test_family_regime_pair () =
+  List.iter
+    (fun (proto, fspec, regime, _, _, _, _, _) ->
+      if regime = Decide.Adversarial then begin
+        let fam = or_fail (Family.parse fspec) in
+        let rep = Family.instance fam (Family.min_nodes fam) in
+        let (Spec.Packed m) = or_fail (Spec.parse_protocol proto rep) in
+        let regimes = [ Decide.Adversarial; Decide.Pseudo_stochastic ] in
+        let paired = List.map fst (Certify.decide_family ~regimes m fam) in
+        List.iter2
+          (fun regime pair ->
+            let ctx what =
+              Printf.sprintf "%s on %s (%s, paired): %s" proto fspec (Spec.regime_name regime) what
+            in
+            match (decide_family regime m fam, pair) with
+            | Ok a, Ok b ->
+                Alcotest.(check bool) (ctx "verdict") true (a.Certify.verdict = b.Certify.verdict);
+                Alcotest.(check int) (ctx "from_n") a.Certify.from_n b.Certify.from_n;
+                Alcotest.(check int) (ctx "checked_to") a.Certify.checked_to b.Certify.checked_to;
+                Alcotest.(check bool) (ctx "certificate") true
+                  (a.Certify.certificate = b.Certify.certificate);
+                Alcotest.(check int) (ctx "configs") a.Certify.configs b.Certify.configs;
+                Alcotest.(check bool) (ctx "instances") true
+                  (a.Certify.instances = b.Certify.instances)
+            | _ -> Alcotest.fail (ctx "no family verdict"))
+          regimes paired
+      end)
     pinned_families
 
 (* --- cache threading ----------------------------------------------------- *)
@@ -501,6 +538,7 @@ let () =
           Alcotest.test_case "certified star" `Quick test_family_certified_star;
           Alcotest.test_case "window clique" `Quick test_family_window_clique;
           Alcotest.test_case "pinned results" `Quick test_family_pinned;
+          Alcotest.test_case "regime pair matches single calls" `Quick test_family_regime_pair;
         ] );
       ( "cache",
         [
