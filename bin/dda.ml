@@ -266,7 +266,7 @@ let cmd_decide proto_spec graph_spec fairness_str engine_str cache_dir max_confi
     Format.printf "state space exceeds %d configurations; try `dda simulate` instead@." n;
     exit 1
   | space ->
-    let v = or_refuse (fun () -> Dda_symbolic.Analysis.for_regime regime space) in
+    let v = or_refuse (fun () -> Decide.for_regime regime space) in
     let dt = Unix.gettimeofday () -. t0 in
     Format.printf "verdict: %a@." Decide.pp_verdict v;
     (match Dda_verify.Space.engine space with

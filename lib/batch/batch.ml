@@ -102,9 +102,10 @@ let decisions ~t0 parts =
 
 (* [explore] is [Space.explore] or, on cliques and stars under the symbolic
    engine, [Counted.of_shape]: both raise [Space.Too_large].  The space is
-   explored once and classified under each regime; an analysis that
-   refuses its input (adversarial fairness beyond 62 nodes) is an error for
-   its own regime only *)
+   explored once and classified under each regime by [Decide.for_regime],
+   which decides explicit and counted spaces alike; an analysis that
+   refuses its input (adversarial fairness on an explicit space beyond 62
+   nodes) is an error for its own regime only *)
 let solve_space explore regimes =
   let t0 = Unix.gettimeofday () in
   let every part = List.map (fun _ -> (part, 0.)) regimes in
@@ -118,7 +119,7 @@ let solve_space explore regimes =
         (fun regime ->
           let t1 = Unix.gettimeofday () in
           let part =
-            match Dda_symbolic.Analysis.for_regime regime space with
+            match Decide.for_regime regime space with
             | v -> Ok (Verdict v, space.Space.size, None)
             | exception Invalid_argument msg -> Error msg
           in

@@ -139,7 +139,7 @@ val decide :
     pseudo-stochastic).
     @raise Invalid_argument when the plan or its computation refuses the
     input (symbolic engine on another topology, adversarial fairness on
-    more than 62 nodes). *)
+    an explicit space of more than 62 nodes). *)
 
 (** {1 Family verdicts (symbolic engine)} *)
 

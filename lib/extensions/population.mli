@@ -64,7 +64,7 @@ val settle_time :
 
 val space :
   max_configs:int -> ('l, 's) t -> 'l Dda_graph.Graph.t -> Dda_verify.Space.t
-(** Exact configuration space under all ordered-pair selections; [Counted]
+(** Exact configuration space under all ordered-pair selections; [Opaque]
     kind (population protocols are pseudo-stochastic, so bottom-SCC
     decisions apply). *)
 

@@ -75,7 +75,7 @@ val simulate_random :
 
 val space :
   max_configs:int -> ('l, 's) t -> 'l Dda_graph.Graph.t -> Dda_verify.Space.t
-(** Exact space; pseudo-stochastic decisions apply ([Counted] kind). *)
+(** Exact space; pseudo-stochastic decisions apply ([Opaque] kind). *)
 
 (** {1 Lemma 5.1} *)
 

@@ -80,7 +80,7 @@ val space :
 (** Exact configuration space of the native semantics, enumerating all
     exclusive neighbourhood moves, all non-empty independent initiator sets
     and all response assignments.  Exponential in the graph size — intended
-    for graphs of up to ~6 nodes.  The space is [Counted] (pseudo-stochastic
+    for graphs of up to ~6 nodes.  The space is [Opaque] (pseudo-stochastic
     decisions only), matching the fairness for which weak broadcasts are
     used in the paper. *)
 

@@ -147,7 +147,7 @@ let decide_family ?(max_configs = 200_000) ?(window = 6) ~regimes m
      still needs it, and dropped once they have all read it *)
   let classify n space s =
     let t0 = Unix.gettimeofday () in
-    let v = Analysis.for_regime s.regime space in
+    let v = Decide.for_regime s.regime space in
     s.analysis_s <- s.analysis_s +. (Unix.gettimeofday () -. t0);
     s.seen <- (n, v) :: s.seen;
     if n = s.target then conclude s

@@ -92,62 +92,149 @@ let first_witness ok wit =
   done;
   !w
 
-(* Fair-SCC classification: the components whose internal edges select
-   every node, and in the first of them (by component number) holding a
-   non-accepting (resp. non-rejecting) configuration, the least such
-   configuration.  Explicit spaces only: edge [k] selects node [k].
+(* The one Streett kernel: a round-based peel over per-vertex obligations.
+   Vertex [v] owes the slots [slot v 0 .. slot v (degree v - 1)], distinct
+   within its row and below [slots]; a strongly connected set is
+   fair-supporting iff its internal edges' slots cover every member's
+   obligations.  Each round runs one Tarjan pass over the live vertices
+   (dead ones keep no edges, so they are isolated singletons), then per
+   component: no internal edge — drop it whole; every member covered — it
+   is a maximal fair-supporting set: take its least witnesses and retire
+   it; otherwise drop the uncovered members.  Any fair-supporting subgraph
+   survives every peel (its internal slots are a subset of each enclosing
+   component's), and removing whole components leaves the others intact,
+   so the rounds stop once no component was split.  A member owing more
+   slots than the component covers is dropped, and one in a component
+   covering all [slots] kept, without reading its row: explicit rows owe
+   every slot, so there each component is kept or dropped whole and the
+   first round (one Tarjan, one coverage pass) is the last.
 
-   For a symmetry-reduced space the quotient's own labels are not sound —
-   merging orbit members conflates which node a selection hits — so the
-   analysis runs on the *lifted* graph: nodes are pairs (representative R,
-   group element t), standing for the concrete configuration p_t^{-1} . R.
-   Quotient edge k of R (successor S, recorded element s with
-   R' = p_s . S) lifts, at (R, t), to an edge labelled perms.(t).(k) going
-   to (R', mul.(t).(s)); acceptance of (R, t) is acceptance of R.  Every
-   lifted SCC is isomorphic (via p_t) to an SCC of reachable concrete
-   configurations and vice versa, so scanning all lifted SCCs is exact.
-   With a trivial group the lifted graph *is* the space and [comp] numbers
-   its configurations. *)
-let fair_components space =
-  let n = space.Space.node_count in
-  let ord, mul, perms, sigma =
-    match space.Space.engine with
-    | Some ({ Engine.symmetry = Some g; _ } as e) ->
-      (Symmetry.order g, Symmetry.mul g, Symmetry.perms g, Engine.edge_sigma e)
-    | _ -> (1, [| [| 0 |] |], [| Array.init n (fun v -> v) |], fun _ _ -> 0)
-  in
-  let sz = space.Space.size * ord in
-  let succ x k =
-    let i = x / ord and t = x mod ord in
-    (space.Space.target i k * ord) + mul.(t).(sigma i k)
-  in
-  let scc = timed_scc ~vertices:sz ~degree:(fun _ -> n) ~succ in
-  let comp = scc.Scc.comp in
-  let nc = scc.Scc.comp_count in
-  let full = (1 lsl n) - 1 in
-  let cov = Array.make nc 0 in
-  let wit_non_acc = Array.make nc (-1) in
-  let wit_non_rej = Array.make nc (-1) in
-  for x = sz - 1 downto 0 do
-    let c = comp.(x) in
-    let i = x / ord and t = x mod ord in
-    for k = 0 to n - 1 do
-      if comp.(succ x k) = c then cov.(c) <- cov.(c) lor (1 lsl perms.(t).(k))
+   Returns the last round's components and the least non-accepting and
+   non-rejecting members of the first fair-supporting components holding
+   one (-1: none). *)
+let streett ~vertices ~slots ~degree ~target ~slot ~accepting ~rejecting =
+  let live = Bytes.make vertices '\001' and covered = Bytes.make slots '\000' in
+  let alive v = Bytes.get live v = '\001' in
+  let rec unmet v e = e < degree v && (Bytes.get covered (slot v e) = '\000' || unmet v (e + 1)) in
+  let met = Array.make slots 0 (* the slots covered so far, to clear *) in
+  let order = Array.make vertices 0 in
+  let non_acc = ref (-1) and non_rej = ref (-1) and comp = ref [||] in
+  let peeled = ref false and split = ref true in
+  while !split && (!non_acc < 0 || !non_rej < 0) do
+    split := false;
+    let live_degree = if !peeled then fun v -> if alive v then degree v else 0 else degree in
+    peeled := true;
+    let scc = timed_scc ~vertices ~degree:live_degree ~succ:target in
+    let cmp = scc.Scc.comp and nc = scc.Scc.comp_count in
+    comp := cmp;
+    (* live members grouped by component, ascending within each *)
+    let first = Array.make (nc + 1) 0 in
+    for v = 0 to vertices - 1 do
+      if alive v then first.(cmp.(v) + 1) <- first.(cmp.(v) + 1) + 1
     done;
-    if not (space.Space.accepting i) then wit_non_acc.(c) <- i;
-    if not (space.Space.rejecting i) then wit_non_rej.(c) <- i
+    for k = 1 to nc do first.(k) <- first.(k) + first.(k - 1) done;
+    let fill = Array.sub first 0 nc in
+    for v = 0 to vertices - 1 do
+      if alive v then begin
+        order.(fill.(cmp.(v))) <- v;
+        fill.(cmp.(v)) <- fill.(cmp.(v)) + 1
+      end
+    done;
+    for k = 0 to nc - 1 do
+      let lo = first.(k) and hi = first.(k + 1) in
+      if lo < hi && (!non_acc < 0 || !non_rej < 0) then begin
+        let count = ref 0 in
+        for x = lo to hi - 1 do
+          let v = order.(x) in
+          for e = 0 to degree v - 1 do
+            (* a dead target is a singleton, never component [k] *)
+            if cmp.(target v e) = k then begin
+              let s = slot v e in
+              if Bytes.get covered s = '\000' then begin
+                Bytes.set covered s '\001';
+                met.(!count) <- s;
+                incr count
+              end
+            end
+          done
+        done;
+        let count = !count and dropped = ref 0 in
+        for x = lo to hi - 1 do
+          let v = order.(x) in
+          if count = 0 || count < degree v || (count < slots && unmet v 0) then begin
+            Bytes.set live v '\000';
+            incr dropped
+          end
+        done;
+        if !dropped = 0 then
+          for x = lo to hi - 1 do
+            let v = order.(x) in
+            if !non_acc < 0 && not (accepting v) then non_acc := v;
+            if !non_rej < 0 && not (rejecting v) then non_rej := v;
+            Bytes.set live v '\000'
+          done
+        else if !dropped < hi - lo then split := true;
+        for i = 0 to count - 1 do
+          Bytes.set covered met.(i) '\000'
+        done
+      end
+    done
   done;
-  (* full coverage implies internal edges *)
-  let fair c = cov.(c) = full in
-  (comp, first_witness fair wit_non_acc, first_witness fair wit_non_rej)
+  (!comp, !non_acc, !non_rej)
 
-let adversarial_verdict describe = function
+(* The kernel on a space, witnesses as configurations.  An explicit row
+   owes every node (slot = label = the selected node), a counted row the
+   states it moves (labels >= -1, -1 the star centre's move, shifted by
+   one).  A symmetry quotient's own labels are not sound — merging orbit
+   members conflates which node a selection hits — so a reduced space is
+   peeled as its *lifted* graph: vertex x = (R, t), representative R
+   and group element t, stands for the concrete configuration
+   p_t^{-1} . R.  Quotient edge k of R (successor S, recorded element s
+   with R' = p_s . S) lifts at (R, t) to an edge labelled perms.(t).(k)
+   going to (R', mul.(t).(s)); acceptance of (R, t) is that of R.  Every
+   lifted SCC is isomorphic (via p_t) to an SCC of reachable concrete
+   configurations and vice versa, so peeling the lift is exact. *)
+let fair_sets space =
+  let Space.{ size; node_count = n; degree; target; label; accepting; rejecting; _ } = space in
+  let ord, degree, target, slots, slot =
+    match (space.Space.kind, space.Space.engine) with
+    | Space.Explicit, Some ({ Engine.symmetry = Some g; _ } as e) ->
+      let ord = Symmetry.order g and mul = Symmetry.mul g and perms = Symmetry.perms g in
+      let sigma = Engine.edge_sigma e in
+      let lifted x k =
+        let i = x / ord in
+        (target i k * ord) + mul.(x - (i * ord)).(sigma i k)
+      in
+      (ord, (fun _ -> n), lifted, n, fun x k -> perms.(x mod ord).(k))
+    | Space.Explicit, _ -> (1, degree, target, n, label)
+    | Space.Counted, _ ->
+      let top = ref 0 in
+      for v = 0 to size - 1 do
+        for k = 0 to degree v - 1 do top := max !top (label v k + 1) done
+      done;
+      (1, degree, target, !top + 1, fun v k -> label v k + 1)
+    | Space.Opaque, _ ->
+      invalid_arg "Decide.adversarial: needs an explicit or counted space (edge labels as obligations)"
+  in
+  let comp, non_acc, non_rej =
+    streett ~vertices:(size * ord) ~slots ~degree ~target ~slot
+      ~accepting:(fun x -> accepting (x / ord))
+      ~rejecting:(fun x -> rejecting (x / ord))
+  in
+  let unlift x = if x < 0 then None else Some (x / ord) in
+  (comp, unlift non_acc, unlift non_rej)
+
+(* Explicit and counted spaces keep their own inconsistency texts. *)
+let adversarial_verdict ~counted describe = function
   | None, Some _ -> Accepts
   | Some _, None -> Rejects
   | Some i, Some j ->
     Inconsistent
       (Printf.sprintf
-         "fair runs revisit non-accepting %s and non-rejecting %s configurations"
+         (if counted then
+            "fair runs can revisit the non-accepting configuration %s and the non-rejecting \
+             configuration %s forever"
+          else "fair runs revisit non-accepting %s and non-rejecting %s configurations")
          (describe i) (describe j))
   | None, None -> Inconsistent "no fair cycle found (should be impossible)"
 
@@ -227,7 +314,7 @@ let streaming_pseudo_stochastic e describe =
         else Inconsistent "no bottom SCC found")
 
 (* Adversarial fairness as two fair-cycle queries on the lifted graph (same
-   lift as [fair_components]): a label-covering SCC containing a
+   lift as [fair_sets]): a label-covering SCC containing a
    non-accepting (resp. non-rejecting) member exists iff some cycle carries
    all node labels and visits such a vertex.  Lifted row (R, t) is built
    from R's target and sigma rows, read once for the [ord] consecutive
@@ -270,7 +357,7 @@ let streaming_adversarial e describe =
       let fna = fair (fun x -> not (Engine.acc e (x / ord))) in
       let fnr = fair (fun x -> not (Engine.rej e (x / ord))) in
       let unlift = Option.map (fun x -> x / ord) in
-      adversarial_verdict describe (unlift fna, unlift fnr))
+      adversarial_verdict ~counted:false describe (unlift fna, unlift fnr))
 
 (* Unconditional fairness: a cycle through a non-accepting (resp.
    non-rejecting) configuration, label-free.  Sound on symmetry quotients
@@ -334,21 +421,14 @@ let pseudo_stochastic_certificate space =
   | false, false ->
     Inconsistent "no certificate: every configuration can still be diverted"
 
-(* Fair-cycle analyses read edge [k] as a selection of node [k] and keep
-   the covered nodes of a component in one int. *)
-let require_fair_space name space =
-  if space.Space.kind <> Space.Explicit then
-    invalid_arg (name ^ ": needs an explicit space (node identity)");
-  if space.Space.node_count > 62 then invalid_arg (name ^ ": more than 62 nodes")
-
 let adversarial_witness space ~against =
-  require_fair_space "Decide.adversarial_witness" space;
-  if Space.is_reduced space then
+  if space.Space.kind <> Space.Explicit || space.Space.node_count > 62 || Space.is_reduced space
+  then
     invalid_arg
-      "Decide.adversarial_witness: reduced space (selections are quotiented); explore without \
-       symmetry";
+      "Decide.adversarial_witness: needs an explicit space of at most 62 nodes, unreduced \
+       (selections in a quotient do not replay); explore without symmetry";
   let ( let* ) = Option.bind in
-  let comp, non_acc, non_rej = fair_components space in
+  let comp, non_acc, non_rej = fair_sets space in
   let* bad = match against with `Accepting -> non_acc | `Rejecting -> non_rej in
   (* every piece of the lasso after the prefix stays inside bad's component *)
   let inside i = comp.(i) = comp.(bad) in
@@ -415,15 +495,19 @@ let unconditional space =
         unconditional_verdict space.Space.describe
           (first_witness (Array.get cyclic) non_acc, first_witness (Array.get cyclic) non_rej))
 
+(* Explicit spaces keep the streaming sweeps' bound (a cycle's labels are
+   the bits of one int) whether or not they spill; counted spaces have none. *)
 let adversarial space =
-  require_fair_space "Decide.adversarial" space;
+  if space.Space.kind = Space.Explicit && space.Space.node_count > 62 then
+    invalid_arg "Decide.adversarial: more than 62 nodes";
   T.with_span ~args:[ ("analysis", T.S "adversarial") ] "verdict" (fun () ->
       match space.Space.engine with
       | Some e when use_streaming e && space.Space.node_count <= 61 ->
         streaming_adversarial e space.Space.describe
       | _ ->
-        let _, non_acc, non_rej = fair_components space in
-        adversarial_verdict space.Space.describe (non_acc, non_rej))
+        let _, non_acc, non_rej = fair_sets space in
+        adversarial_verdict ~counted:(space.Space.kind = Space.Counted) space.Space.describe
+          (non_acc, non_rej))
 
 let for_regime regime space =
   match regime with

@@ -19,8 +19,19 @@
     reachable SCC whose internal edges cover all labels and which contains a
     configuration [c] yields a fair run visiting [c] infinitely often.
     Hence: all fair runs accept iff no reachable SCC covers all labels while
-    containing a non-accepting configuration.  Requires an {e explicit}
-    space.
+    containing a non-accepting configuration.
+
+    On a {e counted} space (a clique or star quotient) labels are moved
+    states, so node-fairness is re-characterised: a strongly connected [B]
+    supports a concrete fair run iff for every [C ∈ B] and every state [q]
+    in [C]'s support, [B] has an internal move-[q] edge (plus, on stars, an
+    internal centre move).  Sufficiency is a token-parking argument —
+    unselected agents keep their state and same-state agents are
+    interchangeable, so a round-robin over obligations realises every agent
+    infinitely often; necessity is immediate (a parked agent's state stays
+    in every support).  So a configuration owes the labels on its own
+    out-edges — on explicit spaces, every node — and one Streett peel over
+    these obligations decides both kinds.
 
     {b Synchronous scheduling}.  The run is deterministic and eventually
     periodic; we find the cycle and inspect it. *)
@@ -67,14 +78,16 @@ val unconditional : Space.t -> verdict
     as cycles. *)
 
 val adversarial : Space.t -> verdict
-(** Fair-SCC (Streett-style) classification, allocation-free over the
-    space's edge view.  On symmetry-reduced spaces it analyses the
-    {e lifted} graph of (representative, group element) pairs, which
-    restores the node identities the quotient merged — verdicts are exactly
-    those of the unreduced space.
-    @raise Invalid_argument on a counted space (node identity is needed).
-    @raise Invalid_argument on more than 62 nodes (the nodes a component
-    covers are the bits of one [int]); checked before any analysis work. *)
+(** Fair-SCC classification by the Streett kernel over the space's edge
+    view, on explicit and counted spaces.  On symmetry-reduced spaces it
+    analyses the {e lifted} graph of (representative, group element) pairs,
+    which restores the node identities the quotient merged — verdicts are
+    exactly those of the unreduced space.  Spilled explicit spaces, and
+    resident ones when [DDA_STREAM_SCC=1], run the streaming sweeps.
+    @raise Invalid_argument on an [Opaque] space.
+    @raise Invalid_argument on an explicit space of more than 62 nodes (the
+    sweeps keep a cycle's labels in one [int]), before any analysis work;
+    counted spaces have no node bound. *)
 
 val synchronous :
   max_steps:int -> ('l, 's) Dda_machine.Machine.t -> 'l Dda_graph.Graph.t -> verdict option

@@ -4,7 +4,7 @@ module Config = Dda_runtime.Config
 module Listx = Dda_util.Listx
 module T = Dda_telemetry.Telemetry
 
-type kind = Explicit | Counted
+type kind = Explicit | Counted | Opaque
 
 type t = {
   kind : kind;
@@ -73,7 +73,7 @@ let explore_custom ~max_configs ~node_count ~initial ~expand ~accepting ~rejecti
   let configs = Array.of_list (List.rev !configs) in
   let degree, target, label = csr (Array.of_list (List.rev !offs)) !dst !lbl in
   {
-    kind = Counted;
+    kind = Opaque;
     node_count;
     size = Array.length configs;
     initial = i0;
@@ -85,26 +85,6 @@ let explore_custom ~max_configs ~node_count ~initial ~expand ~accepting ~rejecti
     describe = (fun i -> describe configs.(i));
     engine = None;
   }
-
-(* The pre-engine explorers over state arrays: one edge per selection in
-   [moves], labelled as given.  [explore_legacy] is the differential
-   oracle of the packed engine (same numbering, same edges). *)
-let explore_states ~max_configs m g moves =
-  let expand c =
-    List.map
-      (fun (label, sel) -> (label, Config.to_array (Config.step m g (Config.of_states c) sel)))
-      moves
-  in
-  explore_custom ~max_configs ~node_count:(Graph.nodes g)
-    ~initial:(Config.to_array (Config.initial m g))
-    ~expand
-    ~accepting:(Array.for_all m.Machine.accepting)
-    ~rejecting:(Array.for_all m.Machine.rejecting)
-    ~describe:(fun c -> Format.asprintf "%a" (Config.pp m.Machine.pp_state) (Config.of_states c))
-
-let explore_legacy ~max_configs m g =
-  let moves = List.map (fun v -> (v, [ v ])) (Listx.range (Graph.nodes g)) in
-  { (explore_states ~max_configs m g moves) with kind = Explicit }
 
 let of_engine e =
   let n = e.Engine.node_count in
@@ -137,10 +117,20 @@ let explore_liberal ~max_configs m g =
   if n > 16 then invalid_arg "Space.explore_liberal: exponential branching, 16 nodes max";
   (* every non-empty subset of nodes, as a bitmask; the mask doubles as the
      edge label so schedules are replayable *)
-  explore_states ~max_configs m g
-    (List.init ((1 lsl n) - 1) (fun k ->
-         let mask = k + 1 in
-         (mask, List.filter (fun v -> mask land (1 lsl v) <> 0) (Listx.range n))))
+  let moves =
+    List.init ((1 lsl n) - 1) (fun k ->
+        let mask = k + 1 in
+        (mask, List.filter (fun v -> mask land (1 lsl v) <> 0) (Listx.range n)))
+  in
+  let expand c =
+    List.map (fun (mask, sel) -> (mask, Config.to_array (Config.step m g (Config.of_states c) sel))) moves
+  in
+  explore_custom ~max_configs ~node_count:n
+    ~initial:(Config.to_array (Config.initial m g))
+    ~expand
+    ~accepting:(Array.for_all m.Machine.accepting)
+    ~rejecting:(Array.for_all m.Machine.rejecting)
+    ~describe:(fun c -> Format.asprintf "%a" (Config.pp m.Machine.pp_state) (Config.of_states c))
 
 (* Escape a node label for dot: backslash-escape quotes and backslashes. *)
 let dot_escape s =

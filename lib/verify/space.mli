@@ -13,15 +13,18 @@
       quotients (the objects of Lemma 5.1 and the Lemma 3.5 cutoff
       argument), built by [Dda_symbolic.Counted] on the same engine; the
       view reads its CSR and the edge labels are moved states.
-    - {!explore_legacy}, {!explore_liberal} and {!explore_custom}: a
-      polymorphic worklist that records its edges as a CSR (offset, target
-      and label arrays) in BFS order; the view reads those arrays. *)
+    - {!explore_liberal} and {!explore_custom}: a polymorphic worklist that
+      records its edges as a CSR (offset, target and label arrays) in BFS
+      order; the view reads those arrays. *)
 
 type kind =
   | Explicit
       (** Edge [k] of every configuration selects node [k]: [degree i =
           node_count] and [label i k = k] (silent moves are self-loops). *)
-  | Counted  (** Edge labels do not identify nodes. *)
+  | Counted
+      (** Clique and star quotients: edge labels are moved states ([-1] for
+          a star's centre), distinct within a row — its fair obligations. *)
+  | Opaque  (** Labels are neither (liberal subset masks, native moves). *)
 
 type t = {
   kind : kind;
@@ -65,7 +68,7 @@ val explore_custom :
   describe:('c -> string) ->
   t
 (** Generic worklist exploration over an arbitrary configuration type
-    (hashable by structure), giving a [Counted] space: the engine behind
+    (hashable by structure), giving an [Opaque] space: the engine behind
     the native-semantics spaces of the extension modules (weak broadcasts,
     absence detection, population and strong-broadcast protocols).
     [expand] lists the labelled successors of a configuration, in edge
@@ -85,8 +88,9 @@ val explore :
 (** Explicit exploration under exclusive selection, on the packed engine
     ({!Engine.explore} — interned states, memoised delta, implicit-CSR
     edges).  Exploration is sequential and deterministic: with no
-    [symmetry] the space is identical to {!explore_legacy}'s — same
-    configuration numbering, same edges.  [symmetry] quotients the space by
+    [symmetry] configurations are numbered in BFS order and edge [k]
+    selects node [k], as a worklist over {!explore_custom} would give
+    them (the differential tests hold it to that).  [symmetry] quotients the space by
     a group of adjacency automorphisms of [g].  [jobs] must be 1 (the
     default): it remains only for perfbench's [~jobs:1] call and goes with
     it.  [states] pre-interns an enumeration (e.g. from
@@ -97,18 +101,11 @@ val explore :
     @raise Too_large when more than [max_configs] configurations are found.
     @raise Invalid_argument if [jobs <> 1]. *)
 
-val explore_legacy :
-  max_configs:int -> ('l, 's) Dda_machine.Machine.t -> 'l Dda_graph.Graph.t -> t
-(** The pre-engine explorer (polymorphic hashing, worklist CSR), kept as the
-    oracle of the differential tests ([test_engine], [test_verify],
-    [test_spill]); no benchmark times it.
-    @raise Too_large when more than [max_configs] configurations are found. *)
-
 val explore_liberal :
   max_configs:int -> ('l, 's) Dda_machine.Machine.t -> 'l Dda_graph.Graph.t -> t
 (** Explicit exploration under {e liberal} selection: one edge per non-empty
     subset of nodes, labelled by the subset's bitmask (bit [v] = node [v]
-    selected); kind [Counted] because labels are not single nodes.
+    selected); kind [Opaque] because labels are not single nodes.
     Exponential branching — tiny graphs only ([n <= 16] enforced).  Used to
     check the selection-irrelevance theorem of [16] on concrete instances:
     the pseudo-stochastic verdict must agree with the exclusive one. *)

@@ -56,3 +56,22 @@ let clique_two_a : (char, int) Machine.t =
 let edges space i =
   List.init (space.Dda_verify.Space.degree i) (fun k ->
       (space.Dda_verify.Space.label i k, space.Dda_verify.Space.target i k))
+
+(* The worklist oracle of the packed engine's differential tests: one edge
+   per node, edge [k] selecting node [k], configurations numbered in BFS
+   order — over [Space.explore_custom], no engine code involved. *)
+let explore_legacy ~max_configs m g =
+  let module Config = Dda_runtime.Config in
+  let n = Dda_graph.Graph.nodes g in
+  let expand c =
+    List.init n (fun v -> (v, Config.to_array (Config.step m g (Config.of_states c) [ v ])))
+  in
+  let space =
+    Dda_verify.Space.explore_custom ~max_configs ~node_count:n
+      ~initial:(Config.to_array (Config.initial m g))
+      ~expand
+      ~accepting:(Array.for_all m.Machine.accepting)
+      ~rejecting:(Array.for_all m.Machine.rejecting)
+      ~describe:(fun c -> Format.asprintf "%a" (Config.pp m.Machine.pp_state) (Config.of_states c))
+  in
+  { space with Dda_verify.Space.kind = Dda_verify.Space.Explicit }

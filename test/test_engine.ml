@@ -67,7 +67,7 @@ let prop_engine_matches_legacy =
     (fun (seed, shape) ->
       let m = random_machine seed in
       let g = shape_graph shape in
-      let legacy = Space.explore_legacy ~max_configs:100_000 m g in
+      let legacy = Helpers.explore_legacy ~max_configs:100_000 m g in
       let packed = Space.explore ~max_configs:100_000 m g in
       legacy.Space.size = packed.Space.size
       && legacy.Space.initial = packed.Space.initial
@@ -160,7 +160,7 @@ let example_4_6 : (char, abx) WB.t =
 let test_golden_ex46 () =
   let compiled = WB.compile example_4_6 in
   let g = G.line [ 'b'; 'x'; 'x'; 'x'; 'b' ] in
-  let legacy = Space.explore_legacy ~max_configs:200_000 compiled g in
+  let legacy = Helpers.explore_legacy ~max_configs:200_000 compiled g in
   let packed = Space.explore ~max_configs:200_000 compiled g in
   check_size "ex4.6 line n=5 (legacy)" legacy.Space.size packed;
   check_size "ex4.6 line n=5" 2301 packed

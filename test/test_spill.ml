@@ -384,7 +384,7 @@ let test_concurrent_spills () =
 (* The engine writes a move that keeps the selected node's state as a
    self-loop with group element 0 and counts it in [silent_edges].  The
    oracle is a BFS over raw configurations with [Config.step], as
-   [Space.explore_legacy] does; under a group it counts each orbit once,
+   [Helpers.explore_legacy] does; under a group it counts each orbit once,
    since an automorphism maps a silent move to a silent move. *)
 let oracle_silent m g perms =
   let module C = Dda_runtime.Config in
@@ -426,7 +426,7 @@ let prop_silent_edges =
         | _ -> (G.clique [ 'a'; 'a'; 'b' ], Sym.clique 3)
       in
       let mem_budget = if budgeted then Some tiny_budget else None in
-      let legacy = Space.explore_legacy ~max_configs:100_000 m g in
+      let legacy = Helpers.explore_legacy ~max_configs:100_000 m g in
       let legacy_loops =
         List.fold_left
           (fun a i -> a + List.length (List.filter (fun (_, j) -> j = i) (Helpers.edges legacy i)))

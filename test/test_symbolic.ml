@@ -223,7 +223,7 @@ let check_instance proto gspec =
     Alcotest.(check string)
       (ctx "adversarial")
       (verdict_class (Decide.adversarial explicit))
-      (verdict_class (Analysis.adversarial counted));
+      (verdict_class (Decide.adversarial counted));
     (* pseudo-stochastic *)
     Alcotest.(check string)
       (ctx "pseudo-stochastic")
@@ -263,10 +263,19 @@ let test_peel_rounds () =
       engine = None;
     }
   in
-  match Analysis.adversarial c with
+  match Decide.adversarial c with
   | Decide.Inconsistent w ->
       Alcotest.(check string) "witnesses" "fair runs can revisit the non-accepting configuration 0 and the non-rejecting configuration 3 forever" w
   | v -> Alcotest.failf "expected inconsistent, got %s" (verdict_class v)
+
+(* The 62-node bound is the explicit spaces' own: a counted clique of 70
+   nodes decides under adversarial fairness. *)
+let test_counted_no_node_bound () =
+  let space =
+    Counted.clique ~max_configs:1000 Helpers.exists_a (M.of_counts [ ('a', 1); ('b', 69) ])
+  in
+  Alcotest.(check int) "70 nodes" 70 space.Space.node_count;
+  Alcotest.(check string) "accepts" "accepts" (verdict_class (Decide.adversarial space))
 
 (* Counted spaces never take the knob-selected routes: [DDA_MEM_BUDGET]
    (the spilled store) and [DDA_STREAM_SCC] (the streaming sweeps) both
@@ -281,7 +290,7 @@ let test_counted_ignores_knobs () =
         List.map
           (fun regime ->
             let space = Option.get (Counted.of_graph ~max_configs m g) in
-            (gspec, space.Space.size, verdict_class (Analysis.for_regime regime space)))
+            (gspec, space.Space.size, verdict_class (Decide.for_regime regime space)))
           [ Decide.Adversarial; Decide.Pseudo_stochastic ])
       [ "clique:aabb"; "star:baab"; "star:abbb" ]
   in
@@ -531,6 +540,7 @@ let () =
         [
           Alcotest.test_case "adversarial peel rounds" `Quick test_peel_rounds;
           Alcotest.test_case "knobs leave counted spaces alone" `Quick test_counted_ignores_knobs;
+          Alcotest.test_case "adversarial counted beyond 62 nodes" `Quick test_counted_no_node_bound;
         ] );
       ( "family",
         [

@@ -198,9 +198,10 @@ let test_clique_two_a_fails_on_lines () =
 let test_adversarial_requires_explicit () =
   (* liberal selection labels edges by node sets, not nodes *)
   let liberal = Space.explore_liberal ~max_configs:1000 exists_a (G.line [ 'a'; 'b'; 'b' ]) in
-  Alcotest.check_raises "counted rejected"
-    (Invalid_argument "Decide.adversarial: needs an explicit space (node identity)") (fun () ->
-      ignore (Decide.adversarial liberal))
+  Alcotest.check_raises "liberal rejected"
+    (Invalid_argument
+       "Decide.adversarial: needs an explicit or counted space (edge labels as obligations)")
+    (fun () -> ignore (Decide.adversarial liberal))
 
 (* Covered nodes are bits of one int: 63 nodes are refused up front, on
    both explicit explorers, while 62 still decide. *)
@@ -215,7 +216,7 @@ let test_adversarial_node_bound () =
           ignore (Decide.adversarial space)))
     [
       (fun g -> Space.explore ~max_configs:1000 exists_a g);
-      (fun g -> Space.explore_legacy ~max_configs:1000 exists_a g);
+      (fun g -> Helpers.explore_legacy ~max_configs:1000 exists_a g);
     ]
 
 (* A machine that accepts only under pseudo-stochastic fairness: a node needs
@@ -406,7 +407,7 @@ let test_evidence_pinned () =
         (Decide.Inconsistent
            "runs can loop through non-accepting [a a b\u{2713}A] and non-rejecting [A\u{2713}a a A]")
         (Decide.unconditional space))
-    [ Space.explore ~max_configs:200000 m g; Space.explore_legacy ~max_configs:200000 m g ]
+    [ Space.explore ~max_configs:200000 m g; Helpers.explore_legacy ~max_configs:200000 m g ]
 
 let test_space_to_dot () =
   let g = G.line [ 'a'; 'b'; 'b' ] in
