@@ -9,10 +9,11 @@
     [Counted] that always stays resident.
 
     Edges are labelled with the {e moved state id} ([-1] for a centre move
-    on stars), never with a node: that is exactly what the lifted analyses
-    ([Analysis]) need — a fair scheduler must move every state present in
-    a configuration infinitely often, and which of several
-    interchangeable same-state agents moved is unobservable. *)
+    on stars), never with a node: that is exactly what
+    {!Dda_verify.Decide.adversarial} owes on counted rows — a fair
+    scheduler must move every state present in a configuration infinitely
+    often, and which of several interchangeable same-state agents moved is
+    unobservable. *)
 
 exception Too_large of int
 (** [Space.Too_large]: exploration exceeded [max_configs]. *)

@@ -39,37 +39,50 @@ let pp_verdict fmt = function
 (* depend on how the edges are stored.                                  *)
 (* ------------------------------------------------------------------ *)
 
+(* One pass over a space's components, read by the bottom-SCC verdict and
+   its certificate paths: per component, whether it is bottom (no edge
+   leaves it), all-accepting, all-rejecting, and its least non-accepting
+   member (-1: none). *)
+type components = {
+  comp : int array;
+  bottom : bool array;
+  all_acc : bool array;
+  all_rej : bool array;
+  least_non_acc : int array;
+}
+
+let components space =
+  let Space.{ size; degree; target; accepting; rejecting; _ } = space in
+  let scc = scc_of space in
+  let comp = scc.Scc.comp and nc = scc.Scc.comp_count in
+  let bottom = Array.make nc true and least_non_acc = Array.make nc (-1) in
+  let all_acc = Array.make nc true and all_rej = Array.make nc true in
+  for i = size - 1 downto 0 do
+    let c = comp.(i) in
+    for k = 0 to degree i - 1 do
+      if comp.(target i k) <> c then bottom.(c) <- false
+    done;
+    if not (accepting i) then begin
+      all_acc.(c) <- false;
+      least_non_acc.(c) <- i (* downward loop: ends at the least member *)
+    end;
+    if not (rejecting i) then all_rej.(c) <- false
+  done;
+  { comp; bottom; all_acc; all_rej; least_non_acc }
+
 (* Bottom-SCC classification over a space's edge view: the one body behind
    explicit and counted resident spaces.  The witness is the least
    non-accepting member of the first mixed bottom component. *)
 let bottom_scc_verdict space =
-  let Space.{ size = vertices; degree; target = succ; accepting = acc; rejecting = rej; _ } = space in
-  let scc = scc_of space in
-  let comp = scc.Scc.comp in
-  let nc = scc.Scc.comp_count in
-  let bottom = Array.make nc true in
-  let all_acc = Array.make nc true in
-  let all_rej = Array.make nc true in
-  let witness = Array.make nc (-1) in
-  for i = vertices - 1 downto 0 do
-    let c = comp.(i) in
-    for k = 0 to degree i - 1 do
-      if comp.(succ i k) <> c then bottom.(c) <- false
-    done;
-    if not (acc i) then begin
-      all_acc.(c) <- false;
-      witness.(c) <- i (* downward loop: ends at the least non-accepting member *)
-    end;
-    if not (rej i) then all_rej.(c) <- false
-  done;
+  let c = components space in
   let mixed = ref None in
   let accs = ref false in
   let rejs = ref false in
-  for c = 0 to nc - 1 do
-    if bottom.(c) then
-      if all_acc.(c) then accs := true
-      else if all_rej.(c) then rejs := true
-      else if !mixed = None then mixed := Some witness.(c)
+  for k = 0 to Array.length c.bottom - 1 do
+    if c.bottom.(k) then
+      if c.all_acc.(k) then accs := true
+      else if c.all_rej.(k) then rejs := true
+      else if !mixed = None then mixed := Some c.least_non_acc.(k)
   done;
   match !mixed with
   | Some w ->
@@ -83,18 +96,9 @@ let bottom_scc_verdict space =
     else if !rejs then Rejects
     else Inconsistent "no bottom SCC found"
 
-(* The witness recorded for the lowest-numbered component satisfying [ok],
-   if any ([wit.(c) < 0]: component [c] has none). *)
-let first_witness ok wit =
-  let w = ref None in
-  for c = Array.length wit - 1 downto 0 do
-    if ok c && wit.(c) >= 0 then w := Some wit.(c)
-  done;
-  !w
-
 (* The one Streett kernel: a round-based peel over per-vertex obligations.
-   Vertex [v] owes the slots [slot v 0 .. slot v (degree v - 1)], distinct
-   within its row and below [slots]; a strongly connected set is
+   Vertex [v] owes the [owes v] distinct slots among [slot v 0 .. slot v
+   (degree v - 1)], all below [slots]; a strongly connected set is
    fair-supporting iff its internal edges' slots cover every member's
    obligations.  Each round runs one Tarjan pass over the live vertices
    (dead ones keep no edges, so they are isolated singletons), then per
@@ -112,7 +116,7 @@ let first_witness ok wit =
    Returns the last round's components and the least non-accepting and
    non-rejecting members of the first fair-supporting components holding
    one (-1: none). *)
-let streett ~vertices ~slots ~degree ~target ~slot ~accepting ~rejecting =
+let streett ~vertices ~slots ~degree ~target ~slot ~owes ~accepting ~rejecting =
   let live = Bytes.make vertices '\001' and covered = Bytes.make slots '\000' in
   let alive v = Bytes.get live v = '\001' in
   let rec unmet v e = e < degree v && (Bytes.get covered (slot v e) = '\000' || unmet v (e + 1)) in
@@ -161,7 +165,7 @@ let streett ~vertices ~slots ~degree ~target ~slot ~accepting ~rejecting =
         let count = !count and dropped = ref 0 in
         for x = lo to hi - 1 do
           let v = order.(x) in
-          if count = 0 || count < degree v || (count < slots && unmet v 0) then begin
+          if count = 0 || count < owes v || (count < slots && unmet v 0) then begin
             Bytes.set live v '\000';
             incr dropped
           end
@@ -182,70 +186,64 @@ let streett ~vertices ~slots ~degree ~target ~slot ~accepting ~rejecting =
   done;
   (!comp, !non_acc, !non_rej)
 
-(* The kernel on a space, witnesses as configurations.  An explicit row
-   owes every node (slot = label = the selected node), a counted row the
-   states it moves (labels >= -1, -1 the star centre's move, shifted by
-   one).  A symmetry quotient's own labels are not sound — merging orbit
-   members conflates which node a selection hits — so a reduced space is
-   peeled as its *lifted* graph: vertex x = (R, t), representative R
-   and group element t, stands for the concrete configuration
-   p_t^{-1} . R.  Quotient edge k of R (successor S, recorded element s
-   with R' = p_s . S) lifts at (R, t) to an edge labelled perms.(t).(k)
-   going to (R', mul.(t).(s)); acceptance of (R, t) is that of R.  Every
-   lifted SCC is isomorphic (via p_t) to an SCC of reachable concrete
-   configurations and vice versa, so peeling the lift is exact. *)
-let fair_sets space =
+(* What a fair cycle owes: every node label (adversarial fairness), or
+   only some edge (unconditional: every cycle is the tail of a run). *)
+type obligation = Node_labels | Any_edge
+
+(* The kernel on a space, witnesses as configurations.  Under [Any_edge]
+   every edge meets the one obligation (slot 0), on every kind of space.
+   Under [Node_labels] an explicit row owes every node (slot = label = the
+   selected node), a counted row the states it moves (labels >= -1, -1 the
+   star centre's move, shifted by one).  A symmetry quotient's own labels
+   are not sound for these — merging orbit members conflates which node a
+   selection hits — so a reduced space is peeled as its *lifted* graph:
+   vertex x = (R, t), representative R and group element t, stands for the
+   concrete configuration p_t^{-1} . R.  Quotient edge k of R (successor
+   S, recorded element s with R' = p_s . S) lifts at (R, t) to an edge
+   labelled perms.(t).(k) going to (R', mul.(t).(s)); acceptance of
+   (R, t) is that of R.  Every lifted SCC is isomorphic (via p_t) to an SCC
+   of reachable concrete configurations and vice versa, so peeling the
+   lift is exact.  Cycles themselves need no lift: quotient cycles lift to
+   concrete ones and acceptance is automorphism-invariant. *)
+let fair_sets obligation space =
   let Space.{ size; node_count = n; degree; target; label; accepting; rejecting; _ } = space in
-  let ord, degree, target, slots, slot =
-    match (space.Space.kind, space.Space.engine) with
-    | Space.Explicit, Some ({ Engine.symmetry = Some g; _ } as e) ->
+  let ord, degree, target, slots, slot, owes =
+    match (obligation, space.Space.kind, space.Space.engine) with
+    | Any_edge, _, _ -> (1, degree, target, 1, (fun _ _ -> 0), fun _ -> 1)
+    | Node_labels, Space.Explicit, Some ({ Engine.symmetry = Some g; _ } as e) ->
       let ord = Symmetry.order g and mul = Symmetry.mul g and perms = Symmetry.perms g in
       let sigma = Engine.edge_sigma e in
       let lifted x k =
         let i = x / ord in
         (target i k * ord) + mul.(x - (i * ord)).(sigma i k)
       in
-      (ord, (fun _ -> n), lifted, n, fun x k -> perms.(x mod ord).(k))
-    | Space.Explicit, _ -> (1, degree, target, n, label)
-    | Space.Counted, _ ->
+      (ord, (fun _ -> n), lifted, n, (fun x k -> perms.(x mod ord).(k)), fun _ -> n)
+    | Node_labels, Space.Explicit, _ -> (1, degree, target, n, label, fun _ -> n)
+    | Node_labels, Space.Counted, _ ->
       let top = ref 0 in
       for v = 0 to size - 1 do
         for k = 0 to degree v - 1 do top := max !top (label v k + 1) done
       done;
-      (1, degree, target, !top + 1, fun v k -> label v k + 1)
-    | Space.Opaque, _ ->
+      (1, degree, target, !top + 1, (fun v k -> label v k + 1), degree)
+    | Node_labels, Space.Opaque, _ ->
       invalid_arg "Decide.adversarial: needs an explicit or counted space (edge labels as obligations)"
   in
   let comp, non_acc, non_rej =
-    streett ~vertices:(size * ord) ~slots ~degree ~target ~slot
+    streett ~vertices:(size * ord) ~slots ~degree ~target ~slot ~owes
       ~accepting:(fun x -> accepting (x / ord))
       ~rejecting:(fun x -> rejecting (x / ord))
   in
   let unlift x = if x < 0 then None else Some (x / ord) in
   (comp, unlift non_acc, unlift non_rej)
 
-(* Explicit and counted spaces keep their own inconsistency texts. *)
-let adversarial_verdict ~counted describe = function
+(* The verdict from a non-accepting and a non-rejecting configuration on
+   fair cycles, if any; each regime (and counted spaces under adversarial
+   fairness) keeps its own inconsistency texts. *)
+let cycle_verdict ~both ~neither describe = function
   | None, Some _ -> Accepts
   | Some _, None -> Rejects
-  | Some i, Some j ->
-    Inconsistent
-      (Printf.sprintf
-         (if counted then
-            "fair runs can revisit the non-accepting configuration %s and the non-rejecting \
-             configuration %s forever"
-          else "fair runs revisit non-accepting %s and non-rejecting %s configurations")
-         (describe i) (describe j))
-  | None, None -> Inconsistent "no fair cycle found (should be impossible)"
-
-let unconditional_verdict describe = function
-  | None, Some _ -> Accepts
-  | Some _, None -> Rejects
-  | Some i, Some j ->
-    Inconsistent
-      (Printf.sprintf "runs can loop through non-accepting %s and non-rejecting %s"
-         (describe i) (describe j))
-  | None, None -> Inconsistent "no cycle found (space must model idling as self-loops)"
+  | Some i, Some j -> Inconsistent (Printf.sprintf both (describe i) (describe j))
+  | None, None -> Inconsistent neither
 
 (* ------------------------------------------------------------------ *)
 (* Streaming paths                                                      *)
@@ -259,11 +257,6 @@ let unconditional_verdict describe = function
 (* checks this); witness examples may differ, since no condensation is   *)
 (* materialised to pick canonical members from.                          *)
 (* ------------------------------------------------------------------ *)
-
-(* Counted rows vary in length, which the sweeps do not handle; counted
-   spaces are never spilled. *)
-let use_streaming e =
-  Engine.spilled e || (Sys.getenv_opt "DDA_STREAM_SCC" = Some "1" && not (Engine.counted e))
 
 let timed_streaming ~vertices f =
   T.with_span ~args:[ ("vertices", T.I vertices); ("mode", T.S "streaming") ] "scc" f
@@ -313,31 +306,35 @@ let streaming_pseudo_stochastic e describe =
         else if !rejs then Rejects
         else Inconsistent "no bottom SCC found")
 
-(* Adversarial fairness as two fair-cycle queries on the lifted graph (same
-   lift as [fair_sets]): a label-covering SCC containing a
-   non-accepting (resp. non-rejecting) member exists iff some cycle carries
-   all node labels and visits such a vertex.  Lifted row (R, t) is built
+(* The fair-cycle question as two sweeps, one per polarity: a cycle owing
+   [obligation] through a non-accepting (resp. non-rejecting) vertex.
+   [Node_labels] asks it of the lifted graph (same lift as [fair_sets]),
+   whose cycles must carry all [n] node labels; lifted row (R, t) is built
    from R's target and sigma rows, read once for the [ord] consecutive
-   lifted vertices that share R. *)
-let streaming_adversarial e describe =
+   lifted vertices that share R.  [Any_edge] asks it of the space's own
+   rows with no labels. *)
+let streaming_fair_cycles obligation e =
   let n = e.Engine.node_count in
   let targets = Engine.targets_reader e in
-  let ord, row =
-    match e.Engine.symmetry with
-    | None ->
+  let ord, labels, row =
+    match (obligation, e.Engine.symmetry) with
+    | Any_edge, _ -> (1, 0, fun i dst _ -> targets i dst)
+    | Node_labels, None ->
       (* the lift is the space itself: rows straight from the reader *)
       let bits = Array.init n (fun k -> 1 lsl k) in
       ( 1,
+        n,
         fun i dst lbl ->
           targets i dst;
           Array.blit bits 0 lbl 0 n )
-    | Some g ->
+    | Node_labels, Some g ->
       let ord = Symmetry.order g and mul = Symmetry.mul g in
       let bits = Array.map (Array.map (fun l -> 1 lsl l)) (Symmetry.perms g) in
       let sigmas = Engine.sigmas_reader e in
       let tr = Array.make n 0 and sr = Array.make n 0 in
       let cur = ref (-1) in
       ( ord,
+        n,
         fun x dst lbl ->
           let i = x / ord and t = x mod ord in
           if i <> !cur then begin
@@ -352,34 +349,27 @@ let streaming_adversarial e describe =
           Array.blit bits.(t) 0 lbl 0 n )
   in
   let sz = e.Engine.size * ord in
-  let fair target = Scc.fair_cycle ~vertices:sz ~degree:n ~row ~labels:n ~target in
-  timed_streaming ~vertices:sz (fun () ->
-      let fna = fair (fun x -> not (Engine.acc e (x / ord))) in
-      let fnr = fair (fun x -> not (Engine.rej e (x / ord))) in
-      let unlift = Option.map (fun x -> x / ord) in
-      adversarial_verdict ~counted:false describe (unlift fna, unlift fnr))
-
-(* Unconditional fairness: a cycle through a non-accepting (resp.
-   non-rejecting) configuration, label-free.  Sound on symmetry quotients
-   for the same reason the resident path is: quotient cycles lift to
-   concrete cycles and acceptance is automorphism-invariant. *)
-let streaming_unconditional e describe =
-  let sz = e.Engine.size in
-  let targets = Engine.targets_reader e in
   let cycle target =
-    Scc.fair_cycle ~vertices:sz ~degree:e.Engine.node_count
-      ~row:(fun i dst _ -> targets i dst)
-      ~labels:0 ~target
+    Option.map (fun x -> x / ord) (Scc.fair_cycle ~vertices:sz ~degree:n ~row ~labels ~target)
   in
   timed_streaming ~vertices:sz (fun () ->
-      let bad_acc = cycle (fun i -> not (Engine.acc e i)) in
-      let bad_rej = cycle (fun i -> not (Engine.rej e i)) in
-      unconditional_verdict describe (bad_acc, bad_rej))
+      let non_acc = cycle (fun x -> not (Engine.acc e (x / ord))) in
+      (non_acc, cycle (fun x -> not (Engine.rej e (x / ord)))))
+
+(* A non-accepting and a non-rejecting configuration on fair cycles owing
+   [obligation], if any: streaming sweeps on spilled spaces, the Streett
+   kernel on resident ones. *)
+let fair_witnesses obligation space =
+  match space.Space.engine with
+  | Some e when Engine.spilled e -> streaming_fair_cycles obligation e
+  | _ ->
+    let _, non_acc, non_rej = fair_sets obligation space in
+    (non_acc, non_rej)
 
 let pseudo_stochastic space =
   T.with_span ~args:[ ("analysis", T.S "pseudo-stochastic") ] "verdict" (fun () ->
       match space.Space.engine with
-      | Some e when use_streaming e -> streaming_pseudo_stochastic e space.Space.describe
+      | Some e when Engine.spilled e -> streaming_pseudo_stochastic e space.Space.describe
       | _ -> bottom_scc_verdict space)
 
 let pseudo_stochastic_certificate space =
@@ -428,7 +418,7 @@ let adversarial_witness space ~against =
       "Decide.adversarial_witness: needs an explicit space of at most 62 nodes, unreduced \
        (selections in a quotient do not replay); explore without symmetry";
   let ( let* ) = Option.bind in
-  let comp, non_acc, non_rej = fair_sets space in
+  let comp, non_acc, non_rej = fair_sets Node_labels space in
   let* bad = match against with `Accepting -> non_acc | `Rejecting -> non_rej in
   (* every piece of the lasso after the prefix stays inside bad's component *)
   let inside i = comp.(i) = comp.(bad) in
@@ -457,57 +447,30 @@ let adversarial_witness space ~against =
   stitch entry 0 []
 
 let certificate_path space target =
-  let scc = scc_of space in
-  let comp = scc.Scc.comp in
-  let wanted = match target with `Accepting -> space.Space.accepting | `Rejecting -> space.Space.rejecting in
-  (* components that have no outgoing edges and whose members are all of
-     the wanted polarity *)
-  let good = Array.make scc.Scc.comp_count true in
-  for i = 0 to space.Space.size - 1 do
-    let c = comp.(i) in
-    if not (wanted i) then good.(c) <- false;
-    for k = 0 to space.Space.degree i - 1 do
-      if comp.(space.Space.target i k) <> c then good.(c) <- false
-    done
-  done;
-  Space.shortest_path space ~goal:(fun i -> good.(comp.(i)))
+  let c = components space in
+  let wanted = match target with `Accepting -> c.all_acc | `Rejecting -> c.all_rej in
+  Space.shortest_path space ~goal:(fun i -> c.bottom.(c.comp.(i)) && wanted.(c.comp.(i)))
 
 let unconditional space =
   T.with_span ~args:[ ("analysis", T.S "unconditional") ] "verdict" (fun () ->
-      match space.Space.engine with
-      | Some e when use_streaming e -> streaming_unconditional e space.Space.describe
-      | _ ->
-        let scc = scc_of space in
-        let comp = scc.Scc.comp in
-        let nc = scc.Scc.comp_count in
-        (* a configuration lies on a cycle iff its SCC has an internal edge *)
-        let cyclic = Array.make nc false in
-        let non_acc = Array.make nc (-1) in
-        let non_rej = Array.make nc (-1) in
-        for i = space.Space.size - 1 downto 0 do
-          let c = comp.(i) in
-          for k = 0 to space.Space.degree i - 1 do
-            if comp.(space.Space.target i k) = c then cyclic.(c) <- true
-          done;
-          if not (space.Space.accepting i) then non_acc.(c) <- i;
-          if not (space.Space.rejecting i) then non_rej.(c) <- i
-        done;
-        unconditional_verdict space.Space.describe
-          (first_witness (Array.get cyclic) non_acc, first_witness (Array.get cyclic) non_rej))
+      cycle_verdict ~both:"runs can loop through non-accepting %s and non-rejecting %s"
+        ~neither:"no cycle found (space must model idling as self-loops)" space.Space.describe
+        (fair_witnesses Any_edge space))
 
-(* Explicit spaces keep the streaming sweeps' bound (a cycle's labels are
-   the bits of one int) whether or not they spill; counted spaces have none. *)
+(* Explicit spaces keep the sweeps' bound (a cycle's labels are the bits
+   of one int) whether or not they spill; counted spaces have none. *)
 let adversarial space =
   if space.Space.kind = Space.Explicit && space.Space.node_count > 62 then
     invalid_arg "Decide.adversarial: more than 62 nodes";
   T.with_span ~args:[ ("analysis", T.S "adversarial") ] "verdict" (fun () ->
-      match space.Space.engine with
-      | Some e when use_streaming e && space.Space.node_count <= 61 ->
-        streaming_adversarial e space.Space.describe
-      | _ ->
-        let _, non_acc, non_rej = fair_sets space in
-        adversarial_verdict ~counted:(space.Space.kind = Space.Counted) space.Space.describe
-          (non_acc, non_rej))
+      cycle_verdict
+        ~both:
+          (if space.Space.kind = Space.Counted then
+             "fair runs can revisit the non-accepting configuration %s and the non-rejecting \
+              configuration %s forever"
+           else "fair runs revisit non-accepting %s and non-rejecting %s configurations")
+        ~neither:"no fair cycle found (should be impossible)" space.Space.describe
+        (fair_witnesses Node_labels space))
 
 let for_regime regime space =
   match regime with

@@ -55,8 +55,8 @@ val for_regime : regime -> Space.t -> verdict
 val pseudo_stochastic : Space.t -> verdict
 (** Bottom-SCC classification over the space's edge view; works on explicit
     and counted spaces (the cliques and stars of [Dda_symbolic.Counted]).
-    Spilled explicit spaces, and resident ones when [DDA_STREAM_SCC=1], run
-    the streaming edge sweeps instead; counted spaces never do. *)
+    Spilled spaces run the streaming edge sweeps instead (counted spaces
+    never spill); the verdict is the same, the witness may differ. *)
 
 val pseudo_stochastic_certificate : Space.t -> verdict
 (** The acceptance test of Proposition D.2, literally: the automaton accepts
@@ -75,19 +75,23 @@ val unconditional : Space.t -> verdict
     every configuration lying on a cycle is accepting (a run's
     infinitely-visited set always lies on cycles).  The space must represent
     "nothing happens" as a self-loop so that terminal configurations count
-    as cycles. *)
+    as cycles.  This is {!adversarial}'s fair-cycle question with one
+    obligation that every edge meets, decided by the same kernel (the same
+    sweeps on spilled spaces) on the space's own edges, never lifted: it
+    works on every kind of space, [Opaque] included, with no node bound. *)
 
 val adversarial : Space.t -> verdict
 (** Fair-SCC classification by the Streett kernel over the space's edge
     view, on explicit and counted spaces.  On symmetry-reduced spaces it
     analyses the {e lifted} graph of (representative, group element) pairs,
     which restores the node identities the quotient merged — verdicts are
-    exactly those of the unreduced space.  Spilled explicit spaces, and
-    resident ones when [DDA_STREAM_SCC=1], run the streaming sweeps.
+    exactly those of the unreduced space.  Spilled spaces run the streaming
+    sweeps over the same (lifted) rows; the verdict is the same, the
+    witness may differ.
     @raise Invalid_argument on an [Opaque] space.
     @raise Invalid_argument on an explicit space of more than 62 nodes (the
-    sweeps keep a cycle's labels in one [int]), before any analysis work;
-    counted spaces have no node bound. *)
+    sweeps keep a cycle's labels in one [int]), resident or spilled, before
+    any analysis work; counted spaces have no node bound. *)
 
 val synchronous :
   max_steps:int -> ('l, 's) Dda_machine.Machine.t -> 'l Dda_graph.Graph.t -> verdict option

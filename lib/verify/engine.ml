@@ -1187,8 +1187,6 @@ let explore_counted ?centre ~leaves ~max_configs m =
 (* Accessors                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let counted e = match e.edges with Csr_edges _ -> true | Flat_edges _ | Ext_edges _ -> false
-
 let target e i k =
   match e.edges with
   | Flat_edges { targets; _ } -> targets.((i * e.node_count) + k)

@@ -135,9 +135,6 @@ val explore_counted :
     @raise Too_large when more than [max_configs] configurations are found.
     @raise Invalid_argument beyond 65536 states or a count of 65535. *)
 
-val counted : t -> bool
-(** Explored by {!explore_counted}. *)
-
 val reduced : t -> bool
 (** The space is a proper quotient (a non-trivial group was applied). *)
 

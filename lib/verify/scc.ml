@@ -123,7 +123,7 @@ let backward_reach ~vertices ~degree ~row ~seed =
    self-loops, as everywhere else in this module's callers).  A vertex
    whose R is already full cannot change, so later sweeps skip its row. *)
 let fair_cycle ~vertices ~degree ~row ~labels ~target =
-  if labels > 61 then invalid_arg "Scc.fair_cycle: more than 61 labels";
+  if labels > 62 then invalid_arg "Scc.fair_cycle: more than 62 labels";
   let bit_p = 1 lsl labels in
   let lmask = bit_p - 1 in
   let full = bit_p lor lmask in

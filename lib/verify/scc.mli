@@ -66,5 +66,7 @@ val fair_cycle :
     vertex".  Returns a [target] vertex on such a cycle, or [None].
     Emerson–Lei-style greatest fixpoint; every sweep is monotone over the
     vertex range, alternating direction.
-    @raise Invalid_argument when [labels > 61] (label sets are bit masks in
-    one OCaml [int]). *)
+    @raise Invalid_argument when [labels > 62]: label sets are bit masks in
+    one OCaml [int], labels in bits [0 .. labels - 1] and the target flag
+    in bit [labels] — at 62 labels the sign bit, which [lor] and [land]
+    treat like any other. *)

@@ -51,6 +51,38 @@ let clique_two_a : (char, int) Machine.t =
     ~rejecting:(fun q -> q < 2)
     ~pp_state:Format.pp_print_int ()
 
+(* Random machines: 4 states, beta in {1, 2}, delta tabulated over the
+   capped count profile of the neighbourhood — multi-byte interning, the
+   beta cap in the memo key, and non-monotonic dynamics, enough to hit
+   every verdict constructor across seeds. *)
+let random_machine seed =
+  let rng = Dda_util.Prng.create (0x9e3779b9 + seed) in
+  let beta = 1 + Dda_util.Prng.int rng 2 in
+  let card = beta + 1 in
+  let table = Array.init (4 * card * card * card * card) (fun _ -> Dda_util.Prng.int rng 4) in
+  let role = Array.init 4 (fun _ -> Dda_util.Prng.int rng 3) in
+  Machine.create
+    ~name:(Printf.sprintf "rand-%d" seed)
+    ~beta
+    ~init:(fun l -> if l = 'a' then 0 else 1)
+    ~delta:(fun q n ->
+      let c s = min beta (Neighbourhood.count n s) in
+      let idx = ref q in
+      for s = 0 to 3 do
+        idx := (!idx * card) + c s
+      done;
+      table.(!idx))
+    ~accepting:(fun q -> role.(q) = 0)
+    ~rejecting:(fun q -> role.(q) = 1)
+    ~pp_state:Format.pp_print_int ()
+
+(* A verdict's constructor: differentials compare these, since witness
+   texts legitimately differ between routes. *)
+let verdict_shape = function
+  | Dda_verify.Decide.Accepts -> 0
+  | Dda_verify.Decide.Rejects -> 1
+  | Dda_verify.Decide.Inconsistent _ -> 2
+
 (* The [(label, target)] edges of configuration [i], read through the
    space's edge view. *)
 let edges space i =
@@ -75,3 +107,26 @@ let explore_legacy ~max_configs m g =
       ~describe:(fun c -> Format.asprintf "%a" (Config.pp m.Machine.pp_state) (Config.of_states c))
   in
   { space with Dda_verify.Space.kind = Dda_verify.Space.Explicit }
+
+(* The unconditional verdict's shape read off its definition: all runs
+   accept iff no non-accepting configuration reaches itself by a non-empty
+   path, and dually.  One search per configuration: tiny spaces only. *)
+let unconditional_oracle space =
+  let open Dda_verify.Space in
+  let on_cycle i =
+    let seen = Array.make space.size false in
+    let rec search = function
+      | [] -> false
+      | j :: _ when j = i -> true
+      | j :: rest when seen.(j) -> search rest
+      | j :: rest ->
+        seen.(j) <- true;
+        search (List.map snd (edges space j) @ rest)
+    in
+    search (List.map snd (edges space i))
+  in
+  let loops bad = List.exists (fun i -> bad i && on_cycle i) (List.init space.size Fun.id) in
+  match (loops (fun i -> not (space.accepting i)), loops (fun i -> not (space.rejecting i))) with
+  | false, true -> 0
+  | true, false -> 1
+  | _ -> 2

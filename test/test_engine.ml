@@ -17,36 +17,6 @@ module WB = Dda_extensions.Weak_broadcast
 module Prng = Dda_util.Prng
 module Listx = Dda_util.Listx
 
-(* ------------------------------------------------------------------ *)
-(* Random machines: 4 states, beta in {1, 2}, delta tabulated over the
-   capped count profile of the neighbourhood.  Richer than the 2-state
-   generator of test_verify: exercises multi-byte interning, the beta
-   cap in the memo key, and non-monotonic dynamics.                    *)
-(* ------------------------------------------------------------------ *)
-
-let random_machine seed =
-  let rng = Prng.create (0x9e3779b9 + seed) in
-  let beta = 1 + Prng.int rng 2 in
-  let card = beta + 1 in
-  let table =
-    Array.init (4 * card * card * card * card) (fun _ -> Prng.int rng 4)
-  in
-  let role = Array.init 4 (fun _ -> Prng.int rng 3) in
-  Machine.create
-    ~name:(Printf.sprintf "rand-%d" seed)
-    ~beta
-    ~init:(fun l -> if l = 'a' then 0 else 1)
-    ~delta:(fun q n ->
-      let c s = min beta (N.count n s) in
-      let idx = ref q in
-      for s = 0 to 3 do
-        idx := (!idx * card) + c s
-      done;
-      table.(!idx))
-    ~accepting:(fun q -> role.(q) = 0)
-    ~rejecting:(fun q -> role.(q) = 1)
-    ~pp_state:Format.pp_print_int ()
-
 let shape_graph = function
   | 0 -> G.clique [ 'a'; 'a'; 'b'; 'b' ]
   | 1 -> G.line [ 'a'; 'b'; 'a'; 'b'; 'b' ]
@@ -65,7 +35,7 @@ let prop_engine_matches_legacy =
   QCheck.Test.make ~name:"packed engine = legacy explorer (exact)" ~count:120
     QCheck.(pair small_int (int_range 0 4))
     (fun (seed, shape) ->
-      let m = random_machine seed in
+      let m = Helpers.random_machine seed in
       let g = shape_graph shape in
       let legacy = Helpers.explore_legacy ~max_configs:100_000 m g in
       let packed = Space.explore ~max_configs:100_000 m g in
@@ -88,16 +58,11 @@ let prop_engine_matches_legacy =
    is exactly the soundness claim of Engine's quotient construction.   *)
 (* ------------------------------------------------------------------ *)
 
-let verdict_shape = function
-  | Decide.Accepts -> 0
-  | Decide.Rejects -> 1
-  | Decide.Inconsistent _ -> 2
-
 let prop_symmetry_preserves_verdicts =
   QCheck.Test.make ~name:"symmetry quotient preserves verdicts" ~count:80
     QCheck.(pair small_int (int_range 0 3))
     (fun (seed, shape) ->
-      let m = random_machine seed in
+      let m = Helpers.random_machine seed in
       let g, sym =
         match shape with
         | 0 -> (G.cycle [ 'a'; 'b'; 'a'; 'b' ], Sym.cycle 4)
@@ -109,10 +74,10 @@ let prop_symmetry_preserves_verdicts =
       let reduced = Space.explore ~symmetry:sym ~max_configs:100_000 m g in
       reduced.Space.size <= plain.Space.size
       && Space.is_reduced reduced
-      && verdict_shape (Decide.pseudo_stochastic plain)
-         = verdict_shape (Decide.pseudo_stochastic reduced)
-      && verdict_shape (Decide.adversarial plain)
-         = verdict_shape (Decide.adversarial reduced))
+      && Helpers.verdict_shape (Decide.pseudo_stochastic plain)
+         = Helpers.verdict_shape (Decide.pseudo_stochastic reduced)
+      && Helpers.verdict_shape (Decide.adversarial plain)
+         = Helpers.verdict_shape (Decide.adversarial reduced))
 
 (* ------------------------------------------------------------------ *)
 (* Golden space sizes.                                                 *)
@@ -175,8 +140,8 @@ let test_golden_ring () =
   check_size "exists-a ring n=9 / dihedral-18" 104 reduced;
   Alcotest.(check bool)
     "ring verdicts agree" true
-    (verdict_shape (Decide.adversarial plain)
-    = verdict_shape (Decide.adversarial reduced))
+    (Helpers.verdict_shape (Decide.adversarial plain)
+    = Helpers.verdict_shape (Decide.adversarial reduced))
 
 (* ------------------------------------------------------------------ *)
 (* Symmetry groups: orders, identity, multiplication table.            *)
@@ -308,8 +273,8 @@ let test_liberal_masks () =
   let exclusive = Space.explore ~max_configs:10_000 Helpers.exists_a g in
   Alcotest.(check bool)
     "selection irrelevance" true
-    (verdict_shape (Decide.pseudo_stochastic exclusive)
-    = verdict_shape (Decide.pseudo_stochastic space));
+    (Helpers.verdict_shape (Decide.pseudo_stochastic exclusive)
+    = Helpers.verdict_shape (Decide.pseudo_stochastic space));
   Alcotest.check_raises "n > 16 rejected"
     (Invalid_argument
        "Space.explore_liberal: exponential branching, 16 nodes max")
@@ -348,7 +313,7 @@ let test_dot_escaping () =
 (* ------------------------------------------------------------------ *)
 
 let test_reduced_witness_refused () =
-  let m = random_machine 3 in
+  let m = Helpers.random_machine 3 in
   let g = G.line [ 'a'; 'b'; 'b'; 'a' ] in
   let reduced = Space.explore ~symmetry:(Sym.line 4) ~max_configs:100_000 m g in
   match Decide.adversarial_witness reduced ~against:`Accepting with
@@ -358,7 +323,7 @@ let test_reduced_witness_refused () =
 (* [Space.explore]'s [?jobs] survives only as [~jobs:1]: exploration is
    sequential, and any other value is refused rather than ignored. *)
 let test_jobs_one_only () =
-  let m = random_machine 5 in
+  let m = Helpers.random_machine 5 in
   let g = shape_graph 2 in
   let default = Space.explore ~max_configs:100_000 m g in
   let one = Space.explore ~jobs:1 ~max_configs:100_000 m g in

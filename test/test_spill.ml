@@ -1,17 +1,15 @@
 (* External-memory engine: varint codec round-trips, arena spill/fault
-   identity, spilled-vs-resident differentials over the protocol corpus in
-   all three fairness regimes (symmetry quotients included), and
-   streaming-SCC-vs-Tarjan equivalence on resident spaces. *)
+   identity, and spilled-vs-resident differentials over the protocol
+   corpus in all three fairness regimes (symmetry quotients included) —
+   spilled spaces run the streaming sweeps, resident ones the Tarjan-based
+   analyses, so these are also the streaming-vs-Tarjan equivalence. *)
 
-(* Keep spill files out of the build sandbox, and leave the streaming
-   override off unless a test turns it on. *)
+(* Keep spill files out of the build sandbox. *)
 let () =
-  Unix.putenv "DDA_STREAM_SCC" "0";
   Unix.putenv "DDA_SPILL_DIR"
     (Filename.concat (Filename.get_temp_dir_name ()) "dda_spill_test")
 
 module G = Dda_graph.Graph
-module N = Dda_machine.Neighbourhood
 module Machine = Dda_machine.Machine
 module Space = Dda_verify.Space
 module Decide = Dda_verify.Decide
@@ -159,29 +157,6 @@ let test_cursor_rows () =
 (* Spilled-vs-resident differential                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* Same random 4-state machines as test_engine: enough dynamics to hit all
-   three verdict constructors across seeds. *)
-let random_machine seed =
-  let rng = Prng.create (0x9e3779b9 + seed) in
-  let beta = 1 + Prng.int rng 2 in
-  let card = beta + 1 in
-  let table = Array.init (4 * card * card * card * card) (fun _ -> Prng.int rng 4) in
-  let role = Array.init 4 (fun _ -> Prng.int rng 3) in
-  Machine.create
-    ~name:(Printf.sprintf "rand-%d" seed)
-    ~beta
-    ~init:(fun l -> if l = 'a' then 0 else 1)
-    ~delta:(fun q n ->
-      let c s = min beta (N.count n s) in
-      let idx = ref q in
-      for s = 0 to 3 do
-        idx := (!idx * card) + c s
-      done;
-      table.(!idx))
-    ~accepting:(fun q -> role.(q) = 0)
-    ~rejecting:(fun q -> role.(q) = 1)
-    ~pp_state:Format.pp_print_int ()
-
 let shape_graph = function
   | 0 -> G.clique [ 'a'; 'a'; 'b'; 'b' ]
   | 1 -> G.line [ 'a'; 'b'; 'a'; 'b'; 'b' ]
@@ -212,23 +187,18 @@ let same_sigmas a b =
     !ok
   | _ -> false
 
-let verdict_shape = function
-  | Decide.Accepts -> 0
-  | Decide.Rejects -> 1
-  | Decide.Inconsistent _ -> 2
-
 (* Witness strings legitimately differ between the streaming and Tarjan
    analyses, so differentials compare constructors. *)
 let verdict3 space =
-  ( verdict_shape (Decide.pseudo_stochastic space),
-    verdict_shape (Decide.adversarial space),
-    verdict_shape (Decide.unconditional space) )
+  ( Helpers.verdict_shape (Decide.pseudo_stochastic space),
+    Helpers.verdict_shape (Decide.adversarial space),
+    Helpers.verdict_shape (Decide.unconditional space) )
 
 let prop_spilled_matches_resident =
   QCheck.Test.make ~name:"spilled space = resident space (all regimes)" ~count:60
     QCheck.(pair small_int (int_range 0 4))
     (fun (seed, shape) ->
-      let m = random_machine seed in
+      let m = Helpers.random_machine seed in
       let g = shape_graph shape in
       let resident = Space.explore ~max_configs:100_000 m g in
       let spilled = Space.explore ~mem_budget:tiny_budget ~max_configs:100_000 m g in
@@ -241,7 +211,7 @@ let prop_spilled_symmetry =
   QCheck.Test.make ~name:"spilled quotient = resident quotient" ~count:40
     QCheck.(pair small_int (int_range 0 3))
     (fun (seed, shape) ->
-      let m = random_machine seed in
+      let m = Helpers.random_machine seed in
       let g, sym =
         match shape with
         | 0 -> (G.cycle [ 'a'; 'b'; 'a'; 'b' ], Sym.cycle 4)
@@ -338,7 +308,9 @@ let test_small_budget_no_thrash () =
       let before = Arena.spill_segments () in
       let v = decide spilled in
       let faults = Arena.spill_segments () - before in
-      Alcotest.(check int) (name ^ " verdict") (verdict_shape (decide resident)) (verdict_shape v);
+      Alcotest.(check int) (name ^ " verdict")
+        (Helpers.verdict_shape (decide resident))
+        (Helpers.verdict_shape v);
       if faults > 64 then Alcotest.failf "%s: %d segment faults" name faults)
     [ ("adversarial", Decide.adversarial); ("pseudo-stochastic", Decide.pseudo_stochastic) ]
 
@@ -417,7 +389,7 @@ let prop_silent_edges =
   QCheck.Test.make ~name:"silent edges = oracle self-loops, sigma 0" ~count:60
     QCheck.(triple small_int (int_range 0 3) bool)
     (fun (seed, shape, budgeted) ->
-      let m = random_machine seed in
+      let m = Helpers.random_machine seed in
       let g, sym =
         match shape with
         | 0 -> (G.cycle [ 'a'; 'b'; 'a'; 'b' ], Sym.cycle 4)
@@ -448,42 +420,6 @@ let prop_silent_edges =
           && e.Engine.size + s.Engine.dedup_hits + s.Engine.silent_edges = 1 + (e.Engine.size * n))
         [ (None, legacy_loops); (Some sym, oracle_silent m g (Sym.perms sym)) ])
 
-(* ------------------------------------------------------------------ *)
-(* Streaming SCC on resident spaces (DDA_STREAM_SCC=1)                  *)
-(* ------------------------------------------------------------------ *)
-
-let with_streaming f =
-  Unix.putenv "DDA_STREAM_SCC" "1";
-  Fun.protect ~finally:(fun () -> Unix.putenv "DDA_STREAM_SCC" "0") f
-
-let prop_streaming_matches_tarjan =
-  QCheck.Test.make ~name:"streaming analyses = Tarjan analyses" ~count:60
-    QCheck.(pair small_int (int_range 0 4))
-    (fun (seed, shape) ->
-      let m = random_machine seed in
-      let g = shape_graph shape in
-      let space = Space.explore ~max_configs:100_000 m g in
-      let tarjan = verdict3 space in
-      let streaming = with_streaming (fun () -> verdict3 space) in
-      tarjan = streaming)
-
-let prop_streaming_matches_tarjan_reduced =
-  QCheck.Test.make ~name:"streaming analyses = Tarjan analyses (quotient)" ~count:40
-    QCheck.(pair small_int (int_range 0 3))
-    (fun (seed, shape) ->
-      let m = random_machine seed in
-      let g, sym =
-        match shape with
-        | 0 -> (G.cycle [ 'a'; 'b'; 'a'; 'b' ], Sym.cycle 4)
-        | 1 -> (G.line [ 'a'; 'b'; 'b'; 'a' ], Sym.line 4)
-        | 2 -> (G.star ~centre:'b' ~leaves:[ 'a'; 'a'; 'b' ], Sym.star ~centre:0 4)
-        | _ -> (G.clique [ 'a'; 'a'; 'b' ], Sym.clique 3)
-      in
-      let space = Space.explore ~symmetry:sym ~max_configs:100_000 m g in
-      let tarjan = verdict3 space in
-      let streaming = with_streaming (fun () -> verdict3 space) in
-      tarjan = streaming)
-
 let () =
   Alcotest.run "spill"
     [
@@ -507,10 +443,5 @@ let () =
           Alcotest.test_case "64 KiB budget does not thrash" `Quick test_small_budget_no_thrash;
           Alcotest.test_case "concurrent spilled explorations" `Quick test_concurrent_spills;
           QCheck_alcotest.to_alcotest prop_silent_edges;
-        ] );
-      ( "streaming",
-        [
-          QCheck_alcotest.to_alcotest prop_streaming_matches_tarjan;
-          QCheck_alcotest.to_alcotest prop_streaming_matches_tarjan_reduced;
         ] );
     ]

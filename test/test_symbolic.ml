@@ -1,6 +1,6 @@
 (* Differential suite: the symbolic (counted) engine must agree with the
    explicit engine on every clique and star instance it claims to cover —
-   the protocol corpus, all n <= 6, all three scheduler regimes — and its
+   the protocol corpus, all n <= 6, both fairness regimes — and its
    counted spaces must equal the list-based oracle's edge for edge.  Any
    disagreement is a hard failure. *)
 
@@ -15,7 +15,6 @@ module Batch = Dda_batch.Batch
 module Fingerprint = Dda_batch.Fingerprint
 module Family = Dda_symbolic.Family
 module Counted = Dda_symbolic.Counted
-module Analysis = Dda_symbolic.Analysis
 module Certify = Dda_symbolic.Certify
 
 let max_configs = 400_000
@@ -23,7 +22,6 @@ let max_configs = 400_000
    a tighter budget keeps the corpus wide without paying for exploration
    that ends in Too_large anyway *)
 let diff_max_configs = 60_000
-let max_steps = 200_000
 
 let verdict_class = function
   | Decide.Accepts -> "accepts"
@@ -228,13 +226,7 @@ let check_instance proto gspec =
     Alcotest.(check string)
       (ctx "pseudo-stochastic")
       (verdict_class (Decide.pseudo_stochastic explicit))
-      (verdict_class (Decide.pseudo_stochastic counted)));
-  (* synchronous *)
-  let cls = function None -> "no-cycle" | Some v -> verdict_class v in
-  Alcotest.(check string)
-    (ctx "synchronous")
-    (cls (Decide.synchronous ~max_steps m g))
-    (cls (Analysis.synchronous ~max_steps m g))
+      (verdict_class (Decide.pseudo_stochastic counted)))
 
 let test_differential_corpus () =
   List.iter
@@ -277,10 +269,10 @@ let test_counted_no_node_bound () =
   Alcotest.(check int) "70 nodes" 70 space.Space.node_count;
   Alcotest.(check string) "accepts" "accepts" (verdict_class (Decide.adversarial space))
 
-(* Counted spaces never take the knob-selected routes: [DDA_MEM_BUDGET]
-   (the spilled store) and [DDA_STREAM_SCC] (the streaming sweeps) both
-   assume [node_count] edges per row.  With both set, sizes and verdicts
-   must equal the unset run's. *)
+(* Counted spaces stay resident whatever [DDA_MEM_BUDGET] says: the
+   spilled store, and the streaming sweeps that run only on it, assume
+   [node_count] edges per row.  With it set, sizes and verdicts must equal
+   the unset run's. *)
 let test_counted_ignores_knobs () =
   let run () =
     List.concat_map
@@ -295,10 +287,9 @@ let test_counted_ignores_knobs () =
       [ "clique:aabb"; "star:baab"; "star:abbb" ]
   in
   let unset = run () in
-  let knobs = [ ("DDA_MEM_BUDGET", "1"); ("DDA_STREAM_SCC", "1") ] in
-  let saved = List.map (fun (k, _) -> (k, Option.value (Sys.getenv_opt k) ~default:"")) knobs in
-  List.iter (fun (k, v) -> Unix.putenv k v) knobs;
-  let set = Fun.protect ~finally:(fun () -> List.iter (fun (k, v) -> Unix.putenv k v) saved) run in
+  let saved = Option.value (Sys.getenv_opt "DDA_MEM_BUDGET") ~default:"" in
+  Unix.putenv "DDA_MEM_BUDGET" "1";
+  let set = Fun.protect ~finally:(fun () -> Unix.putenv "DDA_MEM_BUDGET" saved) run in
   List.iter2
     (fun (g, n, v) (_, n', v') ->
       Alcotest.(check int) (g ^ " size") n n';

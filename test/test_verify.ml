@@ -4,7 +4,7 @@ module Space = Dda_verify.Space
 module Scc = Dda_verify.Scc
 module Decide = Dda_verify.Decide
 module Counted = Dda_symbolic.Counted
-module Analysis = Dda_symbolic.Analysis
+module Sym = Dda_verify.Symmetry
 open Helpers
 
 let verdict = Alcotest.testable Decide.pp_verdict (fun a b -> a = b)
@@ -204,7 +204,8 @@ let test_adversarial_requires_explicit () =
     (fun () -> ignore (Decide.adversarial liberal))
 
 (* Covered nodes are bits of one int: 63 nodes are refused up front, on
-   both explicit explorers, while 62 still decide. *)
+   both explicit explorers and on a spilled space (the streaming sweeps),
+   while 62 still decide. *)
 let test_adversarial_node_bound () =
   let line k = G.line ('a' :: List.init (k - 1) (fun _ -> 'b')) in
   List.iter
@@ -217,6 +218,7 @@ let test_adversarial_node_bound () =
     [
       (fun g -> Space.explore ~max_configs:1000 exists_a g);
       (fun g -> Helpers.explore_legacy ~max_configs:1000 exists_a g);
+      (fun g -> Space.explore ~mem_budget:1 ~max_configs:1000 exists_a g);
     ]
 
 (* A machine that accepts only under pseudo-stochastic fairness: a node needs
@@ -282,6 +284,57 @@ let prop_certificate_consistent =
         match scc_v with
         | Decide.Accepts | Decide.Rejects -> cert_v = scc_v
         | Decide.Inconsistent _ -> true))
+
+(* Unconditional verdicts against their definition on every kind of
+   space: explicit, a symmetry quotient and a counted space (whose cycles
+   lift to concrete cycles, so both must give the explicit space's
+   verdict), an opaque liberal space (more edges, so its own), and an
+   opaque random graph.  Silent moves put a self-loop on nearly every
+   configuration of a machine's space, so most of those verdicts are
+   inconsistent; the random graphs, mostly forward edges with a few back
+   edges and self-loops, are where every verdict shape shows. *)
+let random_graph seed =
+  let module Prng = Dda_util.Prng in
+  let rng c = Prng.create ((seed * 1009) + c) in
+  let size = 4 + Prng.int (rng (-1)) 16 in
+  (* most configurations share one polarity, so definite verdicts show *)
+  let major = Prng.int (rng (-2)) 2 in
+  let role c =
+    let r = rng c in
+    if Prng.int r 4 = 0 then Prng.int r 3 else major
+  in
+  Space.explore_custom ~max_configs:100 ~node_count:1 ~initial:0
+    ~expand:(fun c ->
+      let r = rng c in
+      List.init (Prng.int r 3) (fun k ->
+          let back = Prng.int r 5 = 0 in
+          (k, if back then Prng.int r (c + 1) else min (size - 1) (c + 1 + Prng.int r 3))))
+    ~accepting:(fun c -> role c = 0)
+    ~rejecting:(fun c -> role c = 1)
+    ~describe:string_of_int
+
+let prop_unconditional_matches_oracle =
+  QCheck.Test.make ~name:"unconditional = cycle oracle on every space kind" ~count:60
+    QCheck.(pair small_int (int_range 0 3))
+    (fun (seed, shape) ->
+      let m = Helpers.random_machine seed in
+      let g, sym =
+        match shape with
+        | 0 -> (G.cycle [ 'a'; 'b'; 'a'; 'b' ], Sym.cycle 4)
+        | 1 -> (G.line [ 'a'; 'b'; 'b'; 'a' ], Sym.line 4)
+        | 2 -> (G.star ~centre:'b' ~leaves:[ 'a'; 'a'; 'b' ], Sym.star ~centre:0 4)
+        | _ -> (G.clique [ 'a'; 'a'; 'b' ], Sym.clique 3)
+      in
+      let same oracle space = verdict_shape (Decide.unconditional space) = oracle in
+      let own space = same (unconditional_oracle space) space in
+      let explicit = Space.explore ~max_configs:100_000 m g in
+      List.for_all
+        (same (unconditional_oracle explicit))
+        (explicit
+        :: Space.explore ~symmetry:sym ~max_configs:100_000 m g
+        :: Option.to_list (Counted.of_graph ~max_configs:100_000 m g))
+      && own (Space.explore_liberal ~max_configs:100_000 m g)
+      && List.for_all (fun k -> own (random_graph ((4 * seed) + k))) [ 0; 1; 2; 3 ])
 
 let test_counted_star_matches_explicit () =
   (* the star quotient gives the same pseudo-stochastic verdict as the
@@ -458,6 +511,7 @@ let () =
           Alcotest.test_case "adversarial node bound" `Quick test_adversarial_node_bound;
           Alcotest.test_case "certificate decider (Prop D.2)" `Quick test_certificate_matches_bottom_scc;
           QCheck_alcotest.to_alcotest prop_certificate_consistent;
+          QCheck_alcotest.to_alcotest prop_unconditional_matches_oracle;
           Alcotest.test_case "certificate path (witness schedule)" `Quick test_certificate_path;
           Alcotest.test_case "counted star = explicit" `Quick test_counted_star_matches_explicit;
           Alcotest.test_case "liberal selection irrelevance" `Quick test_liberal_selection_irrelevance;
