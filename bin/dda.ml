@@ -58,8 +58,6 @@ let telemetry_init trace metrics journal progress =
 (* Spec parsing (shared with the batch runner: Dda_batch.Spec)          *)
 (* ------------------------------------------------------------------ *)
 
-let split_on c s = String.split_on_char c s
-
 let parse_graph = Spec.parse_graph
 let parse_protocol = Spec.parse_protocol
 let parse_scheduler = Spec.parse_scheduler
@@ -141,18 +139,6 @@ let cmd_graph spec dot =
   | Ok () -> Format.printf "valid (connected, >= 3 nodes)@."
   | Error e -> Format.printf "INVALID: %s@." e
 
-(* The automorphism group of a graph-spec topology, for --reduce. *)
-let symmetry_of_spec graph_spec n =
-  let module Sym = Dda_verify.Symmetry in
-  match split_on ':' graph_spec with
-  | "line" :: _ -> Some (Sym.line n)
-  | "cycle" :: _ -> Some (Sym.cycle n)
-  | "star" :: _ -> Some (Sym.star ~centre:0 n)
-  | "clique" :: _ when n <= 8 -> Some (Sym.clique n)
-  | _ ->
-    Format.eprintf "warning: no symmetry group known for %s; exploring unreduced@." graph_spec;
-    None
-
 let verdict_name = function
   | Decide.Accepts -> "accepts"
   | Decide.Rejects -> "rejects"
@@ -216,30 +202,28 @@ let cmd_decide_family ?cache proto_spec fam regime max_configs =
       Format.printf "tier: %s@." (if d.Batch.cached then "family" else "none")
     | Batch.Verdict v, None -> Format.printf "verdict: %s@." (verdict_name v))
 
-let cmd_decide proto_spec graph_spec fairness_str engine_str cache_dir max_configs witness
-    reduce mem_budget trace metrics journal progress =
+let cmd_decide proto_spec graph_spec fairness_str cache_dir max_configs witness reduce
+    mem_budget trace metrics journal progress =
   telemetry_init trace metrics journal progress;
   set_mem_budget mem_budget;
   let regime = or_die (Spec.parse_regime fairness_str) in
-  let engine = or_die (Spec.parse_engine engine_str) in
   let cache = open_cache cache_dir in
   let _lock = lock_cache `Shared cache in
   match or_die (Spec.parse_graph_spec graph_spec) with
   | Spec.Family fam -> cmd_decide_family ?cache proto_spec fam regime max_configs
   | Spec.Concrete g ->
   let (Spec.Packed m) = or_die (parse_protocol proto_spec g) in
-  let symmetry = if reduce then symmetry_of_spec graph_spec (G.nodes g) else None in
-  let plan =
-    or_die (Batch.plan ?cache ~graph_spec ?symmetry ~engine ~regime ~max_configs m g)
-  in
+  let plan = Batch.plan ?cache ~graph_spec ~reduce ~regime ~max_configs m g in
   let symbolic = plan.Batch.engine = "symbolic" in
+  if reduce && (not symbolic) && plan.Batch.group_order = 1 then
+    Format.eprintf "warning: no symmetry group known for %s; exploring unreduced@." graph_spec;
   Format.printf "automaton: %s   graph: %s (n=%d)   fairness: %s%s%s@." m.Machine.name graph_spec
     (G.nodes g)
     (match regime with Spec.Adversarial -> "adversarial" | _ -> "pseudo-stochastic")
     (if symbolic then "   engine: symbolic" else "")
-    (match symmetry with
-    | Some s -> Printf.sprintf "   symmetry: order %d" (Dda_verify.Symmetry.order s)
-    | None -> "");
+    (match plan.Batch.group_order with
+    | 1 -> ""
+    | k -> Printf.sprintf "   symmetry: order %d" k);
   match cache with
   | Some store -> (
     match Batch.lookup store plan with
@@ -257,11 +241,7 @@ let cmd_decide proto_spec graph_spec fairness_str engine_str cache_dir max_confi
         Format.printf "tier: none@."))
   | None ->
   let t0 = Unix.gettimeofday () in
-  let explore () =
-    if symbolic then Option.get (Dda_symbolic.Counted.of_graph ~max_configs m g)
-    else Dda_verify.Space.explore ?symmetry ~max_configs m g
-  in
-  match explore () with
+  match Option.get plan.Batch.explore () with
   | exception Dda_verify.Space.Too_large n ->
     Format.printf "state space exceeds %d configurations; try `dda simulate` instead@." n;
     exit 1
@@ -285,9 +265,7 @@ let cmd_decide proto_spec graph_spec fairness_str engine_str cache_dir max_confi
       | None -> ())
     | None -> Format.printf "space: %d configurations in %.2fs@." space.Dda_verify.Space.size dt);
     if witness then begin
-      if symbolic then
-        Format.printf "witness schedules need the explicit engine; re-run with --engine explicit@."
-      else if reduce then
+      if reduce then
         Format.printf "witness schedules need an unreduced space; re-run without --reduce@."
       else
         let target =
@@ -798,22 +776,14 @@ let decide_cmd =
       value & flag
       & info [ "reduce" ]
           ~doc:
-            "Quotient the space by the topology's automorphism group (reflection on lines, \
-             rotation+reflection on cycles, leaf permutation on stars, full symmetric group on \
-             cliques up to n=8).  Verdicts are unchanged.")
-  in
-  let engine =
-    Arg.(
-      value & opt string "explicit"
-      & info [ "engine" ] ~docv:"explicit|symbolic|auto"
-          ~doc:
-            "Configuration-space backend.  $(b,symbolic) decides over counted \
-             configurations (clique and star graphs, including whole families like \
-             $(b,star:ba*)); $(b,auto) picks it whenever the graph allows.")
+            "Quotient the space by the topology's automorphisms: counted configurations \
+             (multisets of states, the symbolic engine) on cliques and stars, orbits of the \
+             reflection group on lines and of the dihedral group on cycles.  Other \
+             topologies are explored unreduced.  Verdicts are unchanged.")
   in
   let term =
     Term.(
-      const cmd_decide $ proto_arg $ graph_arg $ fairness $ engine $ cache_arg $ max_configs
+      const cmd_decide $ proto_arg $ graph_arg $ fairness $ cache_arg $ max_configs
       $ witness $ reduce $ mem_budget_arg $ trace_arg $ metrics_arg $ journal_arg
       $ progress_arg)
   in

@@ -73,10 +73,12 @@ let tier_name = function Mem -> "mem" | Disk -> "disk" | Family -> "family"
 
 type plan = {
   solve : Spec.regime list -> (computed, string) result list;
+  explore : (unit -> Space.t) option;
   key : string;
   machine_key : string;
   graph_key : string;
   engine : string;
+  group_order : int;
   regime : Spec.regime;
   max_configs : int;
   fallback : (string * int) option Lazy.t;
@@ -100,8 +102,8 @@ let decisions ~t0 parts =
         part)
     parts
 
-(* [explore] is [Space.explore] or, on cliques and stars under the symbolic
-   engine, [Counted.of_shape]: both raise [Space.Too_large].  The space is
+(* [explore] is [Space.explore] or, on reduced cliques and stars,
+   [Counted.of_shape]: both raise [Space.Too_large].  The space is
    explored once and classified under each regime by [Decide.for_regime],
    which decides explicit and counted spaces alike; an analysis that
    refuses its input (adversarial fairness on an explicit space beyond 62
@@ -152,8 +154,8 @@ let find_family store (key, n) =
   | Some ({ Store.family = Some fc; _ } as e) when n >= fc.Store.from_n -> Some e
   | Some _ | None -> None
 
-let keyed cache solve ~engine ~machine_key ~graph_key ~regime ~max_configs
-    ~fallback =
+let keyed ?explore ?(group_order = 1) cache solve ~engine ~machine_key ~graph_key ~regime
+    ~max_configs ~fallback =
   let key =
     match cache with
     | None -> ""
@@ -161,7 +163,10 @@ let keyed cache solve ~engine ~machine_key ~graph_key ~regime ~max_configs
       Fingerprint.key ~engine ~machine:machine_key ~graph:graph_key
         ~regime:(Spec.regime_name regime) ~max_configs ()
   in
-  { solve; key; machine_key; graph_key; engine; regime; max_configs; fallback }
+  {
+    solve; explore; key; machine_key; graph_key; engine; group_order; regime; max_configs;
+    fallback;
+  }
 
 let machine_key_of cache machine_key labels m =
   match (cache, machine_key) with
@@ -169,33 +174,29 @@ let machine_key_of cache machine_key labels m =
   | Some _, Some k -> k
   | Some _, None -> Fingerprint.machine ~labels:(labels ()) m
 
-let plan ?cache ?machine_key ?graph_spec ?symmetry ?(engine = Spec.Explicit)
-    ~regime ~max_configs m g =
-  (* the symbolic engine only has counted semantics for cliques and stars;
-     Auto falls back to the explicit engine elsewhere *)
-  let shape =
-    match engine with
-    | Spec.Explicit -> None
-    | Spec.Symbolic | Spec.Auto -> Dda_symbolic.Counted.shape_of_graph g
+(* The one choice of quotient: with [reduce], the counted space on a
+   clique or a star (a configuration up to automorphism is a multiset of
+   states) and the orbits of the reflection or dihedral group on a line or
+   a cycle; every configuration otherwise. *)
+let plan ?cache ?machine_key ?graph_spec ?(reduce = false) ~regime ~max_configs m g =
+  let engine, group_order, explore =
+    match if reduce then Dda_symbolic.Counted.shape_of_graph g else None with
+    | Some shape -> ("symbolic", 1, fun () -> Dda_symbolic.Counted.of_shape ~max_configs m shape)
+    | None ->
+      let symmetry = if reduce then Dda_verify.Symmetry.of_graph g else None in
+      ( "explicit",
+        Option.fold ~none:1 ~some:Dda_verify.Symmetry.order symmetry,
+        fun () -> Space.explore ?symmetry ~max_configs m g )
   in
-  match (engine, shape) with
-  | Spec.Symbolic, None -> Error "the symbolic engine needs a clique or star graph"
-  | _ ->
-    let engine, explore =
-      match shape with
-      | Some shape -> ("symbolic", fun () -> Dda_symbolic.Counted.of_shape ~max_configs m shape)
-      | None -> ("explicit", fun () -> Space.explore ?symmetry ~max_configs m g)
-    in
-    let machine_key = machine_key_of cache machine_key (fun () -> Spec.alphabet_of g) m in
-    let fallback =
-      match (cache, graph_spec) with
-      | Some _, Some spec -> lazy (family_fallback ~machine_key ~regime ~max_configs spec)
-      | _ -> lazy None
-    in
-    Ok
-      (keyed cache (solve_space explore) ~engine ~machine_key
-         ~graph_key:(if cache = None then "" else Fingerprint.graph g)
-         ~regime ~max_configs ~fallback)
+  let machine_key = machine_key_of cache machine_key (fun () -> Spec.alphabet_of g) m in
+  let fallback =
+    match (cache, graph_spec) with
+    | Some _, Some spec -> lazy (family_fallback ~machine_key ~regime ~max_configs spec)
+    | _ -> lazy None
+  in
+  keyed ~explore ~group_order cache (solve_space explore) ~engine ~machine_key
+    ~graph_key:(if cache = None then "" else Fingerprint.graph g)
+    ~regime ~max_configs ~fallback
 
 let plan_family ?cache ?machine_key ~regime ~max_configs m fam =
   let solve regimes =
@@ -286,11 +287,8 @@ let cached ?cache ?(count = true) ?(engine = "explicit") ~machine_key ~graph_key
        (keyed cache solve ~engine ~machine_key ~graph_key ~regime ~max_configs
           ~fallback:(lazy None)))
 
-let decide ?cache ?(count = true) ?machine_key ?symmetry ?engine ~regime
-    ~max_configs m g =
-  match plan ?cache ?machine_key ?symmetry ?engine ~regime ~max_configs m g with
-  | Error msg -> invalid_arg msg
-  | Ok p -> decision_exn (through ?cache ~count p)
+let decide ?cache ?(count = true) ?machine_key ~regime ~max_configs m g =
+  decision_exn (through ?cache ~count (plan ?cache ?machine_key ~regime ~max_configs m g))
 
 let decide_family ?cache ?(count = true) ?machine_key ~regime ~max_configs m fam =
   through ?cache ~count (plan_family ?cache ?machine_key ~regime ~max_configs m fam)
@@ -409,7 +407,7 @@ let resolve ?cache memo job =
   let regime = job.regime and max_configs = job.max_configs in
   match gspec with
   | Spec.Concrete g ->
-    plan ?cache ?machine_key ~graph_spec:job.graph ~regime ~max_configs m g
+    Ok (plan ?cache ?machine_key ~graph_spec:job.graph ~regime ~max_configs m g)
   | Spec.Family fam -> Ok (plan_family ?cache ?machine_key ~regime ~max_configs m fam)
 
 (* Execute a shard's share of the cache misses: groups of plans that

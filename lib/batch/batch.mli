@@ -66,10 +66,19 @@ type plan = {
           result for every regime, a refused input or an unstabilised
           family an [Error].  Pure: safe to run on any domain.  The plans
           of {!cached} answer their own [regime] only. *)
+  explore : (unit -> Dda_verify.Space.t) option;
+      (** The exploration [solve] classifies, for the plan of a concrete
+          graph ([None] for families and {!cached}): callers that need the
+          space itself (its engine statistics, a witness path) run this. *)
   key : string;  (** the exact cache key; [""] for a plan built without a cache *)
   machine_key : string;
   graph_key : string;  (** {!Fingerprint.graph} or {!Fingerprint.family} *)
-  engine : string;  (** provenance: ["explicit"] or ["symbolic"] *)
+  engine : string;
+      (** provenance: ["explicit"], or ["symbolic"] for counted spaces
+          (families, and cliques and stars under [reduce]) *)
+  group_order : int;
+      (** the order of the node-permutation group whose orbits the explicit
+          exploration keeps; 1 when it keeps every configuration *)
   regime : Spec.regime;
   max_configs : int;
   fallback : (string * int) option Lazy.t;
@@ -81,21 +90,27 @@ val plan :
   ?cache:Store.t ->
   ?machine_key:string ->
   ?graph_spec:string ->
-  ?symmetry:Dda_verify.Symmetry.t ->
-  ?engine:Spec.engine ->
+  ?reduce:bool ->
   regime:Spec.regime ->
   max_configs:int ->
   (string, 's) Dda_machine.Machine.t ->
   string Dda_graph.Graph.t ->
-  (plan, string) result
+  plan
 (** The plan for a built machine and graph.  Fingerprints are computed only
     with [?cache] ([machine_key] amortises the machine's across calls); the
     uncached plan does no fingerprint work.  [graph_spec], the graph's spec
-    string, enables the family fallback.  [engine] (default [Explicit])
-    picks the backend: [Symbolic] decides over counted configurations
-    (clique/star graphs only — [Error] otherwise) and [Auto] uses the
-    counted engine when the graph is a clique or star, the explicit engine
-    otherwise.  Symbolic verdicts live under engine-salted keys. *)
+    string, enables the family fallback.
+
+    [reduce] (default [false]) explores the quotient by the topology's
+    automorphisms, chosen here and nowhere else: on a clique or a star
+    ({!Dda_symbolic.Counted.shape_of_graph}) the counted space, whose
+    configurations are multisets of states (engine ["symbolic"], under
+    engine-salted keys; it stays resident whatever the memory budget); on
+    a line or a cycle the orbits of {!Dda_verify.Symmetry.of_graph}'s group
+    (engine ["explicit"], [group_order] its order, the unreduced key); on any
+    other graph every configuration, as without [reduce].  Verdicts are
+    unchanged; witness texts of counted spaces name counted
+    configurations. *)
 
 val compute : plan -> (computed, string) result
 (** [solve [regime]]: the plan's own job, alone. *)
@@ -127,19 +142,16 @@ val decide :
   ?cache:Store.t ->
   ?count:bool ->
   ?machine_key:string ->
-  ?symmetry:Dda_verify.Symmetry.t ->
-  ?engine:Spec.engine ->
   regime:Spec.regime ->
   max_configs:int ->
   (string, 's) Dda_machine.Machine.t ->
   string Dda_graph.Graph.t ->
   decision
-(** Cached exact decision: {!plan}, then the tier chain.  The regime
-    classifies the explored space (fair-SCC for adversarial, bottom-SCC for
-    pseudo-stochastic).
-    @raise Invalid_argument when the plan or its computation refuses the
-    input (symbolic engine on another topology, adversarial fairness on
-    an explicit space of more than 62 nodes). *)
+(** Cached exact decision: the unreduced {!plan}, then the tier chain.
+    The regime classifies the explored space (fair-SCC for adversarial,
+    bottom-SCC for pseudo-stochastic).
+    @raise Invalid_argument when the computation refuses the input
+    (adversarial fairness on an explicit space of more than 62 nodes). *)
 
 (** {1 Family verdicts (symbolic engine)} *)
 
@@ -206,7 +218,7 @@ val resolve :
   job ->
   (plan, string) result
 (** The plan of a job given as spec strings: a concrete graph goes through
-    {!plan} (explicit engine, with its spec as the family fallback), a
+    {!plan} (unreduced, with its spec as the family fallback), a
     family through the symbolic engine.  The table memoises machine fingerprints per
     (protocol, alphabet) across jobs.  [Error] is the failing parser's own
     text — {!Spec.parse_graph_spec}'s ["graph: ..."] or

@@ -119,20 +119,7 @@ let parse_protocol spec g =
   try parse_protocol_exn spec g
   with Invalid_argument msg -> Error (Printf.sprintf "protocol %s: %s" spec msg)
 
-(* --- Engines and graph families ----------------------------------------- *)
-
-type engine = Explicit | Symbolic | Auto
-
-let engine_name = function
-  | Explicit -> "explicit"
-  | Symbolic -> "symbolic"
-  | Auto -> "auto"
-
-let parse_engine = function
-  | "explicit" -> Ok Explicit
-  | "symbolic" -> Ok Symbolic
-  | "auto" -> Ok Auto
-  | s -> Error (Printf.sprintf "unknown engine %S (explicit | symbolic | auto)" s)
+(* --- Graph families ----------------------------------------------------- *)
 
 type graph_spec =
   | Concrete of string G.t

@@ -34,14 +34,6 @@ val parse_protocol :
 (** The protocol is built over the graph's alphabet, so the graph parses
     first. *)
 
-type engine = Explicit | Symbolic | Auto
-(** Which configuration-space backend decides a query: the explicit packed
-    engine, the counted (symbolic) engine, or automatic selection —
-    symbolic when the graph is a clique or star, explicit otherwise. *)
-
-val engine_name : engine -> string
-val parse_engine : string -> (engine, string) result
-
 type graph_spec =
   | Concrete of string Dda_graph.Graph.t
   | Family of Dda_symbolic.Family.t

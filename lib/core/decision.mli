@@ -21,25 +21,13 @@ val decide :
   ?cache:Dda_batch.Store.t ->
   ?machine_key:string ->
   ?budget:budget ->
-  ?symmetry:Dda_verify.Symmetry.t ->
-  ?engine:Dda_batch.Spec.engine ->
   fairness:Classes.fairness ->
   (string, 's) Dda_machine.Machine.t ->
   string Dda_graph.Graph.t ->
   outcome
 (** Exact decision by state-space analysis: {!Dda_batch.Batch.decide} with
     the budget's configuration bound.  [`Too_large] reports an exceeded
-    configuration budget.  [symmetry] quotients the space by a group of adjacency
-    automorphisms of [g] (verdicts are unchanged — see
-    [Dda_verify.Engine]).
-
-    [engine] (default [Explicit]) selects the backend: [Symbolic] decides
-    over counted configurations — multisets of states rather than node
-    vectors — and only accepts clique and star graphs
-    ([Invalid_argument] otherwise); [Auto] uses the counted engine when
-    the graph is a clique or star and falls back to the explicit engine
-    for every other topology.  Verdicts agree across engines wherever
-    both apply.
+    configuration budget.
 
     With [?cache] the verdict goes through the persistent verdict cache;
     without it no fingerprint is computed.  [machine_key] lets callers that

@@ -14,7 +14,6 @@ type ('l, 's) t = {
 
 let state_count t = Array.length t.states
 let profile_count t = Array.length t.profiles
-let state_of_id t i = t.states.(i)
 
 (* All capped count vectors in [0, β]^k, in mixed-radix order (index i has
    digit i as the least significant). *)

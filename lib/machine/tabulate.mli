@@ -57,8 +57,6 @@ val to_machine : ('l, 's) t -> ('l, int) Machine.t
 (** The tabulated machine over integer state ids (behaviourally identical
     to the original on the enumerated state set). *)
 
-val state_of_id : ('l, 's) t -> int -> 's
-
 val minimise : ('l, 's) t -> (('l, int) Machine.t * ('s -> int)) option
 (** The bisimulation quotient: the machine over class ids and the
     projection from original states.  [None] when no well-defined quotient

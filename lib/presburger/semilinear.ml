@@ -51,8 +51,6 @@ let mem_linear l v =
 
 let mem t v = List.exists (fun l -> mem_linear l v) t
 
-let mem_counts t ~alphabet counts = mem t (Multiset.to_vector alphabet counts)
-
 let unit_vec dim i = Array.init dim (fun j -> if i = j then 1 else 0)
 
 let threshold_set ~dim ~coord ~k =

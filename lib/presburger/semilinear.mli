@@ -27,9 +27,6 @@ val union : t -> t -> t
 val mem_linear : linear -> int array -> bool
 val mem : t -> int array -> bool
 
-val mem_counts : t -> alphabet:string list -> string Dda_multiset.Multiset.t -> bool
-(** Membership of a label count, with coordinates in [alphabet] order. *)
-
 val threshold_set : dim:int -> coord:int -> k:int -> t
 (** [{ v | v.(coord) >= k }] as a semilinear set. *)
 

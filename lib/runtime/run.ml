@@ -86,11 +86,3 @@ let consensus_time ?(attempts = 1) ~max_steps m g make_sched =
     let sorted = List.sort Stdlib.compare (List.filter_map (fun t -> t) times) in
     Some (List.nth sorted (List.length sorted / 2))
   end
-
-let pp_result pp_state fmt r =
-  Format.fprintf fmt "@[<v>verdict: %s after %d steps%s%s@,final: %a@]"
-    (match r.verdict with `Accepting -> "accept" | `Rejecting -> "reject" | `Mixed -> "mixed")
-    r.steps_taken
-    (if r.quiescent then " (quiescent)" else "")
-    (match r.settled_at with Some t -> Printf.sprintf ", settled at step %d" t | None -> "")
-    (Config.pp pp_state) r.final

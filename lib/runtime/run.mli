@@ -58,6 +58,3 @@ val consensus_time :
   int option
 (** Median settling step over [attempts] (default 1) fresh schedules, or
     [None] if any attempt failed to settle within [max_steps]. *)
-
-val pp_result :
-  (Format.formatter -> 's -> unit) -> Format.formatter -> 's result -> unit

@@ -10,8 +10,6 @@ let max_by score = function
     let better best candidate = if score candidate > score best then candidate else best in
     List.fold_left better x rest
 
-let cartesian xs ys = List.concat_map (fun x -> List.map (fun y -> (x, y)) ys) xs
-
 let rec cartesian_n = function
   | [] -> [ [] ]
   | l :: rest ->

@@ -11,8 +11,6 @@ val sum : int list -> int
 val max_by : ('a -> int) -> 'a list -> 'a
 (** Maximum element under a score.  @raise Invalid_argument on []. *)
 
-val cartesian : 'a list -> 'b list -> ('a * 'b) list
-
 val cartesian_n : 'a list list -> 'a list list
 (** [cartesian_n \[l1; ...; lk\]] enumerates all tuples, as lists of length k,
     taking one element from each [li], in lexicographic order. *)

@@ -87,19 +87,16 @@ let cycle n =
   let reflect = Array.init n (fun v -> (n - v) mod n) in
   closure ~degree:n [ rotate; reflect ]
 
-(* Adjacent transpositions of the non-fixed nodes generate the full symmetric
-   group on them. *)
-let swap n i j = Array.init n (fun v -> if v = i then j else if v = j then i else v)
-
-let star ~centre n =
-  if n < 3 || centre < 0 || centre >= n then invalid_arg "Symmetry.star";
-  let leaves = List.filter (fun v -> v <> centre) (List.init n (fun v -> v)) in
-  let rec pairs = function a :: (b :: _ as rest) -> (a, b) :: pairs rest | _ -> [] in
-  closure ~degree:n (List.map (fun (i, j) -> swap n i j) (pairs leaves))
-
-let clique n =
-  if n < 2 then invalid_arg "Symmetry.clique";
-  closure ~degree:n (List.init (n - 1) (fun i -> swap n i (i + 1)))
+(* A line or a cycle numbered along itself: its edges are exactly those
+   between consecutive nodes (and, for a cycle, between the last and the
+   first). *)
+let of_graph g =
+  let module G = Dda_graph.Graph in
+  let n = G.nodes g and m = List.length (G.edges g) in
+  let along k = List.for_all (fun v -> G.adjacent g v ((v + 1) mod n)) (List.init k Fun.id) in
+  if n >= 3 && m = n && along n then Some (cycle n)
+  else if n >= 2 && m = n - 1 && along (n - 1) then Some (line n)
+  else None
 
 let perms g = g.perms
 let mul g = g.mul

@@ -34,14 +34,12 @@ val cycle : int -> t
 (** Dihedral symmetry of the [n]-node cycle (rotations and reflections):
     order [2n].  Requires [n >= 3]. *)
 
-val star : centre:int -> int -> t
-(** All permutations of the [n - 1] leaves of an [n]-node star whose centre
-    is node [centre]: order [(n-1)!].  Keep [n] small.
-    @raise Invalid_argument if the order would exceed [8!]. *)
-
-val clique : int -> t
-(** The full symmetric group on [n] nodes: order [n!].  Keep [n] small.
-    @raise Invalid_argument if the order would exceed [8!]. *)
+val of_graph : 'l Dda_graph.Graph.t -> t option
+(** {!cycle} or {!line} when [g] is a cycle or a line whose nodes are
+    numbered along it (as {!Dda_graph.Graph.cycle} and
+    {!Dda_graph.Graph.line} build them); [None] for any other graph.
+    Cliques and stars have no group here: their quotient is the counted
+    space ([Dda_symbolic.Counted]). *)
 
 val order : t -> int
 val is_trivial : t -> bool

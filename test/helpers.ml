@@ -76,6 +76,27 @@ let random_machine seed =
     ~rejecting:(fun q -> role.(q) = 1)
     ~pp_state:Format.pp_print_int ()
 
+(* The symmetric group on [nodes], fixing every other node of a
+   [degree]-node graph: adjacent transpositions generate it.  Order [k!]
+   for [k] nodes — the leaf permutations of a star, the full group of a
+   clique. *)
+let symmetric_group ~degree nodes =
+  let swap i j = Array.init degree (fun v -> if v = i then j else if v = j then i else v) in
+  let rec gens = function a :: (b :: _ as rest) -> swap a b :: gens rest | _ -> [] in
+  Dda_verify.Symmetry.of_generators ~degree (gens nodes)
+
+(* The quotient differentials' four graphs with an automorphism group
+   each: dihedral on a cycle, a reflection on a line, and two groups of
+   order 6 that are not dihedral (the leaves of a star, a 3-clique). *)
+let graph_with_group shape =
+  let module G = Dda_graph.Graph in
+  let module Sym = Dda_verify.Symmetry in
+  match shape with
+  | 0 -> (G.cycle [ 'a'; 'b'; 'a'; 'b' ], Sym.cycle 4)
+  | 1 -> (G.line [ 'a'; 'b'; 'b'; 'a' ], Sym.line 4)
+  | 2 -> (G.star ~centre:'b' ~leaves:[ 'a'; 'a'; 'b' ], symmetric_group ~degree:4 [ 1; 2; 3 ])
+  | _ -> (G.clique [ 'a'; 'a'; 'b' ], symmetric_group ~degree:3 [ 0; 1; 2 ])
+
 (* A verdict's constructor: differentials compare these, since witness
    texts legitimately differ between routes. *)
 let verdict_shape = function

@@ -682,43 +682,46 @@ let test_resolve_graph_error_text () =
 
 (* Store file names written by [dda decide --cache --max-configs 200000]
    before the front ends shared one plan; a key that moves orphans every
-   existing cache. *)
+   existing cache.  The batch runner writes the first two; the clique's
+   counted-space entry is written under [--reduce]. *)
 let pinned_keys =
   [
-    ("exists:a", "cycle:abb", Spec.Pseudo_stochastic, Spec.Explicit,
-     "d8555af0525600fbb902d5d0856725b5");
-    ("exists:a", "star:ba*", Spec.Pseudo_stochastic, Spec.Explicit,
-     "3d921e4459a2fbe750b4280755d19cbb");
-    ("threshold:a,2", "clique:aab", Spec.Adversarial, Spec.Symbolic,
-     "f884c5c0c030f80ebdf120ba0e8a8033");
+    ("exists:a", "cycle:abb", Spec.Pseudo_stochastic, "d8555af0525600fbb902d5d0856725b5");
+    ("exists:a", "star:ba*", Spec.Pseudo_stochastic, "3d921e4459a2fbe750b4280755d19cbb");
   ]
 
-let job_of (protocol, graph, regime, _, _) = { Batch.protocol; graph; regime; max_configs = 200_000 }
+let pinned_reduced_key =
+  ("threshold:a,2", "clique:aab", Spec.Adversarial, "f884c5c0c030f80ebdf120ba0e8a8033")
+
+let job_of (protocol, graph, regime, _) = { Batch.protocol; graph; regime; max_configs = 200_000 }
 
 let test_keys_pinned_across_front_ends () =
   with_store (fun store ->
-      (* the batch runner writes the explicit and family entries under the
-         pinned keys; the symbolic one goes through [Batch.decide] *)
-      let explicit, symbolic = List.partition (fun (_, _, _, e, _) -> e = Spec.Explicit) pinned_keys in
-      let report = Batch.run ~cache:store (List.map job_of explicit) in
+      let report = Batch.run ~cache:store (List.map job_of pinned_keys) in
       Alcotest.(check int) "batch computed both" 2 report.Batch.misses;
-      let decide ((protocol, graph, regime, engine, _) as pk) =
+      (* [cached] tells whether the plan's lookup hit; a miss is computed
+         and recorded *)
+      let decide ?reduce ((protocol, graph, regime, _) as pk) =
         let g = Result.get_ok (Spec.parse_graph graph) in
         let (Spec.Packed m) = Result.get_ok (Spec.parse_protocol protocol g) in
-        Batch.decide ~cache:store ~engine ~regime ~max_configs:(job_of pk).Batch.max_configs m g
+        let p = Batch.plan ~cache:store ?reduce ~regime ~max_configs:(job_of pk).Batch.max_configs m g in
+        match Batch.lookup store p with
+        | Some _ -> true
+        | None ->
+          Batch.record store p (Result.get_ok (Batch.compute p));
+          false
       in
-      List.iter (fun pk -> ignore (decide pk)) symbolic;
+      Alcotest.(check bool) "clique:aab computed" false (decide ~reduce:true pinned_reduced_key);
       List.iter
-        (fun (_, graph, _, _, key) ->
+        (fun (_, graph, _, key) ->
           Alcotest.(check bool) ("entry stored under the pinned key for " ^ graph) true
             (Store.find store key <> None))
-        pinned_keys;
+        (pinned_reduced_key :: pinned_keys);
       (* the library and the server answer from those entries *)
-      List.iter
-        (fun ((_, graph, _, _, _) as pk) ->
-          if graph <> "star:ba*" then
-            Alcotest.(check bool) ("Batch.decide hit on " ^ graph) true (decide pk).Batch.cached)
-        pinned_keys;
+      let ((_, cycle, _, _) as pk) = List.hd pinned_keys in
+      Alcotest.(check bool) ("Batch.plan hit on " ^ cycle) true (decide pk);
+      Alcotest.(check bool) "Batch.plan ~reduce:true hit on clique:aab" true
+        (decide ~reduce:true pinned_reduced_key);
       let dir = fresh_root () in
       Unix.mkdir dir 0o700;
       let sock = Filename.concat dir "s.sock" in
@@ -738,7 +741,7 @@ let test_keys_pinned_across_front_ends () =
         (fun () ->
           let c = Result.get_ok (Client.connect (Sproto.Unix_socket sock)) in
           List.iter
-            (fun ((protocol, graph, regime, _, _) as pk) ->
+            (fun ((protocol, graph, regime, _) as pk) ->
               let req =
                 Sproto.Decide
                   { Sproto.id = graph; protocol; graph; regime; max_configs = (job_of pk).Batch.max_configs;
@@ -749,9 +752,54 @@ let test_keys_pinned_across_front_ends () =
                 Alcotest.(check bool) ("server hit on " ^ graph) true v.cached
               | Ok r -> Alcotest.failf "server: unexpected %s" (Sproto.status_name r.Sproto.status)
               | Error e -> Alcotest.failf "server: %s" e)
-            explicit;
+            pinned_keys;
           Client.close c);
       Alcotest.(check int) "hits never add entries" 3 (Store.stats store).Store.entries)
+
+(* --- reduce: one quotient per topology -------------------------------------- *)
+
+(* On a clique or a star, [~reduce:true] explores the counted space —
+   configurations up to automorphism are multisets of states — and its
+   verdicts are the unreduced explicit space's. *)
+let prop_reduce_counts_cliques_and_stars =
+  QCheck.Test.make ~name:"reduce on cliques and stars = counted space" ~count:100
+    QCheck.(triple small_int bool (list_of_size Gen.(int_range 2 5) bool))
+    (fun (seed, star, word) ->
+      let labels = List.map (fun a -> if a then "a" else "b") word in
+      let g =
+        if star && List.length labels >= 3 then
+          G.star ~centre:(List.hd labels) ~leaves:(List.tl labels)
+        else G.clique labels
+      in
+      let m = Machine.relabel (fun l -> l.[0]) (Helpers.random_machine seed) in
+      let max_configs = 100_000 in
+      let p = Batch.plan ~reduce:true ~regime:Spec.Adversarial ~max_configs m g in
+      let counted = Option.get (Dda_symbolic.Counted.of_graph ~max_configs m g) in
+      let explicit = Dda_verify.Space.explore ~max_configs m g in
+      let shape = function
+        | Ok ({ Batch.result = Batch.Verdict v; _ }, _) -> Helpers.verdict_shape v
+        | Ok _ | Error _ -> -1
+      in
+      p.Batch.engine = "symbolic"
+      && p.Batch.group_order = 1
+      && (Option.get p.Batch.explore ()).Dda_verify.Space.size = counted.Dda_verify.Space.size
+      && List.map shape (p.Batch.solve [ Spec.Adversarial; Spec.Pseudo_stochastic ])
+         = List.map Helpers.verdict_shape
+             [ Decide.adversarial explicit; Decide.pseudo_stochastic explicit ])
+
+(* The counted space of an 8-clique has 16 configurations, where a group
+   quotient would canonicalise every successor against 8! permutations. *)
+let test_reduced_clique_eight () =
+  let g = Result.get_ok (Spec.parse_graph "clique:aaaaaaab") in
+  let (Spec.Packed m) = Result.get_ok (Spec.parse_protocol "exists:a" g) in
+  let t0 = Unix.gettimeofday () in
+  let p = Batch.plan ~reduce:true ~regime:Spec.Pseudo_stochastic ~max_configs:500_000 m g in
+  let d, _ = Result.get_ok (Batch.compute p) in
+  let dt = Unix.gettimeofday () -. t0 in
+  Alcotest.(check string) "engine" "symbolic" p.Batch.engine;
+  Alcotest.(check bool) "accepts" true (d.Batch.result = Batch.Verdict Decide.Accepts);
+  Alcotest.(check int) "configurations" 16 d.Batch.configs;
+  if dt >= 1.0 then Alcotest.failf "clique:aaaaaaab --reduce took %.2f s" dt
 
 (* --- interruption ----------------------------------------------------------- *)
 
@@ -995,6 +1043,11 @@ let () =
         [
           Alcotest.test_case "pinned across front ends" `Quick
             test_keys_pinned_across_front_ends;
+        ] );
+      ( "reduce",
+        [
+          QCheck_alcotest.to_alcotest prop_reduce_counts_cliques_and_stars;
+          Alcotest.test_case "clique:aaaaaaab within 1 s" `Quick test_reduced_clique_eight;
         ] );
       ( "differential",
         [ Alcotest.test_case "figure 1 through the cache" `Slow test_figure1_differential ] );

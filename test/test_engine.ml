@@ -63,13 +63,7 @@ let prop_symmetry_preserves_verdicts =
     QCheck.(pair small_int (int_range 0 3))
     (fun (seed, shape) ->
       let m = Helpers.random_machine seed in
-      let g, sym =
-        match shape with
-        | 0 -> (G.cycle [ 'a'; 'b'; 'a'; 'b' ], Sym.cycle 4)
-        | 1 -> (G.line [ 'a'; 'b'; 'b'; 'a' ], Sym.line 4)
-        | 2 -> (G.star ~centre:'b' ~leaves:[ 'a'; 'a'; 'b' ], Sym.star ~centre:0 4)
-        | _ -> (G.clique [ 'a'; 'a'; 'b' ], Sym.clique 3)
-      in
+      let g, sym = Helpers.graph_with_group shape in
       let plain = Space.explore ~max_configs:100_000 m g in
       let reduced = Space.explore ~symmetry:sym ~max_configs:100_000 m g in
       reduced.Space.size <= plain.Space.size
@@ -153,15 +147,35 @@ let test_group_orders () =
   Alcotest.(check int) "trivial" 1 (Sym.order (Sym.trivial 5));
   Alcotest.(check int) "line 7" 2 (Sym.order (Sym.line 7));
   Alcotest.(check int) "cycle 6" 12 (Sym.order (Sym.cycle 6));
-  Alcotest.(check int) "star 5" (fact 4) (Sym.order (Sym.star ~centre:0 5));
-  Alcotest.(check int) "clique 4" (fact 4) (Sym.order (Sym.clique 4));
+  Alcotest.(check int) "star 5" (fact 4)
+    (Sym.order (Helpers.symmetric_group ~degree:5 [ 1; 2; 3; 4 ]));
+  Alcotest.(check int) "clique 4" (fact 4)
+    (Sym.order (Helpers.symmetric_group ~degree:4 [ 0; 1; 2; 3 ]));
   List.iter
     (fun sym ->
       let perms = Sym.perms sym in
       Alcotest.(check bool)
         "identity first" true
         (Array.for_all2 ( = ) perms.(0) (Array.init (Sym.degree sym) Fun.id)))
-    [ Sym.line 4; Sym.cycle 5; Sym.star ~centre:0 4; Sym.clique 3 ]
+    [
+      Sym.line 4;
+      Sym.cycle 5;
+      Helpers.symmetric_group ~degree:4 [ 1; 2; 3 ];
+      Helpers.symmetric_group ~degree:3 [ 0; 1; 2 ];
+    ]
+
+(* [Symmetry.of_graph] knows lines and cycles numbered along themselves,
+   and nothing else. *)
+let test_group_of_graph () =
+  let order g = Option.map Sym.order (Sym.of_graph g) in
+  let check name expected g = Alcotest.(check (option int)) name expected (order g) in
+  check "line 5" (Some 2) (G.line [ 'a'; 'b'; 'b'; 'a'; 'a' ]);
+  check "cycle 5" (Some 10) (G.cycle [ 'a'; 'b'; 'b'; 'a'; 'a' ]);
+  check "star 5" None (G.star ~centre:'a' ~leaves:[ 'a'; 'b'; 'b'; 'a' ]);
+  check "clique 4" None (G.clique [ 'a'; 'b'; 'b'; 'a' ]);
+  check "grid 2x2 (a 4-cycle numbered across)" None (G.grid ~width:2 ~height:2 (fun _ _ -> 'a'));
+  check "path numbered out of order" None
+    (G.of_edges ~labels:[| 'a'; 'a'; 'a'; 'a' |] [ (0, 2); (2, 1); (1, 3) ])
 
 let test_group_mul () =
   List.iter
@@ -177,7 +191,12 @@ let test_group_mul () =
           done
         done
       done)
-    [ Sym.cycle 4; Sym.star ~centre:0 4; Sym.line 5; Sym.clique 3 ]
+    [
+      Sym.cycle 4;
+      Helpers.symmetric_group ~degree:4 [ 1; 2; 3 ];
+      Sym.line 5;
+      Helpers.symmetric_group ~degree:3 [ 0; 1; 2 ];
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Iterative Tarjan against an oracle that shares no code with it:     *)
@@ -354,6 +373,7 @@ let () =
         [
           Alcotest.test_case "orders" `Quick test_group_orders;
           Alcotest.test_case "multiplication table" `Quick test_group_mul;
+          Alcotest.test_case "groups of lines and cycles" `Quick test_group_of_graph;
         ] );
       ( "fixes",
         [

@@ -192,8 +192,8 @@ let prop_symmetry_groups_are_automorphisms =
       && all_autos (G.cycle labels) (Sym.cycle n)
       && all_autos
            (G.star ~centre:(List.hd labels) ~leaves:(List.tl labels))
-           (Sym.star ~centre:0 n)
-      && (n > 5 || all_autos (G.clique labels) (Sym.clique n)))
+           (Helpers.symmetric_group ~degree:n (List.init (n - 1) succ))
+      && (n > 5 || all_autos (G.clique labels) (Helpers.symmetric_group ~degree:n (List.init n Fun.id))))
 
 let test_is_automorphism_rejects () =
   (* swapping the centre of a star with a leaf breaks adjacency *)

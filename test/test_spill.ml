@@ -212,13 +212,7 @@ let prop_spilled_symmetry =
     QCheck.(pair small_int (int_range 0 3))
     (fun (seed, shape) ->
       let m = Helpers.random_machine seed in
-      let g, sym =
-        match shape with
-        | 0 -> (G.cycle [ 'a'; 'b'; 'a'; 'b' ], Sym.cycle 4)
-        | 1 -> (G.line [ 'a'; 'b'; 'b'; 'a' ], Sym.line 4)
-        | 2 -> (G.star ~centre:'b' ~leaves:[ 'a'; 'a'; 'b' ], Sym.star ~centre:0 4)
-        | _ -> (G.clique [ 'a'; 'a'; 'b' ], Sym.clique 3)
-      in
+      let g, sym = Helpers.graph_with_group shape in
       let resident = Space.explore ~symmetry:sym ~max_configs:100_000 m g in
       let spilled = Space.explore ~symmetry:sym ~mem_budget:tiny_budget ~max_configs:100_000 m g in
       same_space resident spilled
@@ -390,13 +384,7 @@ let prop_silent_edges =
     QCheck.(triple small_int (int_range 0 3) bool)
     (fun (seed, shape, budgeted) ->
       let m = Helpers.random_machine seed in
-      let g, sym =
-        match shape with
-        | 0 -> (G.cycle [ 'a'; 'b'; 'a'; 'b' ], Sym.cycle 4)
-        | 1 -> (G.line [ 'a'; 'b'; 'b'; 'a' ], Sym.line 4)
-        | 2 -> (G.star ~centre:'b' ~leaves:[ 'a'; 'a'; 'b' ], Sym.star ~centre:0 4)
-        | _ -> (G.clique [ 'a'; 'a'; 'b' ], Sym.clique 3)
-      in
+      let g, sym = Helpers.graph_with_group shape in
       let mem_budget = if budgeted then Some tiny_budget else None in
       let legacy = Helpers.explore_legacy ~max_configs:100_000 m g in
       let legacy_loops =

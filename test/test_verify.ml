@@ -4,7 +4,6 @@ module Space = Dda_verify.Space
 module Scc = Dda_verify.Scc
 module Decide = Dda_verify.Decide
 module Counted = Dda_symbolic.Counted
-module Sym = Dda_verify.Symmetry
 open Helpers
 
 let verdict = Alcotest.testable Decide.pp_verdict (fun a b -> a = b)
@@ -318,13 +317,7 @@ let prop_unconditional_matches_oracle =
     QCheck.(pair small_int (int_range 0 3))
     (fun (seed, shape) ->
       let m = Helpers.random_machine seed in
-      let g, sym =
-        match shape with
-        | 0 -> (G.cycle [ 'a'; 'b'; 'a'; 'b' ], Sym.cycle 4)
-        | 1 -> (G.line [ 'a'; 'b'; 'b'; 'a' ], Sym.line 4)
-        | 2 -> (G.star ~centre:'b' ~leaves:[ 'a'; 'a'; 'b' ], Sym.star ~centre:0 4)
-        | _ -> (G.clique [ 'a'; 'a'; 'b' ], Sym.clique 3)
-      in
+      let g, sym = Helpers.graph_with_group shape in
       let same oracle space = verdict_shape (Decide.unconditional space) = oracle in
       let own space = same (unconditional_oracle space) space in
       let explicit = Space.explore ~max_configs:100_000 m g in
