@@ -144,20 +144,14 @@ let verdict_name = function
   | Decide.Rejects -> "rejects"
   | Decide.Inconsistent _ -> "inconsistent"
 
-let store_verdict_name = function
-  | Store.Accepts -> "accepts"
-  | Store.Rejects -> "rejects"
-  | Store.Inconsistent _ -> "inconsistent"
-  | Store.Bounded _ -> "bounded"
-
 (* A cached entry answering a decide/verify query, with its provenance. *)
 let print_entry (e : Store.entry) ~tier =
   (match e.Store.verdict with
   | Store.Bounded n ->
     Format.printf "state space exceeded %d configurations (cached bound)@." n
-  | v ->
+  | Store.Verdict v ->
     Format.printf "verdict: %s (cached, %d configurations, %.2fs original)@."
-      (store_verdict_name v) e.Store.configs e.Store.seconds);
+      (verdict_name v) e.Store.configs e.Store.seconds);
   if e.Store.engine <> "explicit" then Format.printf "engine: %s@." e.Store.engine;
   (match e.Store.family with
   | Some fc ->

@@ -12,7 +12,7 @@ let c_jobs = T.counter "batch.jobs"
 let c_bounded = T.counter "batch.bounded"
 let c_errors = T.counter "batch.errors"
 
-type result_ =
+type result_ = Store.verdict =
   | Verdict of Decide.verdict
   | Bounded of int
 
@@ -43,21 +43,9 @@ let note_miss count =
   incr g_misses;
   if count then T.incr c_misses
 
-let result_of_verdict = function
-  | Store.Accepts -> Verdict Decide.Accepts
-  | Store.Rejects -> Verdict Decide.Rejects
-  | Store.Inconsistent w -> Verdict (Decide.Inconsistent w)
-  | Store.Bounded n -> Bounded n
-
-let verdict_of_result = function
-  | Verdict Decide.Accepts -> Store.Accepts
-  | Verdict Decide.Rejects -> Store.Rejects
-  | Verdict (Decide.Inconsistent w) -> Store.Inconsistent w
-  | Bounded n -> Store.Bounded n
-
 let of_entry (e : Store.entry) =
   {
-    result = result_of_verdict e.Store.verdict;
+    result = e.Store.verdict;
     cached = true;
     configs = e.Store.configs;
     seconds = e.Store.seconds;
@@ -242,7 +230,7 @@ let record store p ((d, family) : computed) =
       graph = p.graph_key;
       regime = Spec.regime_name p.regime;
       max_configs = p.max_configs;
-      verdict = verdict_of_result d.result;
+      verdict = d.result;
       configs = d.configs;
       seconds = d.seconds;
       engine = p.engine;

@@ -14,7 +14,7 @@
     overflow is as deterministic as a verdict) and reported with exit
     status 1 by the CLI, reserving 2 for real errors. *)
 
-type result_ =
+type result_ = Store.verdict =
   | Verdict of Dda_verify.Decide.verdict
   | Bounded of int  (** budget exceeded after this many configurations *)
 
@@ -116,6 +116,9 @@ val compute : plan -> (computed, string) result
 (** [solve [regime]]: the plan's own job, alone. *)
 
 val lookup : Store.t -> plan -> (Store.entry * tier) option
+
+val of_entry : Store.entry -> decision
+(** A stored entry as a [cached] decision. *)
 
 val record : Store.t -> plan -> computed -> unit
 (** Persist a fresh result under the plan's key, with its provenance. *)

@@ -1,13 +1,12 @@
 module Json = Dda_telemetry.Json
 module T = Dda_telemetry.Telemetry
+module Decide = Dda_verify.Decide
 
 let c_mem_hit = T.counter "cache.mem_hit"
 let c_mem_evict = T.counter "cache.mem_evict"
 
 type verdict =
-  | Accepts
-  | Rejects
-  | Inconsistent of string
+  | Verdict of Decide.verdict
   | Bounded of int
 
 type family_cert = { from_n : int; checked_to : int; cutoff : int option }
@@ -88,9 +87,9 @@ let entry_json e =
   Buffer.add_string b (Printf.sprintf ",\"max_configs\":%d" e.max_configs);
   Buffer.add_string b ",\"verdict\":{";
   (match e.verdict with
-  | Accepts -> str "kind" "accepts"
-  | Rejects -> str "kind" "rejects"
-  | Inconsistent w ->
+  | Verdict Decide.Accepts -> str "kind" "accepts"
+  | Verdict Decide.Rejects -> str "kind" "rejects"
+  | Verdict (Decide.Inconsistent w) ->
     str "kind" "inconsistent";
     Buffer.add_char b ',';
     str "witness" w
@@ -147,11 +146,11 @@ let entry_of_json doc =
   let* verdict =
     let* kind = str "kind" vdoc in
     match kind with
-    | "accepts" -> Ok Accepts
-    | "rejects" -> Ok Rejects
+    | "accepts" -> Ok (Verdict Decide.Accepts)
+    | "rejects" -> Ok (Verdict Decide.Rejects)
     | "inconsistent" ->
       let* w = str "witness" vdoc in
-      Ok (Inconsistent w)
+      Ok (Verdict (Decide.Inconsistent w))
     | "bounded" ->
       let* n = int "bound" vdoc in
       Ok (Bounded n)

@@ -13,10 +13,10 @@
     them. *)
 
 type verdict =
-  | Accepts
-  | Rejects
-  | Inconsistent of string  (** witness description *)
+  | Verdict of Dda_verify.Decide.verdict
   | Bounded of int  (** exploration hit the budget after this many configs *)
+(** What an entry records: a verdict, or the budget the exploration hit.
+    {!Batch.result_} is this type. *)
 
 type family_cert = {
   from_n : int;  (** the verdict holds for every instance with [n >= from_n] *)

@@ -2,8 +2,8 @@
    server (server.ml) and the routing proxy (router.ml) speak the same
    two wire formats over the same kind of connection, move bytes through
    growable byte windows, and live under the same select() descriptor
-   budget.  Everything here is wire handling; the request handlers stay
-   with their process. *)
+   budget.  Everything here is wire handling, request decoding included;
+   each process keeps one request handler. *)
 
 (* A contiguous window [off, off+len) into a growable buffer.  The read
    side appends socket bytes at the tail and the parser consumes from the
@@ -310,13 +310,19 @@ let feed c ~on_line ~on_frame =
   in
   go ()
 
-let read c ~on_line ~on_frame ~on_crash =
+(* the one request decoder of both front wires: each process hands its
+   single handler a decoded request, whatever format delivered it *)
+let read c ~on_request ~on_crash =
   match fill c.fd c.rbuf with
   | `Data -> (
     (* no single request may take the loop thread (and with it every
        connection) down: an unexpected exception fails this connection
        only *)
-    try feed c ~on_line ~on_frame with e -> fatal c (on_crash e))
+    try
+      feed c
+        ~on_line:(fun line -> on_request (Protocol.parse_request line))
+        ~on_frame:(fun payload -> on_request (Protocol.decode_request_payload payload))
+    with e -> fatal c (on_crash e))
   | `Again -> ()
   | `Eof -> c.eof <- true
   | `Error ->

@@ -1,8 +1,9 @@
 (** Plumbing shared by the select()-based event loops (the server and the
     router): growable byte windows, the [select] descriptor budget, and
     the one connection codec both speak on their front wire — [/1] JSON
-    lines and [/2] length-prefixed frames (doc/SERVICE.md).  Each process
-    keeps only its request handlers and its own event loop. *)
+    lines and [/2] length-prefixed frames (doc/SERVICE.md) — and the one
+    request decoder behind it.  Each process keeps one request handler
+    and its own event loop. *)
 
 type iobuf = { mutable buf : Bytes.t; mutable off : int; mutable len : int }
 (** A contiguous window [off, off+len) into a growable buffer.  Readers
@@ -94,18 +95,25 @@ val append : conn -> string -> unit
 (** Append pre-encoded bytes (a relayed [/2] frame), unless [dead]/[closed]. *)
 
 val feed : conn -> on_line:(string -> unit) -> on_frame:(string -> unit) -> unit
-(** Pass each complete request in [rbuf], in order, to its callback: [/1]
-    lines (blank ones skipped), [/2] payloads (the magic is echoed when
-    [/2] is detected).  A partial tail waits, so any chunking of a stream
-    yields what feeding it whole does.  A line past {!max_rbuf} or a bad
-    frame length is fatal: one error response, [eof] set, [rbuf]
-    dropped.  Feeding stops at [eof]. *)
+(** Pass each complete request in [rbuf], in order and undecoded, to its
+    callback: [/1] lines (blank ones skipped), [/2] payloads (the magic is
+    echoed when [/2] is detected).  A partial tail waits, so any chunking
+    of a stream yields what feeding it whole does.  A line past
+    {!max_rbuf} or a bad frame length is fatal: one error response, [eof]
+    set, [rbuf] dropped.  Feeding stops at [eof]. *)
 
 val read :
-  conn -> on_line:(string -> unit) -> on_frame:(string -> unit) -> on_crash:(exn -> string) -> unit
-(** {!fill} then {!feed}.  EOF sets [eof]; a read error also [dead].  A
-    callback that raises fails its connection only, like a framing
-    error, with the reason [on_crash] returns (after counting it). *)
+  conn ->
+  on_request:((Protocol.request, Protocol.parse_error) result -> unit) ->
+  on_crash:(exn -> string) ->
+  unit
+(** {!fill} then {!feed}, decoding each request for [on_request]: a line
+    through {!Protocol.parse_request}, a frame through
+    {!Protocol.decode_request_payload} (default budgets).  An undecodable
+    request is an [Error] for the handler to answer; the connection
+    survives it.  EOF sets [eof]; a read error also [dead].  A handler
+    that raises fails its connection only, like a framing error, with the
+    reason [on_crash] returns (after counting it). *)
 
 val flush : conn -> unit
 (** Write out [wbuf]; a hard error marks the connection [dead]. *)

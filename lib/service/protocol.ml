@@ -374,7 +374,7 @@ let encode_response_frame r =
         add_f64 b r.queue_ms;
         add_f64 b r.total_ms)
 
-(* --- Raw frame surgery (the router's fast path) ------------------------------- *)
+(* --- Raw frame surgery (the router's response relay) -------------------------- *)
 
 (* Both payload layouts open the same way — a tag byte (request op or
    response status) followed by the id as a str16 — so a proxy can match

@@ -162,14 +162,8 @@ val decode_response_payload : string -> (response, string) result
     Request and response payloads open the same way — a tag byte (the
     request op or response status) followed by the id as a [u16]-length
     string — so a proxy can match responses and rewrite ids without
-    decoding the op-specific body.  The router forwards [/2] traffic
+    decoding the op-specific body.  The router relays backend responses
     through these; everything else uses the full codecs above. *)
-
-val op_decide : int
-val op_ping : int
-val op_stats : int
-val op_health : int
-(** Request-payload tag bytes. *)
 
 val payload_tag : string -> int
 (** First byte of a payload, or [-1] when empty. *)

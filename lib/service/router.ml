@@ -7,10 +7,10 @@
    timeout) off the loop and hands negotiated descriptors back through a
    mutex-protected mailbox plus the wake pipe.
 
-   The /2 fast path never decodes a decide it has routed before: the
-   payload layout (tag byte, id str16, body) lets the loop extract the
-   client id, memoise body -> ring key, and forward by re-framing the
-   raw body under a router-assigned id — two blits per hop. *)
+   Front requests arrive decoded (Evloop.read), whichever wire carried
+   them; a forward re-encodes its decide under a router-assigned id, and
+   the response comes back by swapping the client's id into the raw
+   frame. *)
 
 module Spec = Dda_batch.Spec
 module T = Dda_telemetry.Telemetry
@@ -122,9 +122,7 @@ type stats = {
 type fwd = {
   f_front : conn;
   f_id : string;  (* the client's id, restored on the way back *)
-  f_rid : string;  (* router-assigned id on the backend wire *)
-  f_body : string;  (* raw decide body (everything after tag + id) *)
-  f_key : string;  (* ring key: the textual spec identity *)
+  f_req : Protocol.decide;  (* the request, under the router-assigned id *)
   mutable f_sent : float;  (* monotonic, for the latency window *)
   mutable f_attempts : int;  (* sends so far; retry allows a second *)
 }
@@ -152,7 +150,6 @@ type backend = {
 
 let initial_backoff = 0.25
 let max_backoff = 8.0
-let max_key_memo = 8192
 
 type t = {
   cfg : config;
@@ -179,7 +176,6 @@ type t = {
   mutable s_stats_rpc : int;
   mutable s_health_rpc : int;
   mutable rid_seq : int;
-  key_memo : (string, (string, string) result) Hashtbl.t;  (* /2 body -> ring key *)
   window : T.Window.t;
   t0_mono : float;
   mutable loop_thread : Thread.t option;
@@ -239,9 +235,8 @@ let fresh_rid t =
 let send_fwd t b fwd =
   fwd.f_sent <- T.monotonic ();
   fwd.f_attempts <- fwd.f_attempts + 1;
-  Hashtbl.replace b.b_inflight fwd.f_rid fwd;
-  iobuf_add_string b.b_wbuf
-    (Protocol.reframe ~tag:Protocol.op_decide ~id:fwd.f_rid ~body:fwd.f_body);
+  Hashtbl.replace b.b_inflight fwd.f_req.Protocol.id fwd;
+  iobuf_add_string b.b_wbuf (Protocol.encode_request_frame (Protocol.Decide fwd.f_req));
   b.b_forwarded <- b.b_forwarded + 1;
   bump t (fun t -> t.s_forwarded <- t.s_forwarded + 1);
   T.incr c_forwarded
@@ -259,10 +254,18 @@ let retire_fwd t fwd =
   fwd.f_front.inflight <- fwd.f_front.inflight - 1;
   T.Window.observe t.window ((T.monotonic () -. fwd.f_sent) *. 1000.)
 
+(* the ring key: the textual spec identity — stable across retries and
+   restarts, and computable without building the machine or graph
+   (router.mli) *)
+let route_key (d : Protocol.decide) =
+  String.concat "\x00"
+    [ d.Protocol.protocol; d.Protocol.graph; Spec.regime_name d.Protocol.regime;
+      string_of_int d.Protocol.max_configs ]
+
 (* route (or re-route) an admitted forward; [Error] when no backend can
    take it — the caller answers the front *)
 let route_fwd t fwd =
-  match Ring.lookup t.ring fwd.f_key with
+  match Ring.lookup t.ring (route_key fwd.f_req) with
   | None -> Error (Protocol.Rejected "no_backends")
   | Some name ->
     let b = backend_by_name t name in
@@ -275,12 +278,8 @@ let route_fwd t fwd =
       Ok ()
     end
 
-(* the textual spec identity — stable across retries and restarts, and
-   computable without parsing the graph or protocol (router.mli) *)
-let route_key ~protocol ~graph ~regime ~max_configs =
-  String.concat "\x00" [ protocol; graph; regime; string_of_int max_configs ]
-
-let admit_decide t conn ~id ~body ~key =
+let admit_decide t conn (d : Protocol.decide) =
+  let id = d.Protocol.id in
   bump t (fun t -> t.s_decides <- t.s_decides + 1);
   if Atomic.get t.stop then begin
     bump t (fun t -> t.s_rejected <- t.s_rejected + 1);
@@ -297,9 +296,7 @@ let admit_decide t conn ~id ~body ~key =
       {
         f_front = conn;
         f_id = id;
-        f_rid = fresh_rid t;
-        f_body = body;
-        f_key = key;
+        f_req = { d with Protocol.id = fresh_rid t };
         f_sent = 0.;
         f_attempts = 0;
       }
@@ -505,73 +502,8 @@ let stats_doc t fronts =
 (* Front request handling                                               *)
 (* ------------------------------------------------------------------ *)
 
-let memo_key t body compute =
-  match Hashtbl.find_opt t.key_memo body with
-  | Some r -> r
-  | None ->
-    let r = compute () in
-    if Hashtbl.length t.key_memo >= max_key_memo then Hashtbl.reset t.key_memo;
-    Hashtbl.add t.key_memo body r;
-    r
-
-(* the /2 fast path: tag dispatch and id extraction on raw bytes *)
-let handle_front_payload t fronts conn payload =
-  bump t (fun t -> t.s_requests <- t.s_requests + 1);
-  T.incr c_requests;
-  let tag = Protocol.payload_tag payload in
-  match Protocol.payload_id payload with
-  | None ->
-    count_error t;
-    answer conn ~id:"" (Protocol.Error "truncated payload")
-  | Some id ->
-    if tag = Protocol.op_ping then begin
-      bump t (fun t -> t.s_pings <- t.s_pings + 1);
-      answer conn ~id Protocol.Pong
-    end
-    else if tag = Protocol.op_stats then begin
-      bump t (fun t -> t.s_stats_rpc <- t.s_stats_rpc + 1);
-      answer conn ~id (Protocol.Stats_doc (stats_doc t fronts))
-    end
-    else if tag = Protocol.op_health then begin
-      bump t (fun t -> t.s_health_rpc <- t.s_health_rpc + 1);
-      answer conn ~id (Protocol.Health_state (health_of t))
-    end
-    else if tag = Protocol.op_decide then begin
-      match Protocol.payload_body payload with
-      | None ->
-        count_error t;
-        answer conn ~id (Protocol.Error "truncated payload")
-      | Some body -> (
-        let key =
-          memo_key t body (fun () ->
-              match Protocol.decode_request_payload payload with
-              | Ok (Protocol.Decide d) ->
-                Ok
-                  (route_key ~protocol:d.Protocol.protocol ~graph:d.Protocol.graph
-                     ~regime:(Spec.regime_name d.Protocol.regime)
-                     ~max_configs:d.Protocol.max_configs)
-              | Ok _ -> Error "malformed decide payload"
-              | Error e -> Error e.Protocol.err_reason)
-        in
-        match key with
-        | Ok key -> admit_decide t conn ~id ~body ~key
-        | Error reason ->
-          count_error t;
-          answer conn ~id (Protocol.Error reason))
-    end
-    else begin
-      count_error t;
-      answer conn ~id (Protocol.Error (Printf.sprintf "unknown op %d" tag))
-    end
-
-(* strip the frame header, tag and (empty) id off an encoded decide:
-   what remains is the raw body the fast path forwards *)
-let decide_body d =
-  let f = Protocol.encode_request_frame (Protocol.Decide { d with Protocol.id = "" }) in
-  String.sub f 7 (String.length f - 7)
-
-(* the /1 path: full parse, then the same admission *)
-let handle_front_parsed t fronts conn parsed =
+(* one request from either wire, decoded by Evloop.read *)
+let handle_front t fronts conn parsed =
   bump t (fun t -> t.s_requests <- t.s_requests + 1);
   T.incr c_requests;
   match parsed with
@@ -588,24 +520,24 @@ let handle_front_parsed t fronts conn parsed =
     bump t (fun t -> t.s_health_rpc <- t.s_health_rpc + 1);
     answer conn ~id (Protocol.Health_state (health_of t))
   | Ok (Protocol.Decide d) ->
-    (* a /1 line can carry fields no /2 frame can (str16 caps each at
-       65535 bytes, while lines run to max_rbuf); re-encoding such a
-       decide for the backend wire would raise [Invalid_argument] out of
-       the loop thread, so answer the protocol error here instead *)
-    let over = function Some s -> String.length s > 0xffff | None -> false in
-    if over (Some d.Protocol.protocol) || over (Some d.Protocol.graph) || over d.Protocol.trace
+    (* a /1 line can carry fields no /2 frame can (str16 caps each string
+       at 65535 bytes and u32 each number, while lines run to max_rbuf);
+       re-encoding such a decide for the backend wire would raise
+       [Invalid_argument] out of the loop thread, or wrap a number (a
+       budget of 2^32 + 1 would reach the backend as 1), so answer the
+       protocol error here instead *)
+    let long = function Some s -> String.length s > 0xffff | None -> false in
+    let big = function Some n -> n > 0xffff_ffff | None -> false in
+    if long (Some d.Protocol.protocol) || long (Some d.Protocol.graph) || long d.Protocol.trace
+       || big (Some d.Protocol.max_configs) || big d.Protocol.deadline_ms
     then begin
       count_error t;
       answer conn ~id:d.Protocol.id
         (Protocol.Error
-           (Printf.sprintf "decide field exceeds the %s limit (65535 bytes)" Protocol.schema2))
+           (Printf.sprintf "decide field exceeds the %s limit (65535 bytes, 32-bit numbers)"
+              Protocol.schema2))
     end
-    else
-      let key =
-        route_key ~protocol:d.Protocol.protocol ~graph:d.Protocol.graph
-          ~regime:(Spec.regime_name d.Protocol.regime) ~max_configs:d.Protocol.max_configs
-      in
-      admit_decide t conn ~id:d.Protocol.id ~body:(decide_body d) ~key
+    else admit_decide t conn d
 
 (* ------------------------------------------------------------------ *)
 (* Backend responses                                                    *)
@@ -663,10 +595,7 @@ let flush_backend t b =
   | None -> ()
 
 let read_front t fronts conn =
-  read conn
-    ~on_line:(fun line -> handle_front_parsed t fronts conn (Protocol.parse_request line))
-    ~on_frame:(handle_front_payload t fronts conn)
-    ~on_crash:(fun e ->
+  read conn ~on_request:(handle_front t fronts conn) ~on_crash:(fun e ->
       count_error t;
       "router: " ^ Printexc.to_string e)
 
@@ -832,7 +761,6 @@ let start cfg =
             s_stats_rpc = 0;
             s_health_rpc = 0;
             rid_seq = 0;
-            key_memo = Hashtbl.create 256;
             window = T.Window.create ~window_s:cfg.window_s "service.window.latency_ms";
             t0_mono = now;
             loop_thread = None;

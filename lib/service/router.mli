@@ -9,12 +9,14 @@
     request's spec identity onto a consistent-hash ring of backends
     (virtual nodes for balance), and forwards over one pooled, pipelined
     [/2] connection per backend, multiplexing responses back by request
-    id.
+    id.  Every front request arrives decoded ({!Evloop.read}), whichever
+    wire carried it; a forward re-encodes its decide under a
+    router-assigned id.
 
     Routing hashes the {e textual} spec identity (protocol, graph,
-    regime, budget) rather than the parsed fingerprint: it needs no
-    parsing on the hot path and is exactly as stable for repeated
-    requests.  Two textually different specs that canonicalise to the
+    regime, budget) of the decoded request rather than the parsed
+    fingerprint: it builds no machine or graph and is exactly as stable
+    for repeated requests, on either wire.  Two textually different specs that canonicalise to the
     same fingerprint may land on different backends — the cost is a
     duplicate cache entry there, never a wrong answer.
 

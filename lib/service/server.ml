@@ -392,32 +392,18 @@ let worker_loop t () =
 (* Request handling (all on the loop thread)                             *)
 (* ------------------------------------------------------------------ *)
 
-let verdict_string = function
-  | Decide.Accepts -> "accepts"
-  | Decide.Rejects -> "rejects"
-  | Decide.Inconsistent _ -> "inconsistent"
-
-let status_of_entry (e : Store.entry) =
-  match e.Store.verdict with
-  | Store.Accepts | Store.Rejects | Store.Inconsistent _ ->
-    Protocol.Verdict
-      {
-        verdict =
-          (match e.Store.verdict with
-          | Store.Accepts -> "accepts"
-          | Store.Rejects -> "rejects"
-          | _ -> "inconsistent");
-        cached = true;
-        configs = e.Store.configs;
-        seconds = e.Store.seconds;
-      }
-  | Store.Bounded n -> Protocol.Bounded { reason = "budget"; configs = n }
-
+(* the wire status of a decision, fresh or from a tier ([d.cached]) *)
 let status_of_decision (d : Batch.decision) =
   match d.Batch.result with
   | Batch.Verdict v ->
+    let verdict =
+      match v with
+      | Decide.Accepts -> "accepts"
+      | Decide.Rejects -> "rejects"
+      | Decide.Inconsistent _ -> "inconsistent"
+    in
     Protocol.Verdict
-      { verdict = verdict_string v; cached = false; configs = d.Batch.configs; seconds = d.Batch.seconds }
+      { verdict; cached = d.Batch.cached; configs = d.Batch.configs; seconds = d.Batch.seconds }
   | Batch.Bounded n -> Protocol.Bounded { reason = "budget"; configs = n }
 
 (* workload diversity bounds the plan memo in practice; reset is the
@@ -472,7 +458,8 @@ let handle_incoming t ls p =
     | Ok pl -> (
       let key = key_of t pl in
       match Option.bind t.cfg.cache (fun store -> Batch.lookup store pl) with
-      | Some (e, tier) -> respond_admitted t p ?key ~tier:(Batch.tier_name tier) (status_of_entry e)
+      | Some (e, tier) -> respond_admitted t p ?key ~tier:(Batch.tier_name tier)
+          (status_of_decision (Batch.of_entry e))
       | None -> (
         let enqueue () = Queue.force_push t.work { wk_pending = p; wk_plan = pl } in
         match key with
@@ -534,13 +521,7 @@ let handle_done t ls w r =
     respond_admitted t p ~compute_s:d.Batch.seconds ?key:wkey (status_of_decision d);
     (* waiters are answered from the just-stored result — a cache hit in
        every observable sense (their own deadlines still apply) *)
-    let waiter_status =
-      match d.Batch.result with
-      | Batch.Verdict v ->
-        Protocol.Verdict
-          { verdict = verdict_string v; cached = true; configs = d.Batch.configs; seconds = d.Batch.seconds }
-      | Batch.Bounded n -> Protocol.Bounded { reason = "budget"; configs = n }
-    in
+    let waiter_status = status_of_decision { d with Batch.cached = true } in
     List.iter
       (fun wp ->
         if expired wp (Unix.gettimeofday ()) then
@@ -698,10 +679,7 @@ let handle_request t ls conn parsed =
 (* ------------------------------------------------------------------ *)
 
 let read_conn t ls conn =
-  read conn
-    ~on_line:(fun line -> handle_request t ls conn (Protocol.parse_request line))
-    ~on_frame:(fun payload -> handle_request t ls conn (Protocol.decode_request_payload payload))
-    ~on_crash:(fun e ->
+  read conn ~on_request:(handle_request t ls conn) ~on_crash:(fun e ->
       count_error t;
       "server: " ^ Printexc.to_string e)
 

@@ -192,7 +192,7 @@ let test_key_sensitivity () =
 
 (* --- the store ------------------------------------------------------------- *)
 
-let entry ?(verdict = Store.Accepts) key =
+let entry ?(verdict = Store.Verdict Decide.Accepts) key =
   {
     Store.key;
     machine = "tab:m";
@@ -220,7 +220,8 @@ let test_store_roundtrip () =
             Alcotest.(check bool) "verdict survives the round-trip" true
               (e.Store.verdict = verdict);
             Alcotest.(check int) "configs survive" 42 e.Store.configs)
-        [ Store.Accepts; Store.Rejects; Store.Inconsistent "w: 0 1"; Store.Bounded 7 ];
+        [ Store.Verdict Decide.Accepts; Store.Verdict Decide.Rejects;
+          Store.Verdict (Decide.Inconsistent "w: 0 1"); Store.Bounded 7 ];
       let s = Store.stats store in
       Alcotest.(check int) "four entries on disk" 4 s.Store.entries;
       Alcotest.(check int) "none corrupt" 0 s.Store.corrupt)

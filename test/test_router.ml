@@ -123,7 +123,7 @@ let test_ring_balance_and_stability () =
 
 (* [n] backends and a router in front, all on throwaway sockets; everything
    drained and awaited on the way out so no thread survives the test *)
-let with_router ?(n = 2) ?(router_cfg = fun c -> c) f =
+let with_router ?(n = 2) ?(router_cfg = fun c -> c) ?(backend_cfg = fun c -> c) f =
   let dir = fresh_dir () in
   let bsock i = Filename.concat dir (Printf.sprintf "b%d.sock" i) in
   let rsock = Filename.concat dir "r.sock" in
@@ -132,11 +132,12 @@ let with_router ?(n = 2) ?(router_cfg = fun c -> c) f =
   let start_backend i =
     match
       Server.start
-        {
-          Server.default_config with
-          addresses = [ Sproto.Unix_socket (bsock i) ];
-          cache = Some (Store.open_ ~root:(Filename.concat dir (Printf.sprintf "cache%d" i)) ());
-        }
+        (backend_cfg
+           {
+             Server.default_config with
+             addresses = [ Sproto.Unix_socket (bsock i) ];
+             cache = Some (Store.open_ ~root:(Filename.concat dir (Printf.sprintf "cache%d" i)) ());
+           })
     with
     | Ok srv -> srv
     | Error e -> Alcotest.failf "backend %d failed to start: %s" i e
@@ -358,6 +359,90 @@ let test_router_oversized_field () =
       Client.close c;
       let s = Router.stats rt in
       Alcotest.(check int) "counted as a request error" 1 s.Router.errors)
+
+(* --- a forward keeps every field ---------------------------------------------- *)
+
+let send_all fd s =
+  let n = String.length s in
+  let rec go off = if off < n then go (off + Unix.write_substring fd s off (n - off)) in
+  go 0
+
+let read_frame ic =
+  let n = Sproto.frame_length (really_input_string ic 4) in
+  match Sproto.decode_response_payload (really_input_string ic n) with
+  | Ok r -> r
+  | Error e -> Alcotest.failf "undecodable response frame: %s" e
+
+(* A /1 and a /2 decide of one spec, each with a deadline and its own
+   trace id, reach the backend whole: the same verdict, and both trace
+   ids in the backend's access log.  A /1 number the /2 wire cannot carry
+   is refused.  Undecodable frames on the /2 front (an unknown op, a
+   truncated decide) are answered with errors and the connection keeps
+   serving. *)
+let test_router_forward_keeps_fields () =
+  let logdir = fresh_dir () in
+  let log = Filename.concat logdir "access.log" in
+  Fun.protect ~finally:(fun () -> rm_rf logdir) @@ fun () ->
+  with_router ~n:1
+    ~backend_cfg:(fun c -> { c with Server.access_log = Some log })
+    (fun ~rsock ~bsock:_ ~restart:_ ~stop_backend rt ->
+      let decide ~id ~trace = decide_of ~deadline_ms:30_000 ~trace ~id (quick_job ()) in
+      let verdict what = function
+        | { Sproto.status = Sproto.Verdict v; _ } -> v.verdict
+        | r -> Alcotest.failf "%s: unexpected response %s" what (Sproto.response_to_json r)
+      in
+      let c1 = Result.get_ok (Client.connect (Sproto.Unix_socket rsock)) in
+      let v1 = verdict "/1 decide" (rpc_exn c1 (decide ~id:"j1" ~trace:"trace-v1")) in
+      (* a /1 budget past the /2 wire's u32 is refused, not wrapped *)
+      (match rpc_exn c1 (decide_of ~id:"huge" (quick_job ~max_configs:(0xffff_ffff + 2) ())) with
+      | { Sproto.status = Sproto.Error reason; _ } ->
+        Alcotest.(check bool) (Printf.sprintf "error names the limit (%s)" reason) true
+          (contains "32-bit" reason)
+      | r -> Alcotest.failf "expected an error, got %s" (Sproto.response_to_json r));
+      Client.close c1;
+      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      Unix.connect fd (Unix.ADDR_UNIX rsock);
+      let ic = Unix.in_channel_of_descr fd in
+      send_all fd Sproto.magic;
+      Alcotest.(check string) "router echoes the magic" Sproto.magic (really_input_string ic 4);
+      send_all fd (Sproto.encode_request_frame (decide ~id:"j2" ~trace:"trace-v2"));
+      let r2 = read_frame ic in
+      Alcotest.(check string) "/2 id restored" "j2" r2.Sproto.rid;
+      Alcotest.(check string) "same verdict on both fronts" v1 (verdict "/2 decide" r2);
+      let error_for what id frame =
+        send_all fd frame;
+        match read_frame ic with
+        | { Sproto.status = Sproto.Error _; rid; _ } when rid = id -> ()
+        | r -> Alcotest.failf "%s: expected an error, got %s" what (Sproto.response_to_json r)
+      in
+      error_for "unknown op" "u1" (Sproto.reframe ~tag:9 ~id:"u1" ~body:"");
+      (* a decide body cut inside its protocol string *)
+      error_for "truncated decide" "t1" (Sproto.reframe ~tag:1 ~id:"t1" ~body:"\x00\x08exi");
+      send_all fd (Sproto.encode_request_frame (Sproto.Ping "p1"));
+      (match read_frame ic with
+      | { Sproto.status = Sproto.Pong; rid = "p1"; _ } -> ()
+      | r -> Alcotest.failf "ping after the errors: %s" (Sproto.response_to_json r));
+      Unix.close fd;
+      let s = Router.stats rt in
+      Alcotest.(check int) "both decides forwarded" 2 s.Router.forwarded;
+      Alcotest.(check int) "the huge budget and both bad frames counted as errors" 3
+        s.Router.errors;
+      (* the drain flushes the backend's access log *)
+      stop_backend 0;
+      let ic = open_in log in
+      let lines = In_channel.input_all ic |> String.split_on_char '\n' in
+      close_in ic;
+      let traces =
+        List.filter_map
+          (fun l ->
+            match Json.parse l with
+            | Ok j when Json.member "verb" j = Some (Json.Str "decide") -> (
+              match Json.member "trace" j with Some (Json.Str t) -> Some t | _ -> None)
+            | _ -> None)
+          lines
+      in
+      Alcotest.(check (list string)) "the backend logged both trace ids"
+        [ "trace-v1"; "trace-v2" ] traces)
 
 (* --- per-front-connection admission ------------------------------------------- *)
 
@@ -617,6 +702,8 @@ let () =
           Alcotest.test_case "all backends down" `Quick test_router_all_down;
           Alcotest.test_case "/1 fields beyond the /2 wire answer an error" `Quick
             test_router_oversized_field;
+          Alcotest.test_case "a forward keeps every field" `Quick
+            test_router_forward_keeps_fields;
           Alcotest.test_case "per-front-connection in-flight cap" `Quick
             test_router_conn_limit;
           Alcotest.test_case "retry-once onto the ring successor" `Quick

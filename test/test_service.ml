@@ -854,11 +854,10 @@ let codec_request =
       ])
 
 (* What follows the requests: nothing, blank /1 lines (skipped), or a
-   fatal framing error — a /1 line one byte past the bound with no newline
-   in sight, or a /2 length of 0 or past the frame cap followed by junk. *)
+   fatal /2 framing error — a length of 0 or past the frame cap followed
+   by junk.  The /1 fatal tail, an 8 MiB line, is its own case below. *)
 type codec_tail = Clean | Blank_lines | Fatal of int
 
-let endless_line = lazy (String.make (Evloop.max_rbuf + 1) 'x')
 let u32 n = String.init 4 (fun i -> Char.chr ((n lsr (8 * (3 - i))) land 0xff))
 
 let codec_stream binary units tail =
@@ -868,9 +867,7 @@ let codec_stream binary units tail =
   match tail with
   | Clean -> ""
   | Blank_lines -> if binary then "" else "\n  \n"
-  | Fatal k when binary ->
-    u32 [| 0; Sproto.max_frame + 1; Sproto.max_frame + 2; 0xffff_ffff |].(k) ^ "junk"
-  | Fatal _ -> Lazy.force endless_line
+  | Fatal k -> u32 [| 0; Sproto.max_frame + 1; Sproto.max_frame + 2; 0xffff_ffff |].(k) ^ "junk"
 
 (* exactly one error response, with no id *)
 let lone_error binary out =
@@ -886,19 +883,22 @@ let lone_error binary out =
     | _ -> false
 
 (* (binary?, requests, tail, chunk sizes): small chunks dominate, so
-   1-byte splits land inside the magic and inside frame headers *)
+   1-byte splits land inside the magic and inside frame headers; only /2
+   streams end in a fatal tail *)
 let codec_case =
   QCheck.Gen.(
-    quad bool
+    bool >>= fun binary ->
+    quad (return binary)
       (list_size (int_bound 8) codec_request)
       (frequency
-         [ (2, return Clean); (1, return Blank_lines); (1, map (fun k -> Fatal k) (int_bound 3)) ])
+         ([ (2, return Clean); (1, return Blank_lines) ]
+         @ if binary then [ (1, map (fun k -> Fatal k) (int_bound 3)) ] else []))
       (list_size (int_bound 60)
          (frequency [ (3, return 1); (2, int_range 1 4); (1, int_range 1 80) ])))
 
 let test_codec_chunking =
   QCheck_alcotest.to_alcotest
-    (QCheck.Test.make ~count:300 ~name:"codec: any chunking = whole feed" (QCheck.make codec_case)
+    (QCheck.Test.make ~count:4_000 ~name:"codec: any chunking = whole feed" (QCheck.make codec_case)
        (fun (binary, reqs, tail, sizes) ->
          let units =
            List.map
@@ -921,6 +921,24 @@ let test_codec_chunking =
          && echoed = echo
          && eof = fatal
          && if fatal then lone_error binary responses else responses = ""))
+
+(* The /1 fatal tail: a ping line, then a line one byte past the bound
+   with no newline in sight, fed whole and split around the bound.  Every
+   feed yields the ping and one id-less error, and stops reading. *)
+let test_codec_endless_line () =
+  let ping = Sproto.request_to_json (Sproto.Ping "p") in
+  let stream = ping ^ "\n" ^ String.make (Evloop.max_rbuf + 1) 'x' in
+  List.iter
+    (fun (what, sizes) ->
+      let got, out, eof = feed_in_chunks stream sizes in
+      Alcotest.(check (list (pair string string))) (what ^ ": the ping is delivered")
+        [ ("line", ping) ] got;
+      Alcotest.(check bool) (what ^ ": one error response") true (lone_error false out);
+      Alcotest.(check bool) (what ^ ": reading stops") true eof)
+    (("whole", [])
+    :: List.map
+         (fun k -> (Printf.sprintf "split at %d" k, [ String.length ping + 1 + k ]))
+         [ Evloop.max_rbuf - 1; Evloop.max_rbuf; Evloop.max_rbuf + 1 ])
 
 let test_v2_pipelined_load () =
   let dir = fresh_dir () in
@@ -1345,6 +1363,7 @@ let () =
           Alcotest.test_case "malformed frames over the wire" `Quick test_v2_malformed_frames;
           Alcotest.test_case "pipelined load, cold then warm" `Quick test_v2_pipelined_load;
           test_codec_chunking;
+          Alcotest.test_case "codec: a /1 line past the bound" `Quick test_codec_endless_line;
         ] );
       ( "observability",
         [

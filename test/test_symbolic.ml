@@ -474,7 +474,7 @@ let test_family_cache_roundtrip () =
    with
   | Some (entry, _) ->
       Alcotest.(check bool) "verdict is accepts" true
-        (entry.Store.verdict = Store.Accepts)
+        (entry.Store.verdict = Store.Verdict Decide.Accepts)
   | None -> Alcotest.fail "family entry did not answer the instance query");
   (* below from_n, or for a different family, it must not answer *)
   (match
