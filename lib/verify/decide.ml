@@ -195,46 +195,80 @@ type obligation = Node_labels | Any_edge
    Under [Node_labels] an explicit row owes every node (slot = label = the
    selected node), a counted row the states it moves (labels >= -1, -1 the
    star centre's move, shifted by one).  A symmetry quotient's own labels
-   are not sound for these — merging orbit members conflates which node a
-   selection hits — so a reduced space is peeled as its *lifted* graph:
-   vertex x = (R, t), representative R and group element t, stands for the
-   concrete configuration p_t^{-1} . R.  Quotient edge k of R (successor
-   S, recorded element s with R' = p_s . S) lifts at (R, t) to an edge
-   labelled perms.(t).(k) going to (R', mul.(t).(s)); acceptance of
-   (R, t) is that of R.  Every lifted SCC is isomorphic (via p_t) to an SCC
-   of reachable concrete configurations and vice versa, so peeling the
-   lift is exact.  Cycles themselves need no lift: quotient cycles lift to
-   concrete ones and acceptance is automorphism-invariant. *)
+   are not sound for [Node_labels] — merging orbit members conflates which
+   node a selection hits — so [quotient_fair_witnesses] decides those. *)
 let fair_sets obligation space =
   let Space.{ size; node_count = n; degree; target; label; accepting; rejecting; _ } = space in
-  let ord, degree, target, slots, slot, owes =
-    match (obligation, space.Space.kind, space.Space.engine) with
-    | Any_edge, _, _ -> (1, degree, target, 1, (fun _ _ -> 0), fun _ -> 1)
-    | Node_labels, Space.Explicit, Some ({ Engine.symmetry = Some g; _ } as e) ->
-      let ord = Symmetry.order g and mul = Symmetry.mul g and perms = Symmetry.perms g in
-      let sigma = Engine.edge_sigma e in
-      let lifted x k =
-        let i = x / ord in
-        (target i k * ord) + mul.(x - (i * ord)).(sigma i k)
-      in
-      (ord, (fun _ -> n), lifted, n, (fun x k -> perms.(x mod ord).(k)), fun _ -> n)
-    | Node_labels, Space.Explicit, _ -> (1, degree, target, n, label, fun _ -> n)
-    | Node_labels, Space.Counted, _ ->
+  let slots, slot, owes =
+    match (obligation, space.Space.kind) with
+    | Any_edge, _ -> (1, (fun _ _ -> 0), fun _ -> 1)
+    | Node_labels, Space.Explicit -> (n, label, fun _ -> n)
+    | Node_labels, Space.Counted ->
       let top = ref 0 in
       for v = 0 to size - 1 do
         for k = 0 to degree v - 1 do top := max !top (label v k + 1) done
       done;
-      (1, degree, target, !top + 1, (fun v k -> label v k + 1), degree)
-    | Node_labels, Space.Opaque, _ ->
+      (!top + 1, (fun v k -> label v k + 1), degree)
+    | Node_labels, Space.Opaque ->
       invalid_arg "Decide.adversarial: needs an explicit or counted space (edge labels as obligations)"
   in
   let comp, non_acc, non_rej =
-    streett ~vertices:(size * ord) ~slots ~degree ~target ~slot ~owes
-      ~accepting:(fun x -> accepting (x / ord))
-      ~rejecting:(fun x -> rejecting (x / ord))
+    streett ~vertices:size ~slots ~degree ~target ~slot ~owes ~accepting ~rejecting
   in
-  let unlift x = if x < 0 then None else Some (x / ord) in
-  (comp, unlift non_acc, unlift non_rej)
+  let found v = if v < 0 then None else Some v in
+  (comp, found non_acc, found non_rej)
+
+(* The adversarial question on a symmetry quotient, on its own SCCs (the
+   proof is in doc/INTERNALS.md).  A BFS over component C's internal edges
+   gives each member a potential (tree edge R -> R', element s: pi R' =
+   pi R . s); each other one adds the generator h = pi R . s . (pi R')^-1
+   of C's monodromy group H, kept as the node moves of p_h.  C is fair iff
+   the H-orbits of its potential-permuted labels are every node. *)
+let quotient_fair_witnesses g ~sigma space =
+  let Space.{ size; node_count = n; degree; target; label; accepting; rejecting; _ } = space in
+  let mul = Symmetry.mul g and perms = Symmetry.perms g and comp = (scc_of space).Scc.comp in
+  let pot = Array.make size (-1) and queue = Array.make size 0 in
+  (* the first fair component's least members, as c * size + member *)
+  let full = (1 lsl n) - 1 and non_acc = ref max_int and non_rej = ref max_int in
+  for root = 0 to size - 1 do
+    if pot.(root) < 0 then begin
+      let c = comp.(root) and len = ref 1 and head = ref 0 and mask = ref 0 in
+      let acc = ref size and rej = ref size in
+      let moves = Array.make n 0 (* moves.(l): the nodes some generator sends l to *) in
+      pot.(root) <- 0;
+      queue.(0) <- root;
+      while !head < !len do
+        let u = queue.(!head) in
+        incr head;
+        if u < !acc && not (accepting u) then acc := u;
+        if u < !rej && not (rejecting u) then rej := u;
+        for k = 0 to degree u - 1 do
+          let w = target u k in
+          if comp.(w) = c then begin
+            mask := !mask lor (1 lsl perms.(pot.(u)).(label u k));
+            let t = mul.(pot.(u)).(sigma u k) in
+            if pot.(w) < 0 then begin
+              pot.(w) <- t;
+              queue.(!len) <- w;
+              incr len
+            end
+            else (* p_h sends p_{pi w}(m) to p_t(m) *)
+              let pw = perms.(pot.(w)) and pt = perms.(t) in
+              for m = 0 to n - 1 do moves.(pw.(m)) <- moves.(pw.(m)) lor (1 lsl pt.(m)) done
+          end
+        done
+      done;
+      for _ = 2 to n do
+        for l = 0 to n - 1 do if !mask land (1 lsl l) <> 0 then mask := !mask lor moves.(l) done
+      done;
+      if !mask = full then begin
+        if !acc < size then non_acc := min !non_acc ((c * size) + !acc);
+        if !rej < size then non_rej := min !non_rej ((c * size) + !rej)
+      end
+    end
+  done;
+  let found x = if x = max_int then None else Some (x mod size) in
+  (found !non_acc, found !non_rej)
 
 (* The verdict from a non-accepting and a non-rejecting configuration on
    fair cycles, if any; each regime (and counted spaces under adversarial
@@ -308,7 +342,7 @@ let streaming_pseudo_stochastic e describe =
 
 (* The fair-cycle question as two sweeps, one per polarity: a cycle owing
    [obligation] through a non-accepting (resp. non-rejecting) vertex.
-   [Node_labels] asks it of the lifted graph (same lift as [fair_sets]),
+   [Node_labels] asks it of the lift (see [quotient_fair_witnesses]),
    whose cycles must carry all [n] node labels; lifted row (R, t) is built
    from R's target and sigma rows, read once for the [ord] consecutive
    lifted vertices that share R.  [Any_edge] asks it of the space's own
@@ -357,11 +391,13 @@ let streaming_fair_cycles obligation e =
       (non_acc, cycle (fun x -> not (Engine.rej e (x / ord)))))
 
 (* A non-accepting and a non-rejecting configuration on fair cycles owing
-   [obligation], if any: streaming sweeps on spilled spaces, the Streett
-   kernel on resident ones. *)
+   [obligation], if any: streaming sweeps on spilled spaces, the quotient
+   pass on resident reduced ones under [Node_labels], else the kernel. *)
 let fair_witnesses obligation space =
   match space.Space.engine with
   | Some e when Engine.spilled e -> streaming_fair_cycles obligation e
+  | Some ({ Engine.symmetry = Some g; _ } as e) when obligation = Node_labels ->
+    quotient_fair_witnesses g ~sigma:(Engine.edge_sigma e) space
   | _ ->
     let _, non_acc, non_rej = fair_sets obligation space in
     (non_acc, non_rej)

@@ -82,16 +82,19 @@ val unconditional : Space.t -> verdict
 
 val adversarial : Space.t -> verdict
 (** Fair-SCC classification by the Streett kernel over the space's edge
-    view, on explicit and counted spaces.  On symmetry-reduced spaces it
-    analyses the {e lifted} graph of (representative, group element) pairs,
-    which restores the node identities the quotient merged — verdicts are
-    exactly those of the unreduced space.  Spilled spaces run the streaming
-    sweeps over the same (lifted) rows; the verdict is the same, the
-    witness may differ.
+    view, on explicit and counted spaces; resident symmetry-reduced spaces
+    take {!quotient_fair_witnesses} — verdicts are exactly those of the
+    unreduced space.  Spilled spaces run the streaming sweeps (over lifted
+    rows when reduced); the verdict is the same, the witness may differ.
     @raise Invalid_argument on an [Opaque] space.
     @raise Invalid_argument on an explicit space of more than 62 nodes (the
     sweeps keep a cycle's labels in one [int]), resident or spilled, before
     any analysis work; counted spaces have no node bound. *)
+
+val quotient_fair_witnesses :
+  Symmetry.t -> sigma:(int -> int -> int) -> Space.t -> int option * int option
+(** {!adversarial}'s witnesses on a quotient whose edge [k] of [R] recorded
+    group element [sigma R k]; exposed so tests can compare it with a lift. *)
 
 val synchronous :
   max_steps:int -> ('l, 's) Dda_machine.Machine.t -> 'l Dda_graph.Graph.t -> verdict option

@@ -24,8 +24,8 @@
      without touching the store;
    - configurations can be canonicalised under a {!Symmetry} group — the
      reduced space stores one representative per orbit, and every edge
-     records the group element used, so {!Decide} can run the exact lifted
-     adversarial analysis;
+     records the group element used, from which {!Decide} composes the
+     potentials of its adversarial quotient pass;
    - exploration runs on one domain and owns its state interner and memo,
      so configuration ids are deterministic.  Separate explorations may run
      on separate domains (batch shards, server workers).

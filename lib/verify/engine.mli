@@ -19,8 +19,8 @@
       spaces keep a CSR whose edges are labelled by the moved state;
     - configurations may be canonicalised under a {!Symmetry} group of graph
       automorphisms, storing one representative per orbit; each edge records
-      the group element applied, which lets {!Decide} run the exact lifted
-      analysis for adversarial fairness;
+      the group element applied, from which {!Decide} gives quotient
+      configurations their potentials for adversarial fairness;
     - exploration is sequential (one domain, which owns the state interner
       and the memo), so configuration ids are deterministic and, with no
       symmetry, coincide with the legacy explorer's BFS numbering.  Separate

@@ -2,7 +2,7 @@
 
    A value holds a full finite group of permutations of the communication
    graph's nodes, closed under composition, with the identity at index 0,
-   plus the multiplication table the lifted adversarial analysis needs.
+   plus the multiplication table that composes the quotient's potentials.
    Permutations are [int array]s; [p] maps node [v] to [p.(v)].
 
    Convention: a permutation acts on a configuration [c] by

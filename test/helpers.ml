@@ -190,3 +190,76 @@ let fair_cycle_oracle space =
   | false, true -> 0
   | true, false -> 1
   | _ -> 2
+
+(* The lifted graph of a symmetry quotient, built literally: vertex
+   [(R, t)] stands for the concrete configuration [p_t^{-1} . R], and
+   edge [k] of [R] (recorded group element [sigma R k]) lifts at [(R, t)]
+   to an edge labelled [perms.(t).(label R k)] going to
+   [(target R k, mul.(t).(sigma R k))]; acceptance is [R]'s.  Worklist-
+   explored from [(initial, identity)], so it holds the reachable lifted
+   vertices only — an explicit space for {!fair_cycle_oracle}, built with
+   no decision code. *)
+let lift g ~sigma quotient =
+  let open Dda_verify.Space in
+  let perms = Dda_verify.Symmetry.perms g and mul = Dda_verify.Symmetry.mul g in
+  let space =
+    explore_custom ~max_configs:100_000 ~node_count:quotient.node_count
+      ~initial:(quotient.initial, 0)
+      ~expand:(fun (r, t) ->
+        List.init (quotient.degree r) (fun k ->
+            (perms.(t).(quotient.label r k), (quotient.target r k, mul.(t).(sigma r k)))))
+      ~accepting:(fun (r, _) -> quotient.accepting r)
+      ~rejecting:(fun (r, _) -> quotient.rejecting r)
+      ~describe:(fun (r, t) -> Printf.sprintf "%s@%d" (quotient.describe r) t)
+  in
+  { space with kind = Explicit }
+
+(* The Streett condition of adversarial fairness read off its definition,
+   for spaces whose rows name their own obligations (counted spaces: a
+   configuration owes every label on its own row).  A set of
+   configurations supports a fair run iff every member reaches every
+   member, itself included, by a non-empty path inside the set, and the
+   labels of the edges inside it cover every member's row labels.  The
+   verdict reads the union of such sets, as {!fair_cycle_oracle} reads
+   its SCCs.  Brute force over every subset: at most 12 configurations. *)
+let streett_oracle space =
+  let open Dda_verify.Space in
+  let n = space.size in
+  if n > 12 then invalid_arg "Helpers.streett_oracle: more than 12 configurations";
+  let all = List.init n Fun.id in
+  let bit i = 1 lsl i in
+  let inside set i = set land bit i <> 0 in
+  let succ i = List.fold_left (fun m (_, j) -> m lor bit j) 0 (edges space i) in
+  let succ = Array.init n succ in
+  let pred j = List.fold_left (fun m i -> if inside succ.(i) j then m lor bit i else m) 0 all in
+  let pred = Array.init n pred in
+  (* the members of [set] reached from [i] by a non-empty path inside it *)
+  let closure step set i =
+    let rec grow r =
+      let r' =
+        List.fold_left (fun m j -> if inside r j then m lor (step.(j) land set) else m) r all
+      in
+      if r' = r then r else grow r'
+    in
+    grow (step.(i) land set)
+  in
+  let supports set =
+    let members = List.filter (inside set) all in
+    let internal i = List.filter (fun (_, j) -> inside set j) (edges space i) in
+    let covered = List.map fst (List.concat_map internal members) in
+    let root = List.hd members in
+    closure succ set root = set
+    && closure pred set root = set
+    && List.for_all
+         (fun i -> List.for_all (fun (l, _) -> List.mem l covered) (edges space i))
+         members
+  in
+  let fair = Array.make n false in
+  for set = 1 to bit n - 1 do
+    if supports set then List.iter (fun i -> if inside set i then fair.(i) <- true) all
+  done;
+  let holds bad = List.exists (fun i -> fair.(i) && bad i) all in
+  match (holds (fun i -> not (space.accepting i)), holds (fun i -> not (space.rejecting i))) with
+  | false, true -> 0
+  | true, false -> 1
+  | _ -> 2

@@ -333,12 +333,16 @@ let prop_unconditional_matches_oracle =
    a machine's, may lack labels: strongly connected sets that take only
    some labels are common here, and most of a machine's adversarial
    verdicts are inconsistent, so these are where a kernel that keeps an
-   unfair set (or drops a fair one) shows. *)
-let random_labelled_graph seed =
+   unfair set (or drops a fair one) shows.  [nodes] fixes the node count
+   (else two or three).  The [Counted] variant relabels each row with
+   distinct labels in -1 .. 3, so a configuration owes its own row's
+   labels, as a counted space's does, and keeps to 12 configurations, so
+   that {!Helpers.streett_oracle} can search all its subsets. *)
+let random_labelled_graph ?nodes ?(kind = Space.Explicit) seed =
   let module Prng = Dda_util.Prng in
   let rng c = Prng.create ((seed * 7919) + c) in
-  let nodes = 2 + Prng.int (rng (-3)) 2 in
-  let size = 4 + Prng.int (rng (-1)) 12 in
+  let nodes = match nodes with Some n -> n | None -> 2 + Prng.int (rng (-3)) 2 in
+  let size = 4 + Prng.int (rng (-1)) (if kind = Space.Counted then 9 else 12) in
   let major = Prng.int (rng (-2)) 2 in
   let role c =
     let r = rng c in
@@ -348,18 +352,24 @@ let random_labelled_graph seed =
     Space.explore_custom ~max_configs:100 ~node_count:nodes ~initial:0
       ~expand:(fun c ->
         let r = rng c in
-        List.init (1 + Prng.int r 4) (fun _ ->
-            let back = Prng.int r 3 = 0 in
-            (Prng.int r nodes, if back then Prng.int r (c + 1) else min (size - 1) (c + 1 + Prng.int r 3))))
+        let row =
+          List.init (1 + Prng.int r 4) (fun _ ->
+              let back = Prng.int r 3 = 0 in
+              (Prng.int r nodes, if back then Prng.int r (c + 1) else min (size - 1) (c + 1 + Prng.int r 3)))
+        in
+        if kind = Space.Counted then
+          let labels = Prng.sample_without_replacement r (List.length row) 5 in
+          List.map2 (fun l (_, j) -> (l - 1, j)) labels row
+        else row)
       ~accepting:(fun c -> role c = 0)
       ~rejecting:(fun c -> role c = 1)
       ~describe:string_of_int
   in
-  { space with Space.kind = Space.Explicit }
+  { space with Space.kind = kind }
 
 (* Adversarial verdicts against their definition: the fair-cycle oracle
    on the legacy explorer's space (no engine code) must be the verdict on
-   the explicit space, on its symmetry quotient (analysed as the lift),
+   the explicit space, on its symmetry quotient (the quotient pass),
    on the spilled space (the streaming sweeps) and on the counted space of
    a clique or star; and each random labelled space's own oracle its
    verdict. *)
@@ -381,6 +391,46 @@ let prop_adversarial_matches_oracle =
              let space = random_labelled_graph ((4 * seed) + k) in
              same (fair_cycle_oracle space) space)
            [ 0; 1; 2; 3 ])
+
+let witness_shape = function None, Some _ -> 0 | Some _, None -> 1 | _ -> 2
+
+(* The quotient pass against the definition on the lift: a random
+   explicit-kind quotient over the nodes of a non-abelian group (S3) or
+   of the dihedral group of the 4-cycle.  Edge R -> R' carries the group
+   element phi R^{-1} . d . phi R' for a random phi per configuration, so
+   potentials are far from the identity, and d is the identity nine
+   times in ten, so monodromy groups are often trivial or small: then
+   whether the mask covers every node turns on which potential permutes
+   which label. *)
+let prop_quotient_matches_lift =
+  QCheck.Test.make ~name:"quotient fair cycles = fair-cycle oracle on the lift" ~count:1000
+    QCheck.(pair (int_bound 100_000) bool)
+    (fun (seed, dihedral) ->
+      let module Prng = Dda_util.Prng in
+      let module Sym = Dda_verify.Symmetry in
+      let g = if dihedral then Sym.cycle 4 else symmetric_group ~degree:3 [ 0; 1; 2 ] in
+      let ord = Sym.order g and mul = Sym.mul g in
+      let inv t = List.find (fun j -> mul.(t).(j) = 0) (List.init ord Fun.id) in
+      let quotient = random_labelled_graph ~nodes:(Sym.degree g) seed in
+      let phi r = Prng.int (Prng.create ((seed * 7) + r)) ord in
+      let sigma r k =
+        let rng = Prng.create ((seed * 104729) + (r * 17) + k) in
+        let d = if Prng.int rng 10 = 0 then Prng.int rng ord else 0 in
+        mul.(inv (phi r)).(mul.(d).(phi (quotient.Space.target r k)))
+      in
+      witness_shape (Decide.quotient_fair_witnesses g ~sigma quotient)
+      = fair_cycle_oracle (lift g ~sigma quotient))
+
+(* The counted kernel against the Streett definition: rows owe their own
+   distinct labels, so a component can cover as many labels as a member
+   owes without covering that member's, which only the [unmet] check
+   catches. *)
+let prop_counted_matches_streett_oracle =
+  QCheck.Test.make ~name:"counted adversarial = Streett oracle" ~count:300
+    QCheck.(int_bound 100_000)
+    (fun seed ->
+      let space = random_labelled_graph ~kind:Space.Counted seed in
+      verdict_shape (Decide.adversarial space) = streett_oracle space)
 
 let test_counted_star_matches_explicit () =
   (* the star quotient gives the same pseudo-stochastic verdict as the
@@ -559,6 +609,8 @@ let () =
           QCheck_alcotest.to_alcotest prop_certificate_consistent;
           QCheck_alcotest.to_alcotest prop_unconditional_matches_oracle;
           QCheck_alcotest.to_alcotest prop_adversarial_matches_oracle;
+          QCheck_alcotest.to_alcotest prop_quotient_matches_lift;
+          QCheck_alcotest.to_alcotest prop_counted_matches_streett_oracle;
           Alcotest.test_case "certificate path (witness schedule)" `Quick test_certificate_path;
           Alcotest.test_case "counted star = explicit" `Quick test_counted_star_matches_explicit;
           Alcotest.test_case "liberal selection irrelevance" `Quick test_liberal_selection_irrelevance;
